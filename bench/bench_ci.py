@@ -4,7 +4,7 @@
 Subcommands:
   merge OUT IN...          Merge driver reports into one report; metric
                            and meta keys are namespaced by driver name
-                           ("engines.fsim_tf.cone.gate_evals", ...).
+                           ("engines.fsim_tf.gate_evals", ...).
   compare BASELINE CURRENT Compare a merged report against the committed
                            baseline. All metrics are lower-is-better.
                            Deterministic work metrics (everything except
@@ -19,7 +19,7 @@ Subcommands:
                            gate them anyway (fail beyond R x baseline).
   check-ratio REPORT A B --min-ratio R
                            Assert metric A >= R * metric B (used to pin
-                           the exhaustive-vs-cone gate_evals reduction).
+                           the fsim_batch window speedup).
   check-exact REFERENCE CURRENT [--include-meta PREFIX]...
                            Assert every non-wall metric of REFERENCE is
                            bit-exactly reproduced by CURRENT (extra

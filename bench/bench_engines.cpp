@@ -6,12 +6,11 @@
 // instead writes the machine-readable occ-bench-v1 report consumed by
 // the CI bench job (see README "Benchmarking"): deterministic work
 // counters (gate_evals, events_processed, fault/pattern counts) plus
-// wall-clock times for the same engine workloads, including the
-// word-vs-compiled-vs-interpreted-vs-exhaustive fault-propagation
-// comparison, the PPSFP window speedup (fsim_batch.scalar vs
-// fsim_batch.word -- one-pattern-per-sweep compiled driving against the
-// word-parallel window API on the same 256 patterns; CI gates the wall
-// ratio >= 10x), a SAT-backend workload (starved PODEM + CNF miter
+// wall-clock times for the same engine workloads, including the PPSFP
+// window speedup (fsim_batch.per_pattern vs fsim_batch.window -- one
+// pattern per sweep against the window API's 64-lane sweeps on the same
+// 256 patterns; CI gates the wall ratio >= 10x), a SAT-backend workload
+// (starved PODEM + CNF miter
 // classification of the aborts; atpg.sat.wall_ms/conflicts are
 // baseline-gated) and a parse->simulate run over the committed corpus
 // circuit circuits/s1423c.bench.
@@ -23,16 +22,16 @@
 // generated SOC workload for an external extended-dialect circuit
 // (scan-inserted with 4 chains); `--corpus-dir <dir>` relocates the
 // corpus the --json report reads. Engine selection uses the shared
-// parse_engine_flag vocabulary of util/cli.h (--mode/--shards/
-// --atpg-shards/--sat/--sat-budget/--atpg-heuristics); of these only
+// parse_engine_flag vocabulary of util/cli.h (--shards/--atpg-shards/
+// --sat/--sat-budget/--atpg-heuristics/--atpg-escalation); of these only
 // two affect the report -- --atpg-shards pins the worker count of the
 // parallel deterministic-PODEM workload (atpg.det.*; default 0 =
 // hardware concurrency) and --atpg-heuristics toggles the PODEM search
 // heuristics across the ATPG workloads (atpg.det.* and atpg.sat.*;
 // `off` reproduces the pre-heuristics counters bit-exactly, which the
 // CI parity gate pins for bench_table1) -- because every other
-// workload pins its own engine by design: the report's whole point is
-// to measure the modes against each other.
+// workload pins its own shard count by design, so its counters and
+// walls stay comparable across runs.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -81,7 +80,7 @@ size_t g_repeat = 1;
 /// concurrency, matching the sharded-fsim workload; results are
 /// bit-identical for every value, only atpg.det.wall_ms moves). The
 /// other fields parse but deliberately do not steer the report: its
-/// workloads pin their own FsimMode/shard counts to compare them.
+/// workloads pin their own shard counts.
 EngineOptions g_engine;
 
 Netlist& bench_soc() {
@@ -135,23 +134,16 @@ void BM_CycleSimEval(benchmark::State& state) {
 }
 BENCHMARK(BM_CycleSimEval);
 
-// Transition fault simulation of one 64-pattern batch, parameterized by
-// propagation mode (0 = compiled cone programs, 1 = interpreted cone
-// engine, 2 = exhaustive reference). All three produce bit-identical
-// detections; gate_evals shows the cone work cut, the 0-vs-1 wall gap
-// is the compiled layer's memory-layout win at identical work.
+// Transition fault simulation of one 64-pattern batch.
 void BM_FaultSimBatch(benchmark::State& state) {
   Netlist& nl = bench_soc();
   const ClockingScheme s = scheme_cpf_basic(nl.num_domains());
   const GateId se = nl.find("scan_en");
-  const FsimMode mode = state.range(0) == 0   ? FsimMode::kCompiled
-                        : state.range(0) == 1 ? FsimMode::kConeLimited
-                                              : FsimMode::kExhaustive;
   PatternSet ps("b");
   PatternBatch b = fsim_batch(nl, s, ps, 2);
   // One engine across iterations, like a production session: the lazy
   // cone/program/order builds amortize over every batch it grades.
-  NcpFaultSim fsim(nl, s, se, mode);
+  NcpFaultSim fsim(nl, s, se);
   for (auto _ : state) {
     state.PauseTiming();
     FaultList fl = FaultList::build(nl, FaultModel::kTransition);
@@ -164,11 +156,7 @@ void BM_FaultSimBatch(benchmark::State& state) {
     state.counters["events"] = static_cast<double>(st.events_processed);
   }
 }
-BENCHMARK(BM_FaultSimBatch)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FaultSimBatch)->Unit(benchmark::kMillisecond);
 
 // Sharded PPSFP: the same batch graded with the fault list fanned out
 // over N shards. Results are bit-identical for every N (asserted in
@@ -280,14 +268,13 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
 /// repeats like a production session's does (one session grades dozens
 /// of batches per engine), so the first repeat pays the lazy
 /// cone/program/order builds and the median reads steady state.
-FsimStats report_fsim(Json* metrics, Json* meta, const std::string& prefix,
-                      const ClockingScheme& s, FaultModel model,
-                      FsimMode mode) {
+void report_fsim(Json* metrics, Json* meta, const std::string& prefix,
+                      const ClockingScheme& s, FaultModel model) {
   Netlist& nl = bench_soc();
   const GateId se = nl.find("scan_en");
   PatternSet ps("b");
   PatternBatch b = fsim_batch(nl, s, ps, 2);
-  NcpFaultSim fsim(nl, s, se, mode);
+  NcpFaultSim fsim(nl, s, se);
   FsimStats st;
   std::vector<double> walls;
   for (size_t r = 0; r < g_repeat; ++r) {
@@ -308,7 +295,6 @@ FsimStats report_fsim(Json* metrics, Json* meta, const std::string& prefix,
   metrics->set(prefix + ".wall_ms", repeat_median(std::move(walls)));
   meta->set(prefix + ".faults", st.faults_simulated);
   meta->set(prefix + ".detected", st.newly_detected);
-  return st;
 }
 
 int write_json_report(const std::string& path) {
@@ -327,45 +313,21 @@ int write_json_report(const std::string& path) {
   meta.set("soc.gates", nl.size());
   meta.set("soc.flops", nl.dffs().size());
 
-  // Fault simulation on the identical batch, all four execution
-  // strategies: the word-parallel engine ("word" -- the production
-  // default), compiled cone programs ("cone" -- key name kept stable
-  // across the compiled-layer switch), the interpreted cone engine
-  // ("interp") and the exhaustive reference. Detections and the
-  // word/cone/interp work counters are bit-identical (asserted here and
-  // re-gated both ways by the CI job); the cone-vs-exhaustive
-  // gate_evals gap is the cone work cut, the cone-vs-interp wall gap is
-  // the compiled layer's memory-layout win at identical work, the
-  // word-vs-cone wall gap is the X-free one-word kernel.
+  // Fault simulation of one 64-pattern batch, transition and stuck-at.
   const ClockingScheme tf = scheme_cpf_basic(nl.num_domains());
-  const FsimStats tf_cone = report_fsim(&metrics, &meta, "fsim_tf.cone",
-                                        tf, FaultModel::kTransition,
-                                        FsimMode::kCompiled);
-  report_fsim(&metrics, &meta, "fsim_tf.interp", tf,
-              FaultModel::kTransition, FsimMode::kConeLimited);
-  report_fsim(&metrics, &meta, "fsim_tf.exhaustive", tf,
-              FaultModel::kTransition, FsimMode::kExhaustive);
-  const FsimStats tf_word = report_fsim(&metrics, &meta, "fsim_tf.word",
-                                        tf, FaultModel::kTransition,
-                                        FsimMode::kWordParallel);
-  OCC_CHECK(tf_word.gate_evals == tf_cone.gate_evals &&
-                tf_word.events_processed == tf_cone.events_processed &&
-                tf_word.newly_detected == tf_cone.newly_detected,
-            "fsim_tf: word-parallel work counters diverged from the "
-            "compiled scalar engine");
+  report_fsim(&metrics, &meta, "fsim_tf", tf, FaultModel::kTransition);
   const ClockingScheme sa = scheme_stuck_at_external(nl.num_domains());
-  report_fsim(&metrics, &meta, "fsim_sa.cone", sa, FaultModel::kStuckAt,
-              FsimMode::kCompiled);
+  report_fsim(&metrics, &meta, "fsim_sa", sa, FaultModel::kStuckAt);
 
   // PPSFP window speedup: the same 256 fully-specified random patterns
-  // graded (a) one pattern per sweep on the compiled scalar engine --
-  // how every caller drove the engine before the window API -- and
-  // (b) through detect_faults(ps, first, n, fl) on the word-parallel
-  // engine, which packs them into ceil(256/64) = 4 sweeps. Final fault
-  // statuses must agree exactly (same patterns, same detection
-  // semantics); work counters legitimately differ because fault
-  // dropping quantizes at the sweep boundary, so only the word run's
-  // deterministic counters are recorded. CI gates scalar/word >= 10x.
+  // graded (a) one pattern per sweep -- how every caller drove the
+  // engine before the window API -- and (b) through
+  // detect_faults(ps, first, n, fl), which packs them into
+  // ceil(256/64) = 4 sweeps. Final fault statuses must agree exactly
+  // (same patterns, same detection semantics); work counters
+  // legitimately differ because fault dropping quantizes at the sweep
+  // boundary, so only the window run's deterministic counters are
+  // recorded. CI gates per_pattern/window >= 10x.
   {
     const GateId se = nl.find("scan_en");
     const size_t frames = tf.procedures[0].cycles.size();
@@ -380,43 +342,43 @@ int write_json_report(const std::string& path) {
       p.random_fill(tf.procedures[0], rng);
       ps.add(std::move(p));
     }
-    NcpFaultSim scalar(nl, tf, se, FsimMode::kCompiled);
-    NcpFaultSim word(nl, tf, se, FsimMode::kWordParallel);
-    std::vector<double> scalar_walls, word_walls;
+    NcpFaultSim per_pattern(nl, tf, se);
+    NcpFaultSim window(nl, tf, se);
+    std::vector<double> per_pattern_walls, window_walls;
     FsimStats wst;
     for (size_t r = 0; r < g_repeat; ++r) {
       FaultList fl = FaultList::build(nl, FaultModel::kTransition);
       const auto t0 = std::chrono::steady_clock::now();
       for (size_t p = 0; p < ps.size(); ++p) {
         const PatternBatch b = pack_batch(ps, p, 1, nl, tf.procedures[0]);
-        scalar.detect_faults(b, fl);
+        per_pattern.detect_faults(b, fl);
       }
-      scalar_walls.push_back(ms_since(t0));
+      per_pattern_walls.push_back(ms_since(t0));
       FaultList flw = FaultList::build(nl, FaultModel::kTransition);
       const auto t1 = std::chrono::steady_clock::now();
-      const FsimStats cur = word.detect_faults(ps, 0, ps.size(), flw);
-      word_walls.push_back(ms_since(t1));
+      const FsimStats cur = window.detect_faults(ps, 0, ps.size(), flw);
+      window_walls.push_back(ms_since(t1));
       for (size_t f = 0; f < fl.size(); ++f) {
         OCC_CHECK(fl.status(f) == flw.status(f),
-                  "fsim_batch: scalar/word fault-status divergence at "
-                  "fault ", f);
+                  "fsim_batch: per-pattern/window fault-status divergence"
+                  " at fault ", f);
       }
       if (r == 0) {
         wst = cur;
       } else {
         OCC_CHECK(cur.gate_evals == wst.gate_evals &&
                       cur.events_processed == wst.events_processed,
-                  "fsim_batch.word: work counters drifted across repeats");
+                  "fsim_batch.window: work counters drifted across repeats");
       }
     }
-    metrics.set("fsim_batch.scalar.wall_ms",
-                repeat_median(std::move(scalar_walls)));
-    metrics.set("fsim_batch.word.wall_ms",
-                repeat_median(std::move(word_walls)));
-    metrics.set("fsim_batch.word.gate_evals", wst.gate_evals);
-    metrics.set("fsim_batch.word.events_processed", wst.events_processed);
+    metrics.set("fsim_batch.per_pattern.wall_ms",
+                repeat_median(std::move(per_pattern_walls)));
+    metrics.set("fsim_batch.window.wall_ms",
+                repeat_median(std::move(window_walls)));
+    metrics.set("fsim_batch.window.gate_evals", wst.gate_evals);
+    metrics.set("fsim_batch.window.events_processed", wst.events_processed);
     meta.set("fsim_batch.patterns", ps.size());
-    meta.set("fsim_batch.word.detected", wst.newly_detected);
+    meta.set("fsim_batch.window.detected", wst.newly_detected);
   }
 
   // Sharded grading at hardware concurrency (wall clock only; the work

@@ -7,7 +7,7 @@
 // section 5.2 of the paper.
 //
 // Usage: bench_table1 [--quick|--full] [--design PATH] [--shards N]
-//                     [--atpg-shards N] [--mode MODE] [--repeat N]
+//                     [--atpg-shards N] [--repeat N]
 //                     [--sat] [--sat-budget CONFLICTS] [--json PATH]
 //   default : mid-size SOC (~3 minutes) -- same orderings as full scale
 //   --quick : small SOC (~40 seconds)
@@ -24,9 +24,6 @@
 //   --atpg-shards N : deterministic-PODEM worker shards per Session
 //                (default and 0 = follow --shards; committed results
 //                are bit-identical for every value)
-//   --mode word|compiled|cone|exhaustive : fault-propagation strategy
-//                (default word; results are bit-identical, only wall
-//                time differs). Shared vocabulary of util/cli.h.
 //   --sat : enable the SAT backend (src/sat) in every experiment --
 //                PODEM-aborted faults get a CNF miter decision (test
 //                cube or proven-untestable). The per-stage disposition
@@ -129,7 +126,7 @@ int write_json_report(const std::string& path,
 int main(int argc, char** argv) {
   using namespace occ;
   bool quick = false, full = false, allow_shape_fail = false;
-  EngineOptions engine;   // --mode/--shards/--atpg-shards/--sat*
+  EngineOptions engine;   // --shards/--atpg-shards/--sat*
   engine.fsim.shards = 0;  // default: hardware concurrency
   size_t repeat = 1;
   std::string json_path;

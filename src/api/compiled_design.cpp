@@ -3,7 +3,6 @@
 #include <cinttypes>
 #include <cstdio>
 
-#include "fsim/pattern.h"
 #include "netlist/hash.h"
 #include "sim/cone_program.h"
 #include "util/check.h"
@@ -30,21 +29,6 @@ struct Fnv {
   }
 };
 
-// scan_observable[dff_pos]: the flop is a scan cell, so its final state
-// is unloaded. Mirrors the fault simulator's own ConeSim seeding -- the
-// shared FrameObs must be byte-identical to a private build.
-std::vector<uint8_t> scan_observable_flags(const Netlist& nl) {
-  std::vector<int32_t> dff_pos(nl.size(), -1);
-  for (size_t i = 0; i < nl.dffs().size(); ++i) {
-    dff_pos[nl.dffs()[i]] = static_cast<int32_t>(i);
-  }
-  std::vector<uint8_t> so(nl.dffs().size(), 0);
-  for (GateId sc : scan_cells(nl)) {
-    so[static_cast<size_t>(dff_pos[sc])] = 1;
-  }
-  return so;
-}
-
 size_t netlist_bytes(const Netlist& nl) {
   size_t b = nl.size() * sizeof(Gate);
   for (GateId g = 0; g < static_cast<GateId>(nl.size()); ++g) {
@@ -68,8 +52,7 @@ size_t prog_bytes(const ConeProgram& p) {
     b += f.nodes.size() * sizeof(ConeNode);
     b += f.gate_of.size() * sizeof(GateId);
     b += f.dense_of.size() * sizeof(int32_t);
-    b += (f.fanin_pool.size() + f.fanout.size() + f.dfeed.size() +
-          f.level_begin.size()) *
+    b += (f.fanin_pool.size() + f.fanout.size() + f.dfeed.size()) *
          sizeof(uint32_t);
     b += f.dff_pulsed.size();
   }
@@ -138,9 +121,6 @@ std::shared_ptr<CompiledDesign> CompiledDesign::build(
       cd->has_scan_chains_ ? chains_fingerprint(cd->chains_) : 0, scan_en,
       scheme_fingerprint(cd->scheme_));
 
-  cd->cones_ = std::make_unique<ConeSim>(*cd->netlist_,
-                                         scan_observable_flags(*cd->netlist_));
-
   const size_t n = cd->scheme_.procedures.size();
   cd->obs_.resize(n);
   cd->progs_.resize(n);
@@ -159,7 +139,8 @@ std::shared_ptr<CompiledDesign> CompiledDesign::build(
 const FrameObs& CompiledDesign::shared_frame_obs(size_t ncp_index) const {
   OCC_CHECK(ncp_index < obs_.size(), "CompiledDesign: NCP out of range");
   std::call_once(obs_once_[ncp_index], [&] {
-    obs_[ncp_index] = cones_->build_obs(scheme_.procedures[ncp_index]);
+    obs_[ncp_index] =
+        build_frame_obs(*netlist_, scheme_.procedures[ncp_index]);
     obs_built_[ncp_index].store(true, std::memory_order_release);
   });
   return obs_[ncp_index];

@@ -6,10 +6,10 @@
 ///
 /// A Session's pipeline consumes four families of derived artifacts:
 /// the finalized post-scan netlist (+ chain description), the per-NCP
-/// observability masks (sim/cone_sim.h FrameObs), the compiled cone
-/// replay programs (sim/cone_program.h), the per-NCP unrolled
-/// combinational models (atpg/unroll.h), and the good-machine CNF
-/// lowerings the SAT backend/escalation start from (sat/lower.h). All
+/// observability masks and the compiled cone replay programs
+/// (sim/cone_program.h), the per-NCP unrolled combinational models
+/// (atpg/unroll.h), and the good-machine CNF lowerings the SAT
+/// backend/escalation start from (sat/lower.h). All
 /// of them are pure functions of (netlist, scheme) and read-only during
 /// execution; only per-engine scratch is mutable. CompiledDesign owns
 /// exactly one copy of each, built lazily on first use and then frozen
@@ -18,10 +18,10 @@
 ///
 /// Bit-identity contract: a run over a cached artifact produces the
 /// same patterns, fault statuses, detection slots and deterministic
-/// work counters as a fresh run, for every engine mode and shard count
-/// -- the artifacts are byte-identical to what each engine would build
+/// work counters as a fresh run, for every shard count -- the
+/// artifacts are byte-identical to what each engine would build
 /// privately, and everything order- or history-dependent (PODEM
-/// engines, CDCL solvers, event queues, RNG streams) stays per-run.
+/// engines, CDCL solvers, fault-sim scratch, RNG streams) stays per-run.
 /// tests/test_compiled_design.cpp pins this.
 #pragma once
 
@@ -91,7 +91,7 @@ class CompiledDesign : public ConeArtifactSource {
   const std::string& key() const { return key_; }
 
   /// Frozen observability masks of capture procedure `ncp_index`
-  /// (ConeArtifactSource; byte-identical to a private ConeSim build).
+  /// (ConeArtifactSource; byte-identical to a private build).
   const FrameObs& shared_frame_obs(size_t ncp_index) const override;
   /// Frozen compiled replay program of capture procedure `ncp_index`.
   const ConeProgram& shared_cone_program(size_t ncp_index) const override;
@@ -130,11 +130,6 @@ class CompiledDesign : public ConeArtifactSource {
   ClockingScheme scheme_;
   uint64_t design_hash_ = 0;
   std::string key_;
-
-  // Shared const builder for the observability masks (ConeSim::build_obs
-  // is const and side-effect free, so concurrent slot builds may share
-  // it; the mutable event queue half of ConeSim is never touched).
-  std::unique_ptr<ConeSim> cones_;
 
   // Lazily-built-once, then frozen, per-NCP slots. The once flags
   // serialize the first build; the atomic built flags let approx_bytes()

@@ -167,10 +167,6 @@ SessionConfig& SessionConfig::atpg_escalation(bool on) {
   atpg_escalation_override_ = on;
   return *this;
 }
-SessionConfig& SessionConfig::fsim_mode(FsimMode m) {
-  engine_.fsim.mode = m;
-  return *this;
-}
 SessionConfig& SessionConfig::compress(EdtConfig cfg) {
   edt_ = cfg;
   return *this;

@@ -170,13 +170,13 @@ class SessionConfig {
 
   // ---- engine selection --------------------------------------------------
   /// The whole engine-selection surface in one call: fault-simulation
-  /// mode and shards, PODEM worker shards, SAT backend and its conflict
-  /// budget. This is what the drivers parse their shared
-  /// `--mode/--shards/--atpg-shards/--sat*` flags into (see
-  /// util/cli.h's parse_engine_flag); the atpg_shards/sat fields win
-  /// over the corresponding AtpgOptions fields regardless of the order
-  /// engine() and atpg() were called in. Results are bit-identical for
-  /// every mode and shard count.
+  /// shards, PODEM worker shards, SAT backend and its conflict budget.
+  /// This is what the drivers parse their shared
+  /// `--shards/--atpg-shards/--sat*` flags into (see util/cli.h's
+  /// parse_engine_flag); the atpg_shards/sat fields win over the
+  /// corresponding AtpgOptions fields regardless of the order engine()
+  /// and atpg() were called in. Results are bit-identical for every
+  /// shard count.
   SessionConfig& engine(EngineOptions o);
   /// Deprecated forward of engine(): fault-simulation shards (thread
   /// pool size). 1 = sequential; 0 = hardware concurrency.
@@ -198,12 +198,6 @@ class SessionConfig {
   /// committed counters bit-identically. Wins over
   /// AtpgOptions::escalation regardless of call order.
   SessionConfig& atpg_escalation(bool on);
-  /// Deprecated forward of engine(): fault-propagation strategy
-  /// (default: word-parallel over the compiled cone replay programs).
-  /// Results are bit-identical for every mode; kConeLimited and
-  /// kExhaustive are the slower reference paths kept for parity checks
-  /// and benchmarking.
-  SessionConfig& fsim_mode(FsimMode m);
 
   // ---- optional stages ---------------------------------------------------
   /// EDT-compress the deterministic cubes after ATPG (implies

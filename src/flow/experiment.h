@@ -28,7 +28,7 @@ struct Table1Config {
   size_t max_pulses = 4;
   AtpgOptions atpg;
   bool classify_leftovers = true;
-  /// Fault-simulation engine (mode + shards) forwarded to each
+  /// Fault-simulation engine (shard count) forwarded to each
   /// experiment's Session; results are identical for every setting.
   FsimOptions fsim;
   /// Optional shared design cache (api/compiled_design.h). With one

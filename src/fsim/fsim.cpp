@@ -17,6 +17,28 @@ uint64_t hard_diff(Val64 a, Val64 b) {
 /// Slots where exactly one of a, b is known (X-marginal disagreement).
 uint64_t possible_diff(Val64 a, Val64 b) { return a.x ^ b.x; }
 
+/// Any difference, hard or possible.
+bool differs(Val64 a, Val64 b) {
+  return (hard_diff(a, b) | possible_diff(a, b)) != 0;
+}
+
+/// `w` with lanes `mask` forced to the bits of `forced_v` (a subset of
+/// `mask`).
+Val64 force(Val64 w, uint64_t mask, uint64_t forced_v) {
+  return {(w.v & ~mask) | forced_v, w.x & ~mask};
+}
+
+/// Sign-extends a 0x00/0xFF lowering mask to a full lane word without a
+/// branch.
+uint64_t lane_mask(uint8_t m) {
+  return static_cast<uint64_t>(static_cast<int64_t>(static_cast<int8_t>(m)));
+}
+
+/// Complements the known lanes of `w` where `mask` is set.
+Val64 complement(Val64 w, uint64_t mask) {
+  return {(w.v ^ mask) & ~w.x, w.x};
+}
+
 /// FNV-1a over the fault list's defining fields (order-cache key).
 uint64_t fault_list_hash(const FaultList& fl) {
   uint64_t h = 1469598103934665603ull;
@@ -31,33 +53,17 @@ uint64_t fault_list_hash(const FaultList& fl) {
   return h;
 }
 
-std::vector<uint8_t> scan_observable_flags(const Netlist& nl) {
-  std::vector<int32_t> dff_pos(nl.size(), -1);
-  for (size_t i = 0; i < nl.dffs().size(); ++i) {
-    dff_pos[nl.dffs()[i]] = static_cast<int32_t>(i);
-  }
-  std::vector<uint8_t> so(nl.dffs().size(), 0);
-  for (GateId sc : scan_cells(nl)) {
-    so[static_cast<size_t>(dff_pos[sc])] = 1;
-  }
-  return so;
-}
-
 }  // namespace
 
 NcpFaultSim::NcpFaultSim(const Netlist& nl, const ClockingScheme& scheme,
-                         GateId scan_en_pi, FsimMode mode,
+                         GateId scan_en_pi,
                          std::shared_ptr<const ConeArtifactSource> shared)
     : nl_(&nl),
       scheme_(&scheme),
       scan_en_pi_(scan_en_pi),
-      mode_(mode),
       shared_(std::move(shared)),
-      sim_(nl),
-      cone_(nl, scan_observable_flags(nl)) {
-  faulty_.assign(nl.size(), Val64{});
-  stamp_.assign(nl.size(), 0);
-
+      private_(shared_ ? 0 : scheme.procedures.size()),
+      sim_(nl) {
   dff_pos_.assign(nl.size(), -1);
   for (size_t i = 0; i < nl.dffs().size(); ++i) {
     dff_pos_[nl.dffs()[i]] = static_cast<int32_t>(i);
@@ -78,29 +84,25 @@ NcpFaultSim::NcpFaultSim(const Netlist& nl, const ClockingScheme& scheme,
   cand_stamp_.assign(nl.dffs().size(), 0);
 }
 
-const ConeProgram& NcpFaultSim::cone_program(size_t ncp_index) {
-  OCC_CHECK(ncp_index < scheme_->procedures.size(), "NCP out of range");
-  if (shared_) return shared_->shared_cone_program(ncp_index);
-  if (ncp_index >= progs_.size()) {
-    progs_.resize(ncp_index + 1);
-    prog_built_.resize(ncp_index + 1, 0);
-  }
-  if (!prog_built_[ncp_index]) {
-    const NamedCaptureProcedure& ncp = scheme_->procedures[ncp_index];
-    progs_[ncp_index] =
-        compile_cone_program(*nl_, ncp, cone_.frame_obs(ncp_index, ncp));
-    prog_built_[ncp_index] = 1;
-  }
-  return progs_[ncp_index];
-}
-
 void NcpFaultSim::simulate_good(const PatternBatch& batch) {
   OCC_CHECK(batch.ncp_index < scheme_->procedures.size(),
             "batch NCP out of range");
   cur_ncp_ = &scheme_->procedures[batch.ncp_index];
-  cur_obs_ = mode_ != FsimMode::kExhaustive
-                 ? &frame_obs_for(batch.ncp_index, *cur_ncp_)
-                 : nullptr;
+  // Bind the NCP's cone artifacts: the shared frozen ones, else this
+  // engine's private copies (built on first use).
+  if (shared_) {
+    cur_obs_ = &shared_->shared_frame_obs(batch.ncp_index);
+    cur_prog_ = &shared_->shared_cone_program(batch.ncp_index);
+  } else {
+    PrivateCones& pc = private_[batch.ncp_index];
+    if (!pc.built) {
+      pc.obs = build_frame_obs(*nl_, *cur_ncp_);
+      pc.prog = compile_cone_program(*nl_, *cur_ncp_, pc.obs);
+      pc.built = true;
+    }
+    cur_obs_ = &pc.obs;
+    cur_prog_ = &pc.prog;
+  }
   const size_t frames = cur_ncp_->cycles.size();
   const auto& dffs = nl_->dffs();
 
@@ -139,53 +141,25 @@ void NcpFaultSim::simulate_good(const PatternBatch& batch) {
   }
   good_.final_state = good_.state[frames];
 
-  cur_prog_ = nullptr;
-  if (compiled_family()) {
-    cur_prog_ = &cone_program(batch.ncp_index);
-    // Size the bitset scratch for the NCP's largest frame cone (never
-    // shrinks: one engine may alternate between procedures).
-    if (scratch_.active.size() < (cur_prog_->max_nodes + 63) / 64) {
-      scratch_.active.resize((cur_prog_->max_nodes + 63) / 64, 0);
-    }
-    // Pack the good-machine frames into dense-id order and prime the
-    // per-frame write-through arenas with them. Once per batch,
-    // amortized over every fault probed against it.
-    scratch_.good_dense.resize(frames);
-    scratch_.frame_vals.resize(frames);
-    for (size_t f = 0; f < frames; ++f) {
-      const FrameProgram& fp = cur_prog_->frames[f];
-      auto& gd = scratch_.good_dense[f];
-      gd.resize(fp.num_nodes);
-      const std::vector<Val64>& frame = good_.frames[f];
-      for (uint32_t n = 0; n < fp.num_nodes; ++n) {
-        gd[n] = frame[fp.gate_of[n]];
-      }
-      scratch_.frame_vals[f] = gd;
-    }
+  // Size the bitset scratch for the NCP's largest frame cone (never
+  // shrinks: one engine may alternate between procedures).
+  if (scratch_.active.size() < (cur_prog_->max_nodes + 63) / 64) {
+    scratch_.active.resize((cur_prog_->max_nodes + 63) / 64, 0);
   }
-  if (mode_ == FsimMode::kWordParallel) {
-    // Word-parallel extras: the one-word value planes (dense order,
-    // mirroring good_dense/frame_vals) and the per-frame X-free flags.
-    // The flag scans the FULL frame, not just cone nodes: off-cone
-    // reads (off_cone_value, captured D nets, carried/final state) may
-    // touch any net, and flop outputs are frame values, so an X-free
-    // frame also certifies the state words the frame reads and writes.
-    scratch_.good_v.resize(frames);
-    scratch_.frame_v.resize(frames);
-    scratch_.frame_xfree.resize(frames);
-    for (size_t f = 0; f < frames; ++f) {
-      const std::vector<Val64>& frame = good_.frames[f];
-      uint64_t any_x = 0;
-      for (const Val64& v : frame) any_x |= v.x;
-      scratch_.frame_xfree[f] = any_x == 0;
-
-      const FrameProgram& fp = cur_prog_->frames[f];
-      auto& gv = scratch_.good_v[f];
-      gv.resize(fp.num_nodes);
-      const auto& gd = scratch_.good_dense[f];
-      for (uint32_t n = 0; n < fp.num_nodes; ++n) gv[n] = gd[n].v;
-      scratch_.frame_v[f] = gv;
+  // Pack the good-machine frames into dense-id order and prime the
+  // per-frame write-through arenas with them. Once per batch, amortized
+  // over every fault probed against it.
+  scratch_.good_dense.resize(frames);
+  scratch_.frame_vals.resize(frames);
+  for (size_t f = 0; f < frames; ++f) {
+    const FrameProgram& fp = cur_prog_->frames[f];
+    auto& gd = scratch_.good_dense[f];
+    gd.resize(fp.num_nodes);
+    const std::vector<Val64>& frame = good_.frames[f];
+    for (uint32_t n = 0; n < fp.num_nodes; ++n) {
+      gd[n] = frame[fp.gate_of[n]];
     }
+    scratch_.frame_vals[f] = gd;
   }
 }
 
@@ -217,152 +191,6 @@ void NcpFaultSim::propagate_frame(GateId site_gate, uint8_t site_pin,
                                   uint64_t* hard_po, uint64_t* poss_po,
                                   FsimWork* work) {
   ++epoch_;
-  const auto& good_vals = good_.frames[cur_frame_];
-  const CaptureCycle& cyc = cur_ncp_->cycles[cur_frame_];
-  const uint8_t* live =
-      cur_obs_ ? cur_obs_->live[cur_frame_].data() : nullptr;
-  cand_dffs_.clear();
-  cone_.begin_frame();
-
-  // Cone limiting: a difference leaving the observability cone can never
-  // reach an observation point in the remaining frames, so it dies here.
-  auto enqueue = [&](GateId g) {
-    if (live && !live[g]) return;
-    ++work->events_processed;
-    cone_.push(g);
-  };
-
-  auto add_candidates = [&](GateId g) {
-    for (uint32_t pos : d_feeds_[g]) {
-      if (cand_stamp_[pos] != epoch_) {
-        cand_stamp_[pos] = epoch_;
-        cand_dffs_.push_back(pos);
-      }
-    }
-  };
-
-  // Seeds: corrupted flop outputs from the previous pulse.
-  for (const StateDiff& sd : in_state) {
-    const GateId ff = nl_->dffs()[sd.dff_pos];
-    faulty_[ff] = sd.faulty;
-    stamp_[ff] = epoch_;
-    if (hard_diff(sd.faulty, good_vals[ff]) |
-        possible_diff(sd.faulty, good_vals[ff])) {
-      for (GateId out : nl_->gate(ff).fanout) {
-        if (!is_sequential(nl_->gate(out).type)) enqueue(out);
-      }
-      add_candidates(ff);
-    }
-  }
-
-  // Seed: fault injection site.
-  if (inj_mask != 0) {
-    if (site_pin == kOutputPin) {
-      const Val64 g = faulty_value(site_gate);
-      Val64 forced;
-      forced.v = (g.v & ~inj_mask) | forced_v;
-      forced.x = g.x & ~inj_mask;
-      faulty_[site_gate] = forced;
-      stamp_[site_gate] = epoch_;
-      if (hard_diff(forced, good_vals[site_gate]) |
-          possible_diff(forced, good_vals[site_gate])) {
-        for (GateId out : nl_->gate(site_gate).fanout) {
-          if (!is_sequential(nl_->gate(out).type)) enqueue(out);
-        }
-        add_candidates(site_gate);
-      }
-    } else if (!is_sequential(nl_->gate(site_gate).type)) {
-      // Branch fault: re-evaluate only the faulted gate.
-      enqueue(site_gate);
-    } else if (nl_->gate(site_gate).type == GateType::kDff &&
-               site_pin == 0) {
-      // Branch fault on a flop's D pin: handled at capture below. Dedup
-      // against the in_state seeds -- when the faulted flop's D net is
-      // itself a corrupted flop, its position is already a candidate,
-      // and a duplicate would double-count next-frame activation events
-      // (and diverge from the compiled engine's counters).
-      const uint32_t pos = static_cast<uint32_t>(dff_pos_[site_gate]);
-      if (cand_stamp_[pos] != epoch_) {
-        cand_stamp_[pos] = epoch_;
-        cand_dffs_.push_back(pos);
-      }
-    }
-  }
-
-  // Level-ordered single-fault propagation over the event queue.
-  Val64 ins[8];
-  cone_.drain([&](GateId g) {
-    const Gate& gate = nl_->gate(g);
-    const size_t n = gate.fanin.size();
-    Val64* iv = ins;
-    if (n > 8) {
-      scratch_.wide_ins.resize(n);
-      iv = scratch_.wide_ins.data();
-    }
-    for (size_t i = 0; i < n; ++i) iv[i] = faulty_value(gate.fanin[i]);
-    // Branch-fault override on this gate's faulted pin.
-    if (g == site_gate && site_pin != kOutputPin && inj_mask != 0) {
-      Val64& pv = iv[site_pin];
-      pv.v = (pv.v & ~inj_mask) | forced_v;
-      pv.x = pv.x & ~inj_mask;
-    }
-    Val64 out = eval_gate_packed(gate.type, {iv, n});
-    // A stem fault on this gate keeps its output forced regardless of
-    // input corruption (re-evaluation must not wash out the injection).
-    if (g == site_gate && site_pin == kOutputPin && inj_mask != 0) {
-      out.v = (out.v & ~inj_mask) | forced_v;
-      out.x = out.x & ~inj_mask;
-    }
-    ++work->gate_evals;
-    const Val64 prev = faulty_value(g);
-    if (out == prev && stamp_[g] == epoch_) return;
-    faulty_[g] = out;
-    stamp_[g] = epoch_;
-    if (hard_diff(out, good_vals[g]) | possible_diff(out, good_vals[g])) {
-      for (GateId o : gate.fanout) {
-        if (!is_sequential(nl_->gate(o).type)) enqueue(o);
-      }
-      add_candidates(g);
-    }
-    // PO strobe observation.
-    if (gate.type == GateType::kOutput && cyc.po_strobe) {
-      *hard_po |= hard_diff(out, good_vals[g]);
-      *poss_po |= possible_diff(out, good_vals[g]);
-    }
-  });
-
-  // Next-frame corrupted state: pulsed flops capture faulty D values;
-  // un-pulsed flops carry their previous corruption forward.
-  out_state->clear();
-  const auto& dffs = nl_->dffs();
-  const auto& next_state = good_.state[cur_frame_ + 1];
-  for (const StateDiff& sd : in_state) {
-    const Gate& ff = nl_->gate(dffs[sd.dff_pos]);
-    if (cyc.pulses & (DomainMask{1} << ff.domain)) continue;  // recaptured
-    out_state->push_back(sd);  // un-pulsed: holds corrupted value
-  }
-  for (uint32_t i : cand_dffs_) {
-    const Gate& ff = nl_->gate(dffs[i]);
-    if (!(cyc.pulses & (DomainMask{1} << ff.domain))) continue;
-    const GateId d = ff.fanin[0];
-    Val64 fd = faulty_value(d);
-    // Branch fault directly on this flop's D pin.
-    if (dffs[i] == site_gate && site_pin == 0 && inj_mask != 0) {
-      fd.v = (fd.v & ~inj_mask) | forced_v;
-      fd.x = fd.x & ~inj_mask;
-    }
-    if (hard_diff(fd, next_state[i]) | possible_diff(fd, next_state[i])) {
-      out_state->push_back({i, fd});
-    }
-  }
-}
-
-void NcpFaultSim::propagate_frame_compiled(
-    GateId site_gate, uint8_t site_pin, uint64_t inj_mask,
-    uint64_t forced_v, const std::vector<StateDiff>& in_state,
-    std::vector<StateDiff>* out_state, uint64_t* hard_po,
-    uint64_t* poss_po, FsimWork* work) {
-  ++epoch_;
   const uint32_t ep = epoch_;
   const FrameProgram& fp = cur_prog_->frames[cur_frame_];
   const Val64* goodd = scratch_.good_dense[cur_frame_].data();
@@ -384,16 +212,14 @@ void NcpFaultSim::propagate_frame_compiled(
   };
 
   // A stem injection at an off-cone site still corrupts captured flop
-  // state (the carried corruption rides along, observable or not --
-  // exactly like the interpreter, which stamps the global overlay).
-  // The forced word is kept here for the capture pass's reads.
+  // state (the carried corruption rides along, observable or not). The
+  // forced word is kept here for the capture pass's reads.
   Val64 off_cone_site{};
   bool site_stem_off_cone = false;
 
-  // Replay-program equivalents of the interpreted engine's enqueue /
-  // add_candidates: fanout and dfeed lists are pre-filtered, so the
-  // liveness, sequential and pulse checks are compiled away. The sweep
-  // only visits the bitset word range activations actually touched.
+  // Fanout and dfeed lists are pre-filtered by the lowering, so liveness,
+  // sequential and pulse checks are compiled away. The sweep only visits
+  // the bitset word range activations actually touched.
   uint32_t wlo = 0xFFFFFFFFu, whi = 0;
   auto activate = [&](uint32_t node) {
     ++work->events_processed;
@@ -408,40 +234,36 @@ void NcpFaultSim::propagate_frame_compiled(
       activate(fp.fanout[k]);
     }
   };
+  auto add_cand = [&](uint32_t pos) {
+    if (cand_stamp_[pos] != ep) {
+      cand_stamp_[pos] = ep;
+      cand_dffs_.push_back(pos);
+    }
+  };
   auto add_cands = [&](uint32_t node) {
     for (uint32_t k = nodes[node].dfeed_begin;
          k < nodes[node + 1].dfeed_begin; ++k) {
-      const uint32_t pos = fp.dfeed[k];
-      if (cand_stamp_[pos] != ep) {
-        cand_stamp_[pos] = ep;
-        cand_dffs_.push_back(pos);
-      }
+      add_cand(fp.dfeed[k]);
     }
   };
   auto add_cands_off_cone = [&](GateId g) {
     for (uint32_t pos : d_feeds_[g]) {
-      if (!fp.dff_pulsed[pos]) continue;
-      if (cand_stamp_[pos] != ep) {
-        cand_stamp_[pos] = ep;
-        cand_dffs_.push_back(pos);
-      }
+      if (fp.dff_pulsed[pos]) add_cand(pos);
     }
   };
 
   // Seeds: corrupted flop outputs from the previous pulse.
   for (const StateDiff& sd : in_state) {
     const GateId ff = dffs[sd.dff_pos];
-    const Val64 gv = good_.frames[cur_frame_][ff];
-    const bool differs =
-        (hard_diff(sd.faulty, gv) | possible_diff(sd.faulty, gv)) != 0;
+    const bool diff = differs(sd.faulty, good_.frames[cur_frame_][ff]);
     const int32_t dn = fp.dense_of[ff];
     if (dn >= 0) {
       write_val(static_cast<uint32_t>(dn), sd.faulty);
-      if (differs) {
+      if (diff) {
         activate_fanouts(static_cast<uint32_t>(dn));
         add_cands(static_cast<uint32_t>(dn));
       }
-    } else if (differs) {
+    } else if (diff) {
       add_cands_off_cone(ff);
     }
   }
@@ -451,25 +273,20 @@ void NcpFaultSim::propagate_frame_compiled(
   if (inj_mask != 0) {
     if (site_pin == kOutputPin) {
       site_dense = fp.dense_of[site_gate];
-      const Val64 g = site_dense >= 0
-                          ? vals[site_dense]
-                          : off_cone_value(site_gate, in_state);
-      Val64 forced;
-      forced.v = (g.v & ~inj_mask) | forced_v;
-      forced.x = g.x & ~inj_mask;
-      const Val64 gv = good_.frames[cur_frame_][site_gate];
-      const bool differs =
-          (hard_diff(forced, gv) | possible_diff(forced, gv)) != 0;
+      const Val64 g = site_dense >= 0 ? vals[site_dense]
+                                      : off_cone_value(site_gate, in_state);
+      const Val64 forced = force(g, inj_mask, forced_v);
+      const bool diff = differs(forced, good_.frames[cur_frame_][site_gate]);
       if (site_dense >= 0) {
         write_val(static_cast<uint32_t>(site_dense), forced);
-        if (differs) {
+        if (diff) {
           activate_fanouts(static_cast<uint32_t>(site_dense));
           add_cands(static_cast<uint32_t>(site_dense));
         }
       } else {
         off_cone_site = forced;
         site_stem_off_cone = true;
-        if (differs) add_cands_off_cone(site_gate);
+        if (diff) add_cands_off_cone(site_gate);
       }
     } else if (!is_sequential(nl_->gate(site_gate).type)) {
       // Branch fault: re-evaluate only the faulted gate (if in-cone).
@@ -479,11 +296,9 @@ void NcpFaultSim::propagate_frame_compiled(
                site_pin == 0) {
       // Branch fault on a flop's D pin: the captured value is computed
       // at the capture pass below (forced from the D net's final value).
-      const uint32_t pos = static_cast<uint32_t>(dff_pos_[site_gate]);
-      if (cand_stamp_[pos] != ep) {
-        cand_stamp_[pos] = ep;
-        cand_dffs_.push_back(pos);
-      }
+      // Deduped against the in_state seeds: when the D net is itself a
+      // corrupted flop, its position is already a candidate.
+      add_cand(static_cast<uint32_t>(dff_pos_[site_gate]));
     }
   }
 
@@ -518,57 +333,43 @@ void NcpFaultSim::propagate_frame_compiled(
       const bool is_site =
           static_cast<int32_t>(node) == site_dense && inj_mask != 0;
       if (is_site && site_pin != kOutputPin) [[unlikely]] {
-        Val64& pv = iv[site_pin];
-        pv.v = (pv.v & ~inj_mask) | forced_v;
-        pv.x = pv.x & ~inj_mask;
+        iv[site_pin] = force(iv[site_pin], inj_mask, forced_v);
       }
       // Mask-driven evaluation classes (lowered at compile time): the
       // dominant 2-input cells evaluate branch-free, side-stepping the
-      // per-event opcode mispredicts a GateType switch pays. The masks
-      // sign-extend from 0x00/0xFF without a branch.
+      // per-event opcode mispredicts a GateType switch pays. Inputs and
+      // output are complemented by the lowering masks (X lanes stay
+      // canonical).
       Val64 out;
       switch (rec.cls) {
         case ConeOpClass::kAnd2: {
-          const uint64_t mi = static_cast<uint64_t>(
-              static_cast<int64_t>(static_cast<int8_t>(rec.inv_in)));
-          const uint64_t mo = static_cast<uint64_t>(
-              static_cast<int64_t>(static_cast<int8_t>(rec.inv_out)));
-          const Val64 a{(iv[0].v ^ mi) & ~iv[0].x, iv[0].x};
-          const Val64 b{(iv[1].v ^ mi) & ~iv[1].x, iv[1].x};
-          const Val64 r = v_and(a, b);
-          out = {(r.v ^ mo) & ~r.x, r.x};
+          const uint64_t mi = lane_mask(rec.inv_in);
+          out = complement(v_and(complement(iv[0], mi), complement(iv[1], mi)),
+                           lane_mask(rec.inv_out));
           break;
         }
-        case ConeOpClass::kXor2: {
-          const uint64_t mo = static_cast<uint64_t>(
-              static_cast<int64_t>(static_cast<int8_t>(rec.inv_out)));
-          const Val64 r = v_xor(iv[0], iv[1]);
-          out = {(r.v ^ mo) & ~r.x, r.x};
+        case ConeOpClass::kXor2:
+          out = complement(v_xor(iv[0], iv[1]), lane_mask(rec.inv_out));
           break;
-        }
-        case ConeOpClass::kUnary: {
-          const uint64_t mo = static_cast<uint64_t>(
-              static_cast<int64_t>(static_cast<int8_t>(rec.inv_out)));
-          out = {(iv[0].v ^ mo) & ~iv[0].x, iv[0].x};
+        case ConeOpClass::kUnary:
+          out = complement(iv[0], lane_mask(rec.inv_out));
           break;
-        }
         default:
           out = eval_gate_packed(static_cast<GateType>(rec.op),
                                  {iv, rec.nf});
           break;
       }
+      // A stem fault on this gate keeps its output forced regardless of
+      // input corruption (re-evaluation must not wash out the injection).
       if (is_site && site_pin == kOutputPin) [[unlikely]] {
-        out.v = (out.v & ~inj_mask) | forced_v;
-        out.x = out.x & ~inj_mask;
+        out = force(out, inj_mask, forced_v);
       }
       // Write-through arena: the node holds its previous value (good if
-      // untouched), so an unchanged result is exactly the interpreted
-      // engine's early return.
-      const Val64 prev = vals[node];
-      if (out == prev) continue;
+      // untouched), so an unchanged result needs no write and no events.
+      if (out == vals[node]) continue;
       write_val(node, out);
       const Val64 gv = goodd[node];
-      if (hard_diff(out, gv) | possible_diff(out, gv)) {
+      if (differs(out, gv)) {
         activate_fanouts(node);
         add_cands(node);
       }
@@ -581,9 +382,9 @@ void NcpFaultSim::propagate_frame_compiled(
 
   // Next-frame corrupted state: pulsed flops capture faulty D values
   // (the probe-slot candidates above); un-pulsed flops carry their
-  // previous corruption forward. D values are read at end-of-frame like
-  // the interpreter (a stem site can be re-evaluated mid-sweep, so a
-  // value snapshotted at candidate time could be stale).
+  // previous corruption forward. D values are read at end-of-frame (a
+  // stem site can be re-evaluated mid-sweep, so a value snapshotted at
+  // candidate time could be stale).
   out_state->clear();
   const auto& next_state = good_.state[cur_frame_ + 1];
   for (const StateDiff& sd : in_state) {
@@ -605,252 +406,13 @@ void NcpFaultSim::propagate_frame_compiled(
     }
     // Branch fault directly on this flop's D pin.
     if (dffs[pos] == site_gate && site_pin == 0 && inj_mask != 0) {
-      fd.v = (fd.v & ~inj_mask) | forced_v;
-      fd.x = fd.x & ~inj_mask;
+      fd = force(fd, inj_mask, forced_v);
     }
-    if (hard_diff(fd, next_state[pos]) | possible_diff(fd, next_state[pos])) {
-      out_state->push_back({pos, fd});
-    }
+    if (differs(fd, next_state[pos])) out_state->push_back({pos, fd});
   }
 
   // Restore the arena to the frame's good values for the next pass.
   for (const uint32_t node : touched) vals[node] = goodd[node];
-  touched.clear();
-}
-
-void NcpFaultSim::propagate_frame_word(
-    GateId site_gate, uint8_t site_pin, uint64_t inj_mask,
-    uint64_t forced_v, const std::vector<StateDiff>& in_state,
-    std::vector<StateDiff>* out_state, uint64_t* hard_po,
-    FsimWork* work) {
-  // The compiled sweep with the x plane compiled away. Precondition
-  // (caller-checked): the frame's good machine and all in_state words
-  // are X-free, so every overlay value is X-free too (gate functions
-  // map known inputs to known outputs; injections force known bits and
-  // keep the X-free rest). Differences are then bare XORs, possible
-  // differences identically zero, and the `out == prev` skip condition
-  // coincides with Val64 equality -- the activation schedule, and with
-  // it both work counters, match propagate_frame_compiled bit for bit.
-  ++epoch_;
-  const uint32_t ep = epoch_;
-  const FrameProgram& fp = cur_prog_->frames[cur_frame_];
-  const uint64_t* goodv = scratch_.good_v[cur_frame_].data();
-  uint64_t* vals = scratch_.frame_v[cur_frame_].data();
-  const ConeNode* nodes = fp.nodes.data();
-  uint64_t* active = scratch_.active.data();
-  const auto& dffs = nl_->dffs();
-  auto& touched = scratch_.touched;
-  cand_dffs_.clear();
-
-  auto write_val = [&](uint32_t node, uint64_t v) {
-    vals[node] = v;
-    touched.push_back(node);
-  };
-
-  uint64_t off_cone_site = 0;
-  bool site_stem_off_cone = false;
-
-  uint32_t wlo = 0xFFFFFFFFu, whi = 0;
-  auto activate = [&](uint32_t node) {
-    ++work->events_processed;
-    const uint32_t word = node >> 6;
-    active[word] |= 1ull << (node & 63);
-    wlo = std::min(wlo, word);
-    whi = std::max(whi, word);
-  };
-  auto activate_fanouts = [&](uint32_t node) {
-    for (uint32_t k = nodes[node].fanout_begin;
-         k < nodes[node + 1].fanout_begin; ++k) {
-      activate(fp.fanout[k]);
-    }
-  };
-  auto add_cands = [&](uint32_t node) {
-    for (uint32_t k = nodes[node].dfeed_begin;
-         k < nodes[node + 1].dfeed_begin; ++k) {
-      const uint32_t pos = fp.dfeed[k];
-      if (cand_stamp_[pos] != ep) {
-        cand_stamp_[pos] = ep;
-        cand_dffs_.push_back(pos);
-      }
-    }
-  };
-  auto add_cands_off_cone = [&](GateId g) {
-    for (uint32_t pos : d_feeds_[g]) {
-      if (!fp.dff_pulsed[pos]) continue;
-      if (cand_stamp_[pos] != ep) {
-        cand_stamp_[pos] = ep;
-        cand_dffs_.push_back(pos);
-      }
-    }
-  };
-
-  // Seeds: corrupted flop outputs from the previous pulse.
-  for (const StateDiff& sd : in_state) {
-    const GateId ff = dffs[sd.dff_pos];
-    const bool differs =
-        sd.faulty.v != good_.frames[cur_frame_][ff].v;
-    const int32_t dn = fp.dense_of[ff];
-    if (dn >= 0) {
-      write_val(static_cast<uint32_t>(dn), sd.faulty.v);
-      if (differs) {
-        activate_fanouts(static_cast<uint32_t>(dn));
-        add_cands(static_cast<uint32_t>(dn));
-      }
-    } else if (differs) {
-      add_cands_off_cone(ff);
-    }
-  }
-
-  // Seed: fault injection site.
-  int32_t site_dense = -1;
-  if (inj_mask != 0) {
-    if (site_pin == kOutputPin) {
-      site_dense = fp.dense_of[site_gate];
-      const uint64_t g = site_dense >= 0
-                             ? vals[site_dense]
-                             : off_cone_value(site_gate, in_state).v;
-      const uint64_t forced = (g & ~inj_mask) | forced_v;
-      const bool differs =
-          forced != good_.frames[cur_frame_][site_gate].v;
-      if (site_dense >= 0) {
-        write_val(static_cast<uint32_t>(site_dense), forced);
-        if (differs) {
-          activate_fanouts(static_cast<uint32_t>(site_dense));
-          add_cands(static_cast<uint32_t>(site_dense));
-        }
-      } else {
-        off_cone_site = forced;
-        site_stem_off_cone = true;
-        if (differs) add_cands_off_cone(site_gate);
-      }
-    } else if (!is_sequential(nl_->gate(site_gate).type)) {
-      site_dense = fp.dense_of[site_gate];
-      if (site_dense >= 0) activate(static_cast<uint32_t>(site_dense));
-    } else if (nl_->gate(site_gate).type == GateType::kDff &&
-               site_pin == 0) {
-      const uint32_t pos = static_cast<uint32_t>(dff_pos_[site_gate]);
-      if (cand_stamp_[pos] != ep) {
-        cand_stamp_[pos] = ep;
-        cand_dffs_.push_back(pos);
-      }
-    }
-  }
-
-  // Linear one-word sweep (see propagate_frame_compiled for the level-
-  // order argument; this loop is identical modulo the value plane).
-  Val64 gens[2];
-  for (uint32_t wi = wlo; wi <= whi; ++wi) {
-    while (uint64_t w = active[wi]) {
-      const uint32_t bit = static_cast<uint32_t>(std::countr_zero(w));
-      active[wi] = w & (w - 1);
-      const uint32_t node = (wi << 6) | bit;
-      ++work->gate_evals;
-
-      const ConeNode rec = nodes[node];
-      const bool is_site =
-          static_cast<int32_t>(node) == site_dense && inj_mask != 0;
-      uint64_t iv0 = 0, iv1 = 0;
-      if (rec.nf <= 2) {
-        iv0 = vals[rec.in0];
-        iv1 = vals[rec.in1];  // unused for nf < 2 (in1 == 0 is safe)
-        if (is_site && site_pin != kOutputPin) [[unlikely]] {
-          uint64_t& pv = site_pin == 0 ? iv0 : iv1;
-          pv = (pv & ~inj_mask) | forced_v;
-        }
-      }
-      uint64_t out;
-      switch (rec.cls) {
-        case ConeOpClass::kAnd2: {
-          const uint64_t mi = static_cast<uint64_t>(
-              static_cast<int64_t>(static_cast<int8_t>(rec.inv_in)));
-          const uint64_t mo = static_cast<uint64_t>(
-              static_cast<int64_t>(static_cast<int8_t>(rec.inv_out)));
-          out = ((iv0 ^ mi) & (iv1 ^ mi)) ^ mo;
-          break;
-        }
-        case ConeOpClass::kXor2: {
-          const uint64_t mo = static_cast<uint64_t>(
-              static_cast<int64_t>(static_cast<int8_t>(rec.inv_out)));
-          out = (iv0 ^ iv1) ^ mo;
-          break;
-        }
-        case ConeOpClass::kUnary: {
-          const uint64_t mo = static_cast<uint64_t>(
-              static_cast<int64_t>(static_cast<int8_t>(rec.inv_out)));
-          out = iv0 ^ mo;
-          break;
-        }
-        default: {
-          // Generic gates re-enter the two-word evaluator on zero-x
-          // temporaries (rare: MUX and wide cells off the fast classes).
-          Val64* iv;
-          if (rec.nf <= 2) {
-            gens[0] = Val64{iv0, 0};
-            gens[1] = Val64{iv1, 0};
-            iv = gens;
-          } else {
-            scratch_.wide_ins.resize(rec.nf);
-            for (uint32_t i = 0; i < rec.nf; ++i) {
-              scratch_.wide_ins[i] =
-                  Val64{vals[fp.fanin_pool[rec.in0 + i]], 0};
-            }
-            iv = scratch_.wide_ins.data();
-            if (is_site && site_pin != kOutputPin) [[unlikely]] {
-              uint64_t& pv = iv[site_pin].v;
-              pv = (pv & ~inj_mask) | forced_v;
-            }
-          }
-          out = eval_gate_packed(static_cast<GateType>(rec.op),
-                                 {iv, rec.nf})
-                    .v;
-          break;
-        }
-      }
-      if (is_site && site_pin == kOutputPin) [[unlikely]] {
-        out = (out & ~inj_mask) | forced_v;
-      }
-      const uint64_t prev = vals[node];
-      if (out == prev) continue;
-      write_val(node, out);
-      const uint64_t diff = out ^ goodv[node];
-      if (diff) {
-        activate_fanouts(node);
-        add_cands(node);
-      }
-      if (rec.po_probe) *hard_po |= diff;
-    }
-  }
-
-  // Next-frame corrupted state (carried words stay X-free: frame and
-  // in_state are, so captured D values and the good next state are
-  // too).
-  out_state->clear();
-  const auto& next_state = good_.state[cur_frame_ + 1];
-  for (const StateDiff& sd : in_state) {
-    if (!fp.dff_pulsed[sd.dff_pos]) out_state->push_back(sd);
-  }
-  for (const uint32_t pos : cand_dffs_) {
-    if (!fp.dff_pulsed[pos]) continue;
-    const GateId d = dff_d_[pos];
-    const int32_t dn = fp.dense_of[d];
-    uint64_t fd;
-    if (dn >= 0) {
-      fd = vals[dn];
-    } else if (site_stem_off_cone && d == site_gate) {
-      fd = off_cone_site;
-    } else {
-      fd = off_cone_value(d, in_state).v;
-    }
-    if (dffs[pos] == site_gate && site_pin == 0 && inj_mask != 0) {
-      fd = (fd & ~inj_mask) | forced_v;
-    }
-    if (fd != next_state[pos].v) {
-      out_state->push_back({pos, Val64{fd, 0}});
-    }
-  }
-
-  // Restore the arena to the frame's good values for the next pass.
-  for (const uint32_t node : touched) vals[node] = goodv[node];
   touched.clear();
 }
 
@@ -928,9 +490,7 @@ NcpFaultSim::simulate_sites(const Fault& a, const Fault* b,
       const Val64 g = gstate[sd.dff_pos];
       sd.faulty.v = (sd.faulty.v & ~lanes) | (g.v & lanes);
       sd.faulty.x = (sd.faulty.x & ~lanes) | (g.x & lanes);
-      if (hard_diff(sd.faulty, g) | possible_diff(sd.faulty, g)) {
-        (*state)[w++] = sd;
-      }
+      if (differs(sd.faulty, g)) (*state)[w++] = sd;
     }
     state->resize(w);
   };
@@ -956,10 +516,8 @@ NcpFaultSim::simulate_sites(const Fault& a, const Fault* b,
     // frame is skipped. A fault whose site is outside every frame's
     // cone thus costs zero gate evaluations.
     const bool effective =
-        inj != 0 &&
-        (cur_obs_ == nullptr ||
-         (dpin_fault ? cur_obs_->capture[k][dpin_pos] != 0
-                     : cur_obs_->live[k][a.gate] != 0));
+        inj != 0 && (dpin_fault ? cur_obs_->capture[k][dpin_pos] != 0
+                                : cur_obs_->live[k][a.gate] != 0);
     if (!effective && cur->empty()) {
       // Nothing can change this frame; state diffs unchanged.
       continue;
@@ -973,33 +531,8 @@ NcpFaultSim::simulate_sites(const Fault& a, const Fault* b,
         is_transition(a.type) ? ~good_.frames[k][site].v & inj
                               : (fault_value(a.type) ? inj : 0);
     uint64_t hard_po = 0, poss_po = 0;
-    if (compiled_family()) {
-      // Word-parallel fast path: one-word kernel when the whole overlay
-      // is provably X-free -- the frame's good machine (full-frame flag
-      // from simulate_good) and the carried faulty state. A frame that
-      // sees X (power-up state, X fills) takes the two-word kernel;
-      // both produce identical results and counters.
-      bool xfree = mode_ == FsimMode::kWordParallel &&
-                   scratch_.frame_xfree[k] != 0;
-      if (xfree) {
-        for (const StateDiff& sd : *cur) {
-          if (sd.faulty.x != 0) {
-            xfree = false;
-            break;
-          }
-        }
-      }
-      if (xfree) {
-        propagate_frame_word(a.gate, a.pin, inj, forced_v, *cur, nxt,
-                             &hard_po, work);
-      } else {
-        propagate_frame_compiled(a.gate, a.pin, inj, forced_v, *cur, nxt,
-                                 &hard_po, &poss_po, work);
-      }
-    } else {
-      propagate_frame(a.gate, a.pin, inj, forced_v, *cur, nxt, &hard_po,
-                      &poss_po, work);
-    }
+    propagate_frame(a.gate, a.pin, inj, forced_v, *cur, nxt, &hard_po,
+                    &poss_po, work);
     // The 64 lanes are independent, so the frame's observation words
     // split exactly by injected-lane ownership. A detected fault's
     // masks freeze where a solo pass would have returned.
@@ -1098,17 +631,16 @@ FsimStats NcpFaultSim::detect_faults(
   const uint64_t live = live_mask(batch);
 
   // Probe in cone-locality order (cache warmth), merge in fault-index
-  // order: the walk order is invisible in every output. In cone modes an
-  // STR/STF pair at the same site is probed in one overlay pass.
+  // order: the walk order is invisible in every output. An STR/STF pair
+  // at the same site is probed in one overlay pass.
   FsimWork work;
   const std::vector<uint32_t>& order = sim_order(fl);
-  const bool pair_mode = mode_ != FsimMode::kExhaustive;
   probes_.assign(fl.size(), FaultProbe{});
   for (const uint32_t i : order) {
     FaultProbe& p = probes_[i];
     if (p.simulated) continue;
     if (!fsim_wants_simulation(fl.status(i))) continue;
-    const uint32_t j = pair_mode ? partners_[i] : kNoPartner;
+    const uint32_t j = partners_[i];
     if (j != kNoPartner && !probes_[j].simulated &&
         fsim_wants_simulation(fl.status(j))) {
       const auto [ma, mb] =
@@ -1128,30 +660,29 @@ FsimStats NcpFaultSim::detect_faults(
   return st;
 }
 
-FsimStats NcpFaultSim::detect_faults(
-    const PatternSet& ps, size_t first, size_t n, FaultList& fl,
-    std::vector<std::pair<size_t, unsigned>>* detections) {
+FsimStats grade_window(const PatternSet& ps, size_t first, size_t n,
+                       const Netlist& nl, const ClockingScheme& scheme,
+                       std::vector<std::pair<size_t, unsigned>>* detections,
+                       const BatchGrader& grade_batch) {
   OCC_CHECK(first + n <= ps.size(), "detect_faults: window out of range");
   FsimStats st;
   std::vector<std::pair<size_t, unsigned>> dets;
-  size_t i = first;
   const size_t end = first + n;
-  while (i < end) {
-    // Maximal same-NCP run, swept 64 lanes at a time. Fault dropping
-    // carries across the sweeps through `fl` itself.
+  for (size_t i = first; i < end;) {
+    // Maximal same-NCP run, swept 64 lanes at a time.
     const uint32_t ncp = ps[i].ncp_index;
     size_t run_end = i + 1;
     while (run_end < end && ps[run_end].ncp_index == ncp) ++run_end;
     for (size_t b = i; b < run_end; b += 64) {
-      const size_t cnt = std::min<size_t>(64, run_end - b);
       const PatternBatch batch =
-          pack_batch(ps, b, cnt, *nl_, scheme_->procedures[ncp]);
+          pack_batch(ps, b, std::min<size_t>(64, run_end - b), nl,
+                     scheme.procedures[ncp]);
       if (detections == nullptr) {
-        st += detect_faults(batch, fl, nullptr);
+        st += grade_batch(batch, nullptr);
         continue;
       }
       dets.clear();
-      st += detect_faults(batch, fl, &dets);
+      st += grade_batch(batch, &dets);
       for (const auto& [fault, slot] : dets) {
         detections->emplace_back(
             fault, static_cast<unsigned>(b - first) + slot);
@@ -1160,6 +691,17 @@ FsimStats NcpFaultSim::detect_faults(
     i = run_end;
   }
   return st;
+}
+
+FsimStats NcpFaultSim::detect_faults(
+    const PatternSet& ps, size_t first, size_t n, FaultList& fl,
+    std::vector<std::pair<size_t, unsigned>>* detections) {
+  return grade_window(
+      ps, first, n, *nl_, *scheme_, detections,
+      [&](const PatternBatch& batch,
+          std::vector<std::pair<size_t, unsigned>>* dets) {
+        return detect_faults(batch, fl, dets);
+      });
 }
 
 }  // namespace occ

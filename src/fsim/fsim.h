@@ -14,58 +14,40 @@
 // Detection requires a known good/faulty disagreement; a disagreement
 // involving X downgrades to "possibly detected".
 //
-// Propagation is event-driven and cone-limited: differences against the
-// stored good-machine frames propagate only through nets from which an
+// Propagation is cone-limited: differences against the stored
+// good-machine frames propagate only through nets from which an
 // observation point is still structurally reachable in the remaining
-// frames (per-NCP masks precomputed by ConeSim). A fault whose injection
-// site is outside every frame's cone is dropped without propagating a
-// single gate. The masks over-approximate sensitization, so results are
-// bit-identical across all four execution strategies (FsimMode, declared
-// in fsim/options.h):
+// frames (per-NCP masks, see sim/cone_program.h). A fault whose
+// injection site is outside every frame's cone is dropped without
+// propagating a single gate. The masks over-approximate sensitization,
+// so every verdict equals full good/faulty simulation of the whole
+// netlist (tests/test_cone.cpp pins per-fault detection masks against a
+// brute-force reference simulator).
 //
-//   * kWordParallel (default): the compiled replay programs plus a
-//     one-word fast-path kernel for X-free work. A frame whose
-//     good machine carries no X anywhere -- and whose carried faulty
-//     state is X-free too -- propagates on a single uint64_t value
-//     plane per node (the x plane is identically zero, so hard
-//     difference is a bare XOR and possible difference vanishes);
-//     frames that do see X fall back to the two-word kernel below.
-//     Since the skip condition (new value == previous value) and the
-//     difference tests coincide exactly with the two-word ones on
-//     X-free data, statuses, detection slots AND the work counters are
-//     bit-identical to kCompiled.
-//   * kCompiled: each frame's cone is lowered once per NCP into a dense
-//     SoA replay program (sim/cone_program.h); the overlay pass sweeps
-//     a per-level active bitset over cone-local dense ids and a compact
-//     scratch arena, never touching the global netlist. Work counters
-//     (gate_evals, events_processed) are bit-identical to the
-//     interpreted cone engine -- only wall time and cache traffic
-//     change.
-//   * kConeLimited: the interpreted cone engine (levelized event queue
-//     over the global netlist); kept as the parity reference for the
-//     compiled path.
-//   * kExhaustive: full-fanout event propagation without cone masks;
-//     the original reference path, kept for parity tests and the
-//     work-reduction benchmark.
+// Each frame's cone is lowered once per NCP into a dense replay program
+// (sim/cone_program.h). A fault pass sweeps an active bitset over the
+// program's cone-local dense ids and a write-through arena of 64-lane
+// 01X words (Val64), never touching the global netlist.
 //
-// Cone modes additionally propagate slow-to-rise/slow-to-fall partners
-// at the same site in ONE overlay pass: a pattern lane launches at most
-// one transition direction, so the two faults inject on disjoint lane
-// sets, and both force the site to the complement of its good value on
-// their lanes. The 64 PPSFP lanes never interact, so the combined
-// difference word splits exactly back into per-fault detection masks
-// (each fault's early-exit point is tracked per lane set). This roughly
-// halves transition fault-sim work on top of the cone limiting.
+// Slow-to-rise/slow-to-fall partners at the same site propagate in ONE
+// overlay pass: a pattern lane launches at most one transition
+// direction, so the two faults inject on disjoint lane sets, and both
+// force the site to the complement of its good value on their lanes.
+// The 64 PPSFP lanes never interact, so the combined difference word
+// splits exactly back into per-fault detection masks (each fault's
+// early-exit point is tracked per lane set). This roughly halves
+// transition fault-sim work on top of the cone limiting.
 //
 // After warm-up (first batch of an NCP), detect_faults performs zero
-// heap allocations in the compiled default mode: all per-fault buffers
-// live in a reusable per-worker FsimScratch owned by this instance
-// (each ShardedFaultSim worker owns its own engine and therefore its
-// own scratch). tests/test_cone_program.cpp pins this with a global
-// allocation counter.
+// heap allocations: all per-fault buffers live in a reusable per-worker
+// FsimScratch owned by this instance (each ShardedFaultSim worker owns
+// its own engine and therefore its own scratch).
+// tests/test_cone_program.cpp pins this with a global allocation
+// counter.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -75,7 +57,6 @@
 #include "fsim/options.h"
 #include "fsim/pattern.h"
 #include "sim/cone_program.h"
-#include "sim/cone_sim.h"
 #include "sim/cycle_sim.h"
 
 namespace occ {
@@ -84,8 +65,8 @@ namespace occ {
 ///
 /// The observability masks (FrameObs) and compiled replay programs
 /// (ConeProgram) of one (netlist, scheme) pair are pure read-only data
-/// during simulation; only the per-engine scratch (event queue, overlay
-/// arenas) is mutable. An implementation -- occ::CompiledDesign -- owns
+/// during simulation; only the per-engine scratch (overlay arenas,
+/// active bitset) is mutable. An implementation -- occ::CompiledDesign -- owns
 /// one immutable copy per capture procedure, so N fault-sim shards stop
 /// rebuilding N private copies. Accessors must be thread-safe and must
 /// return artifacts identical to what a private build would produce
@@ -110,11 +91,11 @@ struct GoodFrames {
 };
 
 /// Deterministic work done by fault propagation. Both counters are
-/// independent of shard count, walk order and execution strategy
-/// (compiled vs interpreted cone): gate_evals counts gates evaluated
-/// under the single-fault overlay, events_processed counts difference
-/// events offered to the schedule (fanout activation attempts,
-/// pre-dedup) -- the quantity the compiled replay programs make cheap.
+/// independent of shard count and walk order: gate_evals counts gates
+/// evaluated under the single-fault overlay, events_processed counts
+/// difference events offered to the schedule (fanout activation
+/// attempts, pre-dedup) -- the quantity the compiled replay programs
+/// make cheap.
 struct FsimWork {
   uint64_t gate_evals = 0;
   uint64_t events_processed = 0;
@@ -172,6 +153,22 @@ FsimStats merge_fault_probes(
     const std::vector<FaultProbe>& probes, FaultList& fl,
     std::vector<std::pair<size_t, unsigned>>* detections);
 
+/// Grades one packed batch, appending (fault index, batch slot) pairs to
+/// its second argument when that is non-null.
+using BatchGrader = std::function<FsimStats(
+    const PatternBatch&, std::vector<std::pair<size_t, unsigned>>*)>;
+
+/// The window contract of detect_faults(ps, first, n, ...), shared by
+/// NcpFaultSim and ShardedFaultSim: packs maximal same-NCP runs of
+/// patterns [first, first + n) into 64-lane batches, grades each with
+/// `grade_batch` (fault dropping carries across the batches through the
+/// fault list the grader marks) and maps detection slots back to
+/// window-relative pattern indices.
+FsimStats grade_window(const PatternSet& ps, size_t first, size_t n,
+                       const Netlist& nl, const ClockingScheme& scheme,
+                       std::vector<std::pair<size_t, unsigned>>* detections,
+                       const BatchGrader& grade_batch);
+
 class NcpFaultSim {
  public:
   /// `scan_en_pi` (optional): the scan-enable input; when the scheme
@@ -183,21 +180,17 @@ class NcpFaultSim {
   /// artifacts only skip redundant builds.
   NcpFaultSim(const Netlist& nl, const ClockingScheme& scheme,
               GateId scan_en_pi = kNoGate,
-              FsimMode mode = FsimMode::kWordParallel,
               std::shared_ptr<const ConeArtifactSource> shared = nullptr);
 
   const Netlist& netlist() const { return *nl_; }
   const ClockingScheme& scheme() const { return *scheme_; }
-  FsimMode mode() const { return mode_; }
 
-  /// Fault-free simulation of a packed batch. In the compiled modes
-  /// this also (lazily) lowers the batch's NCP cones into replay
-  /// programs and packs the good-machine frames into the dense arena
-  /// layout (word-parallel mode additionally primes the one-word value
-  /// planes and the per-frame X-free flags). detect_faults(batch, ...)
+  /// Fault-free simulation of a packed batch. Also binds the batch's
+  /// NCP cone artifacts (building this engine's private copies on first
+  /// use when no shared source was given) and packs the good-machine
+  /// frames into the dense arena layout. detect_faults(batch, ...)
   /// calls this itself; it stays public for the probe_fault flows.
   void simulate_good(const PatternBatch& batch);
-  const GoodFrames& good() const { return good_; }
 
   /// Good-machine final scan state / strobed PO values for slot `s` of
   /// the last simulated batch (expected responses for the ATE).
@@ -267,22 +260,12 @@ class NcpFaultSim {
   /// same (gate, pin), or kNoPartner. Cached alongside sim_order().
   const std::vector<uint32_t>& sim_partners(const FaultList& fl);
 
-  /// Compiled replay program for procedure `ncp_index` (built on first
-  /// use in compiled mode; exposed for structural tests).
-  const ConeProgram& cone_program(size_t ncp_index);
-
   /// Live-slot mask for a batch (count < 64 leaves the top slots dead).
   static uint64_t live_mask(const PatternBatch& batch) {
     return batch.count >= 64 ? ~0ull : ((1ull << batch.count) - 1);
   }
 
  private:
-  /// Modes that run the dense replay programs (and need the packed
-  /// good-value arenas from simulate_good).
-  bool compiled_family() const {
-    return mode_ == FsimMode::kCompiled || mode_ == FsimMode::kWordParallel;
-  }
-
   struct StateDiff {
     uint32_t dff_pos;  // index into nl.dffs()
     Val64 faulty;
@@ -302,25 +285,13 @@ class NcpFaultSim {
     // during a fault pass, restored via `touched` afterwards. Keeping
     // the arena always-good between passes makes the operand gather a
     // single contiguous load (no stamp check, no good fallback), and
-    // makes `new == previous` an exact skip condition -- the compiled
-    // path needs no epoch stamps at all.
+    // makes `new == previous` an exact skip condition.
     std::vector<std::vector<Val64>> frame_vals;
-    // Word-parallel value planes: the same two arenas with the x word
-    // stripped (good_v read-only, frame_v write-through, restored via
-    // the shared `touched` list). Only primed in kWordParallel mode.
-    std::vector<std::vector<uint64_t>> good_v, frame_v;
-    // frame_xfree[f] != 0 iff the good machine carries no X anywhere in
-    // frame f -- over ALL gates, not just cone nodes, because the
-    // off-cone reads (off_cone_value, captured D nets, final state) may
-    // touch any net. Gate functions map known inputs to known outputs,
-    // so an X-free frame with X-free carried state keeps the whole
-    // overlay X-free: the precondition of the one-word kernel.
-    std::vector<uint8_t> frame_xfree;
     std::vector<uint32_t> touched;  // dense ids to restore (dups fine)
-    std::vector<uint64_t> active;   // per-level active bitset words
+    std::vector<uint64_t> active;   // active bitset words over dense ids
     // Carried state corruption double-buffer.
     std::vector<StateDiff> state_a, state_b;
-    // Operand gather spill for gates with more than 8 fanins.
+    // Operand gather spill for gates with more than two fanins.
     std::vector<Val64> wide_ins;
     // Per-frame injection lane masks of the fault (and its partner),
     // computed in one pass over the good frames per simulate_sites call
@@ -337,73 +308,42 @@ class NcpFaultSim {
                                                    uint64_t live_mask,
                                                    FsimWork* work);
 
-  Val64 faulty_value(GateId g) const {
-    return stamp_[g] == epoch_ ? faulty_[g] : good_.frames[cur_frame_][g];
-  }
-  // `inj_mask`/`forced_v`: lanes where the site is overridden and the
-  // value bits forced there (forced_v must be a subset of inj_mask).
-  // Interpreted engine: levelized event queue over the global netlist.
+  // One frame of a fault pass: a linear bitset sweep over the frame's
+  // replay program. `inj_mask`/`forced_v`: lanes where the site is
+  // overridden and the value bits forced there (forced_v must be a
+  // subset of inj_mask).
   void propagate_frame(GateId site_gate, uint8_t site_pin,
                        uint64_t inj_mask, uint64_t forced_v,
                        const std::vector<StateDiff>& in_state,
                        std::vector<StateDiff>* out_state,
                        uint64_t* hard_po, uint64_t* poss_po,
                        FsimWork* work);
-  // Compiled engine: linear bitset sweep over the frame's replay
-  // program. Bit-identical results and work counters by construction
-  // (same activation conditions over the same pre-filtered edges).
-  void propagate_frame_compiled(GateId site_gate, uint8_t site_pin,
-                                uint64_t inj_mask, uint64_t forced_v,
-                                const std::vector<StateDiff>& in_state,
-                                std::vector<StateDiff>* out_state,
-                                uint64_t* hard_po, uint64_t* poss_po,
-                                FsimWork* work);
-  // Word-parallel engine: the compiled sweep on the one-word value
-  // plane. Precondition: the frame's good machine and every in_state
-  // word are X-free (checked by the caller; falls back to the two-word
-  // kernel otherwise). On X-free data hard difference degenerates to
-  // XOR, possible difference to zero, and the skip condition to value
-  // equality -- the same activation schedule as the two-word kernel,
-  // hence bit-identical results AND work counters.
-  void propagate_frame_word(GateId site_gate, uint8_t site_pin,
-                            uint64_t inj_mask, uint64_t forced_v,
-                            const std::vector<StateDiff>& in_state,
-                            std::vector<StateDiff>* out_state,
-                            uint64_t* hard_po, FsimWork* work);
   // Faulty value of a net with no dense id this frame: only carried
   // flop corruption (or a stem injection, handled by the caller) can
   // make it differ from good.
   Val64 off_cone_value(GateId g,
                        const std::vector<StateDiff>& in_state) const;
 
-  /// Observability masks for `ncp_index` (shared artifact when present,
-  /// else this engine's private lazily-built copy).
-  const FrameObs& frame_obs_for(size_t ncp_index,
-                                const NamedCaptureProcedure& ncp) {
-    return shared_ ? shared_->shared_frame_obs(ncp_index)
-                   : cone_.frame_obs(ncp_index, ncp);
-  }
+  // This engine's own cone artifacts of one NCP, used when no shared
+  // source was given.
+  struct PrivateCones {
+    FrameObs obs;
+    ConeProgram prog;
+    bool built = false;
+  };
 
   const Netlist* nl_;
   const ClockingScheme* scheme_;
   GateId scan_en_pi_;
-  FsimMode mode_;
   std::shared_ptr<const ConeArtifactSource> shared_;  // may be null
+  std::vector<PrivateCones> private_;  // per NCP index; empty if shared_
   CycleSim sim_;
-  ConeSim cone_;
   GoodFrames good_;
   const NamedCaptureProcedure* cur_ncp_ = nullptr;
-  const FrameObs* cur_obs_ = nullptr;      // null in exhaustive mode
-  const ConeProgram* cur_prog_ = nullptr;  // set in compiled mode
+  const FrameObs* cur_obs_ = nullptr;
+  const ConeProgram* cur_prog_ = nullptr;
 
-  // Compiled replay programs, cached per NCP index.
-  std::vector<ConeProgram> progs_;
-  std::vector<uint8_t> prog_built_;
-
-  // Per-fault scratch (epoch-stamped overlay), interpreted engine.
-  std::vector<Val64> faulty_;
-  std::vector<uint32_t> stamp_;
-  uint32_t epoch_ = 0;
+  uint32_t epoch_ = 0;  // capture-candidate dedup stamp, one per frame
   size_t cur_frame_ = 0;
 
   FsimScratch scratch_;

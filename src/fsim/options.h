@@ -1,14 +1,13 @@
 /// \file
 /// Engine-selection options shared by every fault-simulation driver.
 ///
-/// FsimMode picks the propagation strategy of one NcpFaultSim;
-/// FsimOptions bundles it with the shard count of the ShardedFaultSim
-/// wrapper; EngineOptions adds the remaining engine knobs (deterministic
-/// PODEM worker shards, the SAT backend and its conflict budget) that
-/// used to be scattered over SessionConfig setters and per-driver flag
-/// loops. SessionConfig owns one EngineOptions; the drivers parse the
-/// shared `--mode/--shards/--atpg-shards/--sat/--sat-budget` flags into
-/// it via occ::parse_engine_flag (util/cli.h).
+/// FsimOptions holds the shard count of the ShardedFaultSim wrapper;
+/// EngineOptions adds the remaining engine knobs (deterministic PODEM
+/// worker shards, the SAT backend and its conflict budget) that used to
+/// be scattered over SessionConfig setters and per-driver flag loops.
+/// SessionConfig owns one EngineOptions; the drivers parse the shared
+/// `--shards/--atpg-shards/--sat/--sat-budget` flags into it via
+/// occ::parse_engine_flag (util/cli.h).
 #pragma once
 
 #include <cstddef>
@@ -16,43 +15,17 @@
 
 namespace occ {
 
-/// Fault-propagation strategy; results (statuses, detection slots and
-/// the deterministic work counters) are bit-identical across all four,
-/// only the work layout and wall clock differ. See fsim/fsim.h.
-enum class FsimMode : uint8_t {
-  /// Compiled cone replay programs plus the one-word (X-free) PPSFP
-  /// sweep kernel: frames whose good machine carries no X propagate on
-  /// a single uint64_t value plane per node (default).
-  kWordParallel,
-  /// Compiled cone replay programs, two-word 01X kernel on every frame
-  /// (the parity reference for the word kernel's X-free fast path).
-  kCompiled,
-  /// Interpreted cone-limited event propagation over the global
-  /// netlist (the parity reference for the compiled layer).
-  kConeLimited,
-  /// Full-fanout event propagation without cone masks (the original
-  /// reference path, kept for parity tests and the work benchmark).
-  kExhaustive,
-};
-
-/// Stable driver-facing name of a mode ("word", "compiled", "cone",
-/// "exhaustive") -- the vocabulary of the shared `--mode` flag.
-const char* fsim_mode_name(FsimMode m);
-
-/// Parses a `--mode` value; returns false on an unknown name.
-bool parse_fsim_mode(const char* name, FsimMode* out);
-
-/// Fault-simulation engine configuration: propagation strategy + shard
-/// count of the surrounding ShardedFaultSim.
+/// Fault-simulation engine configuration: the shard count of the
+/// surrounding ShardedFaultSim (there is one propagation engine; see
+/// fsim/fsim.h).
 struct FsimOptions {
-  FsimMode mode = FsimMode::kWordParallel;
   /// Thread shards of the fault-list fan-out (1 = sequential, 0 =
   /// hardware concurrency). Results are bit-identical for every value.
   size_t shards = 1;
 };
 
 /// The whole engine-selection surface in one struct: what used to be
-/// SessionConfig::fsim_shards()/atpg_shards()/fsim_mode()/sat_backend()/
+/// SessionConfig::fsim_shards()/atpg_shards()/sat_backend()/
 /// sat_conflict_budget() and one flag-parsing branch per driver.
 struct EngineOptions {
   FsimOptions fsim;

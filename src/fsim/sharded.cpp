@@ -1,10 +1,7 @@
 #include "fsim/sharded.h"
 
 #include <algorithm>
-#include <bit>
 #include <thread>
-
-#include "util/check.h"
 
 namespace occ {
 
@@ -18,13 +15,12 @@ size_t ShardedFaultSim::resolve_shards(size_t shards) {
 
 ShardedFaultSim::ShardedFaultSim(
     const Netlist& nl, const ClockingScheme& scheme, GateId scan_en_pi,
-    size_t shards, FsimMode mode,
-    std::shared_ptr<const ConeArtifactSource> shared) {
+    size_t shards, std::shared_ptr<const ConeArtifactSource> shared) {
   const size_t n = resolve_shards(shards);
   sims_.reserve(n);
   for (size_t s = 0; s < n; ++s) {
     sims_.push_back(
-        std::make_unique<NcpFaultSim>(nl, scheme, scan_en_pi, mode, shared));
+        std::make_unique<NcpFaultSim>(nl, scheme, scan_en_pi, shared));
   }
   if (n > 1) pool_ = std::make_unique<ThreadPool>(n);
 }
@@ -45,7 +41,6 @@ FsimStats ShardedFaultSim::detect_faults(
   // once, read-only for the workers; shard 0's cache is authoritative).
   const std::vector<uint32_t>& order = sims_[0]->sim_order(fl);
   const std::vector<uint32_t>& partners = sims_[0]->sim_partners(fl);
-  const bool pair_mode = mode() != FsimMode::kExhaustive;
 
   // Fan out: faults are interleaved over the shards for load balance
   // (collapsed fault lists cluster equivalent-cost faults), with an
@@ -67,8 +62,7 @@ FsimStats ShardedFaultSim::detect_faults(
       FaultProbe& p = probes_[i];
       if (p.simulated) continue;
       if (!fsim_wants_simulation(fl.status(i))) continue;
-      const uint32_t j =
-          pair_mode ? partners[i] : NcpFaultSim::kNoPartner;
+      const uint32_t j = partners[i];
       if (j != NcpFaultSim::kNoPartner && !probes_[j].simulated &&
           fsim_wants_simulation(fl.status(j))) {
         const auto [ma, mb] = sim.probe_fault_pair(fl.fault(i), fl.fault(j),
@@ -95,35 +89,12 @@ FsimStats ShardedFaultSim::detect_faults(
 FsimStats ShardedFaultSim::detect_faults(
     const PatternSet& ps, size_t first, size_t n, FaultList& fl,
     std::vector<std::pair<size_t, unsigned>>* detections) {
-  OCC_CHECK(first + n <= ps.size(), "detect_faults: window out of range");
-  const Netlist& nl = netlist();
-  const ClockingScheme& scheme = sims_[0]->scheme();
-  FsimStats st;
-  std::vector<std::pair<size_t, unsigned>> dets;
-  size_t i = first;
-  const size_t end = first + n;
-  while (i < end) {
-    const uint32_t ncp = ps[i].ncp_index;
-    size_t run_end = i + 1;
-    while (run_end < end && ps[run_end].ncp_index == ncp) ++run_end;
-    for (size_t b = i; b < run_end; b += 64) {
-      const size_t cnt = std::min<size_t>(64, run_end - b);
-      const PatternBatch batch =
-          pack_batch(ps, b, cnt, nl, scheme.procedures[ncp]);
-      if (detections == nullptr) {
-        st += detect_faults(batch, fl, nullptr);
-        continue;
-      }
-      dets.clear();
-      st += detect_faults(batch, fl, &dets);
-      for (const auto& [fault, slot] : dets) {
-        detections->emplace_back(
-            fault, static_cast<unsigned>(b - first) + slot);
-      }
-    }
-    i = run_end;
-  }
-  return st;
+  return grade_window(
+      ps, first, n, netlist(), sims_[0]->scheme(), detections,
+      [&](const PatternBatch& batch,
+          std::vector<std::pair<size_t, unsigned>>* dets) {
+        return detect_faults(batch, fl, dets);
+      });
 }
 
 }  // namespace occ

@@ -7,7 +7,7 @@
 // only acts *between* batches -- so the merge reproduces the sequential
 // NcpFaultSim::detect_faults result bit for bit: identical statuses,
 // identical stats, identical (fault, first-detecting-slot) pairs, for
-// any shard count and every propagation mode. That invariant is what
+// any shard count. That invariant is what
 // lets run_atpg stay a thin wrapper over occ::Session regardless of the
 // session's thread setting (tests/test_api.cpp locks it in).
 //
@@ -33,19 +33,17 @@ class ShardedFaultSim {
   /// results are bit-identical with or without it.
   ShardedFaultSim(const Netlist& nl, const ClockingScheme& scheme,
                   GateId scan_en_pi, size_t shards = 1,
-                  FsimMode mode = FsimMode::kWordParallel,
                   std::shared_ptr<const ConeArtifactSource> shared = nullptr);
 
   /// FsimOptions form of the same constructor (the drivers' path).
   ShardedFaultSim(const Netlist& nl, const ClockingScheme& scheme,
                   GateId scan_en_pi, const FsimOptions& opts,
                   std::shared_ptr<const ConeArtifactSource> shared = nullptr)
-      : ShardedFaultSim(nl, scheme, scan_en_pi, opts.shards, opts.mode,
+      : ShardedFaultSim(nl, scheme, scan_en_pi, opts.shards,
                         std::move(shared)) {}
 
   size_t shards() const { return sims_.size(); }
   const Netlist& netlist() const { return sims_[0]->netlist(); }
-  FsimMode mode() const { return sims_[0]->mode(); }
 
   /// The shard count a `shards` argument resolves to (0 = hardware
   /// concurrency, never less than 1). Exposed so drivers echoing the

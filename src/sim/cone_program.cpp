@@ -6,6 +6,58 @@
 
 namespace occ {
 
+FrameObs build_frame_obs(const Netlist& nl, const NamedCaptureProcedure& ncp) {
+  const auto& dffs = nl.dffs();
+  const size_t frames = ncp.cycles.size();
+
+  FrameObs fo;
+  fo.live.assign(frames, std::vector<uint8_t>(nl.size(), 0));
+  fo.capture.assign(frames, std::vector<uint8_t>(dffs.size(), 0));
+
+  // Union of live nets over all later frames: a flop whose output net is
+  // live later keeps its current-frame capture observable.
+  std::vector<uint8_t> future(nl.size(), 0);
+  std::vector<GateId> work;
+
+  for (size_t f = frames; f-- > 0;) {
+    const CaptureCycle& cyc = ncp.cycles[f];
+    auto& live = fo.live[f];
+    work.clear();
+    auto mark = [&](GateId g) {
+      if (!live[g]) {
+        live[g] = 1;
+        work.push_back(g);
+      }
+    };
+
+    // Observation points of this frame.
+    if (cyc.po_strobe) {
+      for (GateId po : nl.outputs()) mark(po);
+    }
+    for (size_t i = 0; i < dffs.size(); ++i) {
+      const Gate& ff = nl.gate(dffs[i]);
+      if (!(cyc.pulses & (DomainMask{1} << ff.domain))) continue;
+      if ((ff.flags & kFlagScan) || future[dffs[i]]) {
+        fo.capture[f][i] = 1;
+        mark(ff.fanin[0]);
+      }
+    }
+
+    // Backward combinational closure (flop outputs terminate the cone:
+    // their corruption belongs to the frame that captured it).
+    while (!work.empty()) {
+      const GateId g = work.back();
+      work.pop_back();
+      const Gate& gate = nl.gate(g);
+      if (is_sequential(gate.type)) continue;
+      for (GateId in : gate.fanin) mark(in);
+    }
+
+    for (size_t g = 0; g < nl.size(); ++g) future[g] |= live[g];
+  }
+  return fo;
+}
+
 ConeProgram compile_cone_program(const Netlist& nl,
                                  const NamedCaptureProcedure& ncp,
                                  const FrameObs& obs) {
@@ -33,7 +85,6 @@ ConeProgram compile_cone_program(const Netlist& nl,
     prog.max_nodes = std::max(prog.max_nodes, fp.num_nodes);
 
     fp.nodes.assign(fp.num_nodes + 1, ConeNode{});
-    fp.level_begin.assign(static_cast<size_t>(nl.max_level()) + 2, 0);
 
     // Capture probe slots: node -> pulsed flops reading its net as D.
     std::vector<uint32_t> dfeed_count(fp.num_nodes, 0);
@@ -52,7 +103,6 @@ ConeProgram compile_cone_program(const Netlist& nl,
       ConeNode& rec = fp.nodes[n];
       rec.op = static_cast<uint8_t>(gate.type);
       rec.po_probe = gate.type == GateType::kOutput && cyc.po_strobe;
-      ++fp.level_begin[static_cast<size_t>(gate.level) + 1];
 
       // Level-0 nodes (sources, flop outputs) are operand-only: the
       // sweep never evaluates them, so they carry no operands.
@@ -118,9 +168,6 @@ ConeProgram compile_cone_program(const Netlist& nl,
     }
     fp.nodes[fp.num_nodes].fanout_begin = fanout_size;
     fp.nodes[fp.num_nodes].dfeed_begin = dfeed_size;
-    for (size_t l = 1; l < fp.level_begin.size(); ++l) {
-      fp.level_begin[l] += fp.level_begin[l - 1];
-    }
 
     fp.fanin_pool.resize(fanin_pool_size);
     fp.fanout.resize(fanout_size);

@@ -1,16 +1,28 @@
-// Compiled-cone replay programs: the lowering stage between the
-// per-frame observability masks (sim/cone_sim.h) and the fault
-// simulator's hot loop.
+// Observability cones of a named capture procedure and their compiled
+// replay programs -- the two per-NCP artifacts the fault simulator's hot
+// loop runs on.
 //
-// The interpreted cone engine drains a levelized event queue over the
-// *global* netlist: every event pointer-chases a ~100-byte Gate (fanin
-// and fanout std::vectors, a std::string name) and re-checks liveness
-// and sequential-ness of every fanout. Per unit of work the cone graph
-// is small, so a statically scheduled dense traversal beats dynamic
-// dispatch -- the same trade sparse-graph message schedules make for BP
-// solvers. compile_cone_program() therefore lowers each frame's cone
-// once per NCP into a flat program over *dense ids* (cone-local gate
-// numbers, assigned in non-decreasing level order):
+// Observability is computed backwards over the NCP's frames. In frame f
+// a gate's output net is "live" iff corrupting it can still reach an
+// observation point:
+//   * a primary output strobed in frame f, or
+//   * the D pin of a flop pulsed in frame f whose captured value matters
+//     (the flop is a scan cell, unloaded at the end, or its output net
+//     is live in some later frame).
+// The closure walks combinational fan-in only; flop outputs terminate a
+// frame's cone (their corruption is accounted in the earlier frame that
+// captured it). The masks are a structural over-approximation of fault
+// sensitization, so restricting propagation to live nets is exact: a
+// difference outside the cone can never change a detection verdict.
+//
+// Walking a frame's cone over the *global* netlist would pointer-chase
+// a ~100-byte Gate per event (fanin and fanout std::vectors, a
+// std::string name) and re-check liveness and sequential-ness of every
+// fanout. Per unit of work the cone graph is small, so a statically
+// scheduled dense traversal wins -- the same trade sparse-graph message
+// schedules make for BP solvers. compile_cone_program() therefore lowers
+// each frame's cone once per NCP into a flat program over *dense ids*
+// (cone-local gate numbers, assigned in non-decreasing level order):
 //
 //   nodes[]       24-byte records: opcode, dense-remapped fanin ids
 //                 (inline for <= 2 inputs), CSR begins for the fanout /
@@ -20,16 +32,14 @@
 //                 + sequential filters compiled away)
 //   dfeed[]       capture probe slots: positions of flops pulsed this
 //                 frame whose D pin the node drives
-//   level_begin[] level boundaries over dense ids
 //
 // The replay invariant making this exact: the backward closure marks
 // every fanin of a live combinational gate live, so all operands of all
 // evaluable nodes have dense ids -- a fault overlay pass touches only
 // the program plus a cone-sized scratch arena, never the netlist. The
-// fault simulator sweeps a per-level active bitset over the dense ids
-// in place of the event queue; results and work counters stay
-// bit-identical to the interpreted engine (tests/test_cone_program.cpp
-// pins both).
+// fault simulator sweeps an active bitset over the dense ids in place of
+// an event queue (tests/test_cone_program.cpp pins the lowering
+// invariants and the simulator's agreement with full simulation).
 #pragma once
 
 #include <cstdint>
@@ -37,9 +47,25 @@
 
 #include "core/ncp.h"
 #include "netlist/netlist.h"
-#include "sim/cone_sim.h"
 
 namespace occ {
+
+/// Per-frame observability for one NCP.
+struct FrameObs {
+  /// live[f][gate] != 0: corrupting `gate`'s output net in frame f can
+  /// still reach an observation point.
+  std::vector<std::vector<uint8_t>> live;
+  /// capture[f][dff_pos] != 0: a value captured by this flop in frame f
+  /// is observable (directly at unload or through later frames). Flops
+  /// not pulsed in frame f are always 0.
+  std::vector<std::vector<uint8_t>> capture;
+};
+
+/// Builds `ncp`'s observability masks on `nl` (scan cells -- kDff gates
+/// carrying kFlagScan -- are observed at unload). Pure function: equal
+/// inputs give byte-identical masks, so engines and the shared
+/// compiled-design artifact agree on them.
+FrameObs build_frame_obs(const Netlist& nl, const NamedCaptureProcedure& ncp);
 
 /// Evaluation class of a lowered node. The sweep's per-event opcode
 /// dispatch is a data-dependent indirect branch -- on a random gate mix
@@ -93,19 +119,13 @@ struct FrameProgram {
   /// the scratch arena).
   std::vector<uint32_t> fanin_pool;
 
-  /// Fanout pool, pre-filtered to in-cone combinational readers:
-  /// exactly the gates the interpreted engine would enqueue.
+  /// Fanout pool, pre-filtered to in-cone combinational readers: the
+  /// nodes a difference on this node can activate.
   std::vector<uint32_t> fanout;
 
   /// Capture probe slots pool: dff positions (indexed like nl.dffs())
   /// pulsed in this frame whose D input is the node's output net.
   std::vector<uint32_t> dfeed;
-
-  /// Level boundaries: dense ids [level_begin[l], level_begin[l+1]) sit
-  /// at combinational level l. The sweep itself only needs the global
-  /// dense order; the boundaries document the schedule and serve the
-  /// structural tests.
-  std::vector<uint32_t> level_begin;
 
   /// dff_pulsed[pos] != 0: the flop captures in this frame (its domain
   /// is in the frame's pulse mask).
@@ -119,9 +139,9 @@ struct ConeProgram {
 };
 
 /// Lowers `ncp`'s observability cones (per-frame masks in `obs`, built
-/// by ConeSim for the same netlist) into a replay program. Deterministic
-/// for a fixed (netlist, ncp): dense ids follow the netlist's
-/// topological order restricted to the cone.
+/// by build_frame_obs for the same netlist) into a replay program.
+/// Deterministic for a fixed (netlist, ncp): dense ids follow the
+/// netlist's topological order restricted to the cone.
 ConeProgram compile_cone_program(const Netlist& nl,
                                  const NamedCaptureProcedure& ncp,
                                  const FrameObs& obs);

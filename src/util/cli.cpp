@@ -54,18 +54,6 @@ bool parse_positive_flag(const char* flag, const char* value, size_t* out) {
 
 int parse_engine_flag(const char* flag, const char* value,
                       EngineOptions* out) {
-  if (std::strcmp(flag, "--mode") == 0) {
-    if (value == nullptr) {
-      std::cerr << "--mode requires a value\n";
-      return -1;
-    }
-    if (!parse_fsim_mode(value, &out->fsim.mode)) {
-      std::cerr << "--mode expects word|compiled|cone|exhaustive, got '"
-                << value << "'\n";
-      return -1;
-    }
-    return 2;
-  }
   if (std::strcmp(flag, "--shards") == 0) {
     return parse_size_flag(flag, value, &out->fsim.shards) ? 2 : -1;
   }

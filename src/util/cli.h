@@ -3,7 +3,7 @@
 /// bench_engines, bench_table1): strict decimal parsing that rejects
 /// non-numeric input instead of silently reading it as 0 the way
 /// std::atoi does, plus the one shared parser for the engine-selection
-/// flags (`--mode/--shards/--atpg-shards/--sat/--sat-budget`) every
+/// flags (`--shards/--atpg-shards/--sat/--sat-budget`) every
 /// driver used to hand-roll. All drivers report a usage error and exit
 /// 2 on a malformed value.
 #pragma once
@@ -24,7 +24,6 @@ bool parse_size_flag(const char* flag, const char* value, size_t* out);
 bool parse_positive_flag(const char* flag, const char* value, size_t* out);
 
 /// The shared engine-flag vocabulary every driver speaks:
-///   --mode word|compiled|cone|exhaustive   (FsimOptions::mode)
 ///   --shards N                             (FsimOptions::shards)
 ///   --atpg-shards N                        (EngineOptions::atpg_shards)
 ///   --sat                                  (EngineOptions::sat_backend)

@@ -1,7 +1,7 @@
 // Tests: occ::CompiledDesign + occ::DesignCache -- the bit-identity
 // contract (a run over a cached artifact reproduces a fresh run's
 // patterns, fault statuses and deterministic work counters exactly, for
-// every scheme, engine mode and shard count), concurrent sessions over
+// every scheme, ATPG engine mode and shard count), concurrent sessions over
 // one shared cache (run under TSan in CI), LRU eviction determinism,
 // and the cache observability counters.
 #include <gtest/gtest.h>
@@ -103,7 +103,6 @@ std::vector<SchemeSpec> five_schemes(size_t nd) {
 
 SessionConfig make_config(const SchemeSpec& spec,
                           const std::shared_ptr<DesignCache>& cache,
-                          FsimMode mode = FsimMode::kWordParallel,
                           size_t shards = 1) {
   SessionConfig cfg;
   cfg.design([] { return gen::generate_soc(soc_params()); })
@@ -111,7 +110,6 @@ SessionConfig make_config(const SchemeSpec& spec,
       .scheme(spec.scheme)
       .atpg(cheap_atpg())
       .on_chip_clocking(spec.on_chip)
-      .fsim_mode(mode)
       .fsim_shards(shards);
   if (cache != nullptr) {
     cfg.design_cache(cache).design_key("soc5");
@@ -148,26 +146,36 @@ TEST(CompiledDesign, CachedVsFreshBitIdentityAcrossSchemes) {
 TEST(CompiledDesign, CachedVsFreshBitIdentityAcrossModesAndShards) {
   const SchemeSpec spec{"cpf_basic", true,
                         scheme_cpf_basic(soc_params().domains)};
-  for (const FsimMode mode :
-       {FsimMode::kWordParallel, FsimMode::kCompiled,
-        FsimMode::kConeLimited}) {
+  // The ATPG engine modes: default, PODEM heuristics off, escalation
+  // off.
+  struct Mode {
+    bool heuristics;
+    bool escalation;
+  };
+  for (const Mode mode : {Mode{true, true}, Mode{false, true},
+                          Mode{true, false}}) {
+    SCOPED_TRACE("heuristics " + std::to_string(mode.heuristics) +
+                 " escalation " + std::to_string(mode.escalation));
+    const auto config = [&](const std::shared_ptr<DesignCache>& cache,
+                            size_t shards) {
+      SessionConfig cfg = make_config(spec, cache, shards);
+      cfg.atpg_heuristics(mode.heuristics).atpg_escalation(mode.escalation);
+      return cfg;
+    };
     // One cache per mode, shared across the shard sweep: shard count
     // must not change results OR require a rebuild (same content key).
     const auto cache = std::make_shared<DesignCache>();
     uint64_t first_fp = 0;
     for (const size_t shards : {size_t{1}, size_t{3}}) {
-      const SessionResult fresh =
-          Session(make_config(spec, nullptr, mode, shards)).run();
-      const SessionResult cached =
-          Session(make_config(spec, cache, mode, shards)).run();
+      const SessionResult fresh = Session(config(nullptr, shards)).run();
+      const SessionResult cached = Session(config(cache, shards)).run();
       EXPECT_EQ(result_fingerprint(fresh), result_fingerprint(cached))
-          << "mode " << static_cast<int>(mode) << " shards " << shards;
+          << "shards " << shards;
       if (first_fp == 0) {
         first_fp = result_fingerprint(fresh);
       } else {
         EXPECT_EQ(first_fp, result_fingerprint(fresh))
-            << "shard count changed results at mode "
-            << static_cast<int>(mode);
+            << "shard count changed results";
       }
     }
     EXPECT_EQ(cache->stats().misses, 1u)

@@ -1,25 +1,26 @@
-// Tests: cone-limited event-driven fault propagation (sim/cone_sim.h,
-// FsimMode) -- bit-exact parity against the exhaustive reference path,
-// STR/STF pair propagation, fault ordering/dropping invariance, and the
-// gate-evaluation reduction the cone engine exists for.
+// Tests: cone-limited fault propagation (sim/cone_program.h, fsim/fsim.h)
+// -- per-fault detection masks equal a brute-force full good/faulty
+// simulation (tests/test_helpers.h RefFaultSim), STR/STF pair
+// propagation, fault ordering/dropping invariance, and zero work for
+// faults outside every observability cone.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
-#include <sstream>
 
-#include "api/session.h"
 #include "core/clock_scheme.h"
 #include "dft/scan.h"
 #include "fault/order.h"
 #include "fsim/fsim.h"
 #include "fsim/sharded.h"
-#include "gen/circuits.h"
 #include "gen/socgen.h"
+#include "test_helpers.h"
 #include "util/rng.h"
 
 namespace occ {
 namespace {
+
+using test::RefFaultSim;
 
 Netlist test_soc(uint64_t seed) {
   gen::SocParams prm;
@@ -64,47 +65,32 @@ PatternBatch make_batch(const Netlist& nl, const ClockingScheme& s,
   return pack_batch(*ps, 0, 64, nl, proc);
 }
 
-/// Runs one batch through both propagation modes and requires identical
-/// statuses, detections and per-fault probe masks.
-void expect_parity(const Netlist& nl, const ClockingScheme& s,
-                   uint32_t ncp, uint64_t seed) {
+/// Every fault's (hard, possible) probe masks must equal the brute-force
+/// reference's -- cone limiting, the dense replay program and the pair
+/// passes may change the work, never a verdict bit. Returns the number of
+/// detected faults (the callers' non-vacuity check).
+size_t expect_parity(const Netlist& nl, const ClockingScheme& s,
+                     uint32_t ncp, uint64_t seed) {
   SCOPED_TRACE(s.name + " ncp" + std::to_string(ncp));
   const GateId se = nl.find("scan_en");
   PatternSet ps("x");
   const PatternBatch b = make_batch(nl, s, ncp, seed, &ps);
   const uint64_t live = NcpFaultSim::live_mask(b);
 
-  NcpFaultSim ex(nl, s, se, FsimMode::kExhaustive);
-  NcpFaultSim cone(nl, s, se, FsimMode::kConeLimited);
-
-  // Per-fault probe masks (the sharded primitive).
-  FaultList fl = FaultList::build(nl, s.model);
-  ex.simulate_good(b);
+  const RefFaultSim ref(nl, s, se, b);
+  NcpFaultSim cone(nl, s, se);
   cone.simulate_good(b);
+  const FaultList fl = FaultList::build(nl, s.model);
+  size_t detected = 0;
   for (size_t i = 0; i < fl.size(); ++i) {
-    FsimWork w1, w2;
-    const auto m1 = ex.probe_fault(fl.fault(i), live, &w1);
-    const auto m2 = cone.probe_fault(fl.fault(i), live, &w2);
-    ASSERT_EQ(m1, m2) << "fault " << fault_to_string(nl, fl.fault(i));
-    ASSERT_LE(w2.gate_evals, w1.gate_evals)
-        << "cone mode must never do more work";
+    FsimWork w;
+    const auto [hard, poss] = cone.probe_fault(fl.fault(i), live, &w);
+    const RefFaultSim::Masks want = ref.masks(fl.fault(i));
+    EXPECT_EQ(hard, want.hard) << fault_to_string(nl, fl.fault(i));
+    EXPECT_EQ(poss, want.poss) << fault_to_string(nl, fl.fault(i));
+    detected += hard != 0;
   }
-
-  // Whole-list grading: statuses, detections, stats.
-  FaultList fl1 = FaultList::build(nl, s.model);
-  FaultList fl2 = FaultList::build(nl, s.model);
-  std::vector<std::pair<size_t, unsigned>> d1, d2;
-  const FsimStats st1 = ex.detect_faults(b, fl1, &d1);
-  const FsimStats st2 = cone.detect_faults(b, fl2, &d2);
-  EXPECT_EQ(d1, d2);
-  EXPECT_EQ(st1.faults_simulated, st2.faults_simulated);
-  EXPECT_EQ(st1.newly_detected, st2.newly_detected);
-  EXPECT_EQ(st1.newly_possibly, st2.newly_possibly);
-  EXPECT_GE(st1.gate_evals, st2.gate_evals);
-  for (size_t i = 0; i < fl1.size(); ++i) {
-    ASSERT_EQ(fl1.status(i), fl2.status(i))
-        << "fault " << fault_to_string(nl, fl1.fault(i));
-  }
+  return detected;
 }
 
 TEST(ConeParity, TransitionSchemesWithXStates) {
@@ -113,9 +99,11 @@ TEST(ConeParity, TransitionSchemesWithXStates) {
   for (const ClockingScheme& s :
        {scheme_cpf_basic(nd), scheme_external_full(nd, 3),
         scheme_external_constrained(nd, 3)}) {
+    size_t detected = 0;
     for (uint32_t ncp = 0; ncp < s.procedures.size(); ++ncp) {
-      expect_parity(nl, s, ncp, 1000 + ncp);
+      detected += expect_parity(nl, s, ncp, 1000 + ncp);
     }
+    EXPECT_GT(detected, 0u) << s.name;
   }
 }
 
@@ -125,17 +113,21 @@ TEST(ConeParity, EnhancedCpfAllProcedures) {
   // fallback for STR/STF pairs whose launch lanes overlap.
   const Netlist nl = test_soc(8);
   const ClockingScheme s = scheme_cpf_enhanced(nl.num_domains(), 4);
+  size_t detected = 0;
   for (uint32_t ncp = 0; ncp < s.procedures.size(); ++ncp) {
-    expect_parity(nl, s, ncp, 2000 + ncp);
+    detected += expect_parity(nl, s, ncp, 2000 + ncp);
   }
+  EXPECT_GT(detected, 0u);
 }
 
 TEST(ConeParity, StuckAtSchemes) {
   const Netlist nl = test_soc(9);
   const ClockingScheme s = scheme_stuck_at_external(nl.num_domains());
+  size_t detected = 0;
   for (uint32_t ncp = 0; ncp < s.procedures.size(); ++ncp) {
-    expect_parity(nl, s, ncp, 3000 + ncp);
+    detected += expect_parity(nl, s, ncp, 3000 + ncp);
   }
+  EXPECT_GT(detected, 0u);
 }
 
 TEST(ConePair, PairProbeMatchesTwoSoloProbes) {
@@ -223,7 +215,7 @@ TEST(FaultOrder, PartnersAreSymmetricComplementaryPairs) {
 
 TEST(FaultOrder, ShardingAndOrderingPreserveDetectionSets) {
   // The sharded engine walks faults in cone order with pair co-ownership;
-  // every shard count must reproduce the exhaustive sequential result.
+  // every shard count must reproduce the index-order reference result.
   const Netlist nl = test_soc(12);
   const ClockingScheme s = scheme_cpf_basic(nl.num_domains());
   const GateId se = nl.find("scan_en");
@@ -232,8 +224,7 @@ TEST(FaultOrder, ShardingAndOrderingPreserveDetectionSets) {
 
   FaultList ref = FaultList::build(nl, FaultModel::kTransition);
   std::vector<std::pair<size_t, unsigned>> dref;
-  NcpFaultSim ex(nl, s, se, FsimMode::kExhaustive);
-  ex.detect_faults(b, ref, &dref);
+  RefFaultSim(nl, s, se, b).grade(ref, &dref);
 
   uint64_t cone_evals = 0;
   for (const size_t shards : {size_t{1}, size_t{2}, size_t{3}}) {
@@ -252,36 +243,10 @@ TEST(FaultOrder, ShardingAndOrderingPreserveDetectionSets) {
   }
 }
 
-TEST(ConeParity, SessionPipelineIdenticalAcrossModes) {
-  // End-to-end: the full ATPG pipeline (random stage, PODEM grading,
-  // compaction) must emit byte-identical patterns for either
-  // propagation mode.
-  auto run = [](FsimMode m) {
-    SessionConfig cfg;
-    cfg.design([] { return gen::make_counter(8); })
-        .scan({.num_chains = 2})
-        .scheme(scheme_cpf_basic(1))
-        .fsim_mode(m);
-    return Session(std::move(cfg)).run();
-  };
-  const SessionResult a = run(FsimMode::kConeLimited);
-  const SessionResult b = run(FsimMode::kExhaustive);
-  EXPECT_EQ(a.pattern_count(), b.pattern_count());
-  EXPECT_EQ(a.test_coverage(), b.test_coverage());
-  ASSERT_EQ(a.atpg.faults.size(), b.atpg.faults.size());
-  for (size_t i = 0; i < a.atpg.faults.size(); ++i) {
-    ASSERT_EQ(a.atpg.faults.status(i), b.atpg.faults.status(i));
-  }
-  std::ostringstream ta, tb;
-  a.atpg.patterns.write_text(ta);
-  b.atpg.patterns.write_text(tb);
-  EXPECT_EQ(ta.str(), tb.str());
-}
-
 TEST(ObsCone, UnstrobedPoConeCostsNothing) {
   // NOT gate feeds only a PO. Without a strobe the fault has no
   // observation point: the cone engine must not evaluate a single gate,
-  // and both engines must agree the fault is undetected.
+  // and must agree with the reference that the fault is undetected.
   Netlist nl("po_only");
   const GateId a = nl.add_input("a");
   const GateId g = nl.add_gate1(GateType::kNot, a, "g");
@@ -309,69 +274,29 @@ TEST(ObsCone, UnstrobedPoConeCostsNothing) {
   const uint64_t live = NcpFaultSim::live_mask(b);
 
   FaultList fl = FaultList::build(nl, FaultModel::kStuckAt);
-  NcpFaultSim ex(nl, s, kNoGate, FsimMode::kExhaustive);
+  const RefFaultSim ref(nl, s, kNoGate, b);
   NcpFaultSim cone(nl, s, kNoGate);
-  ex.simulate_good(b);
   cone.simulate_good(b);
-  FsimWork ex_work, cone_work;
+  FsimWork cone_work;
   for (size_t i = 0; i < fl.size(); ++i) {
-    const auto m1 = ex.probe_fault(fl.fault(i), live, &ex_work);
-    const auto m2 = cone.probe_fault(fl.fault(i), live, &cone_work);
-    EXPECT_EQ(m1, m2);
-    EXPECT_EQ(m1.first, 0u);
+    const auto [hard, poss] = cone.probe_fault(fl.fault(i), live, &cone_work);
+    EXPECT_EQ(hard, 0u);
+    EXPECT_EQ(ref.masks(fl.fault(i)), (RefFaultSim::Masks{hard, poss}));
   }
-  EXPECT_GT(ex_work.gate_evals, 0u);
   EXPECT_EQ(cone_work.gate_evals, 0u)
       << "no observation point -> zero propagation";
 
-  // Strobing the PO restores full detection in both modes.
+  // Strobing the PO restores full detection, as in the reference.
   s.procedures[0].cycles[0].po_strobe = true;
   FaultList fl1 = FaultList::build(nl, FaultModel::kStuckAt);
   FaultList fl2 = FaultList::build(nl, FaultModel::kStuckAt);
-  NcpFaultSim ex2(nl, s, kNoGate, FsimMode::kExhaustive);
+  RefFaultSim(nl, s, kNoGate, b).grade(fl1, nullptr);
   NcpFaultSim cone2(nl, s, kNoGate);
-  ex2.detect_faults(b, fl1);
   cone2.detect_faults(b, fl2);
   for (size_t i = 0; i < fl1.size(); ++i) {
     EXPECT_EQ(fl1.status(i), fl2.status(i));
   }
   EXPECT_GT(fl2.count(FaultStatus::kDetected), 0u);
-}
-
-TEST(ObsCone, BenchConfigGateEvalReductionAtLeast2x) {
-  // The acceptance bar for the cone engine: >= 2x fewer gate
-  // evaluations than the exhaustive path on the bench_engines fault-sim
-  // workload (identical detections). Both numbers are deterministic.
-  gen::SocParams prm;
-  prm.seed = 99;
-  prm.flops = 200;
-  prm.gates = 2000;
-  Netlist nl = gen::generate_soc(prm);
-  insert_scan(nl, {.num_chains = 4});
-  const ClockingScheme s = scheme_cpf_basic(nl.num_domains());
-  const GateId se = nl.find("scan_en");
-  Rng rng(2);
-  PatternSet ps("b");
-  for (int i = 0; i < 64; ++i) {
-    TestPattern p;
-    p.ncp_index = 0;
-    p.pi_frames.assign(2, std::vector<V3>(nl.inputs().size(), V3::kX));
-    p.load.assign(scan_cells(nl).size(), V3::kX);
-    p.random_fill(s.procedures[0], rng);
-    ps.add(std::move(p));
-  }
-  const PatternBatch b = pack_batch(ps, 0, 64, nl, s.procedures[0]);
-
-  FaultList fl1 = FaultList::build(nl, FaultModel::kTransition);
-  FaultList fl2 = FaultList::build(nl, FaultModel::kTransition);
-  NcpFaultSim ex(nl, s, se, FsimMode::kExhaustive);
-  NcpFaultSim cone(nl, s, se);
-  const FsimStats st1 = ex.detect_faults(b, fl1);
-  const FsimStats st2 = cone.detect_faults(b, fl2);
-  EXPECT_EQ(st1.newly_detected, st2.newly_detected);
-  EXPECT_GE(st1.gate_evals, 2 * st2.gate_evals)
-      << "cone engine lost its >= 2x work reduction ("
-      << st1.gate_evals << " vs " << st2.gate_evals << ")";
 }
 
 }  // namespace

@@ -1,16 +1,16 @@
-// Tests: compiled-cone replay programs (sim/cone_program.h,
-// FsimMode::kCompiled) -- bit-exact parity of masks, statuses,
-// detection slots AND work counters against the interpreted cone
-// engine, across every scheme on generated SOCs and the committed
-// circuits/ corpus; structural invariants of the lowered programs; and
-// the allocation-free steady-state hot loop (global operator new
-// counter around a warmed-up detect_faults).
+// Tests: compiled-cone replay programs (sim/cone_program.h) -- whole-
+// list grading (statuses, detection slots, stats) identical to the
+// interpreted brute-force reference simulator (tests/test_helpers.h
+// RefFaultSim) across every scheme on generated SOCs and the committed
+// circuits/ corpus, sequential and sharded, batch and full session;
+// structural invariants of the lowered programs; and the
+// allocation-free steady-state hot loop (global operator new counter
+// around a warmed-up detect_faults).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <new>
-#include <sstream>
 #include <string>
 
 #include "api/session.h"
@@ -20,6 +20,7 @@
 #include "fsim/sharded.h"
 #include "gen/socgen.h"
 #include "netlist/bench_io.h"
+#include "test_helpers.h"
 #include "util/rng.h"
 
 // ---- global allocation counter ------------------------------------------
@@ -66,6 +67,8 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace occ {
 namespace {
 
+using test::RefFaultSim;
+
 Netlist test_soc(uint64_t seed) {
   gen::SocParams prm;
   prm.seed = seed;
@@ -108,52 +111,43 @@ PatternBatch make_batch(const Netlist& nl, const ClockingScheme& s,
   return pack_batch(*ps, 0, 64, nl, proc);
 }
 
-/// The compiled engine must reproduce the interpreted cone engine bit
-/// for bit -- including both deterministic work counters, which is a
-/// strictly stronger claim than equal detections (same events offered,
-/// same gates evaluated, only the memory layout differs).
+/// Statuses, detection slots and stats of one graded fault list: what
+/// the engine and the reference must agree on (work counters are the
+/// engine's own).
+void expect_same_grading(const Netlist& nl, const FaultList& got,
+                         const FsimStats& st_got,
+                         const std::vector<std::pair<size_t, unsigned>>& d_got,
+                         const FaultList& want, const FsimStats& st_want,
+                         const std::vector<std::pair<size_t, unsigned>>& d_want) {
+  EXPECT_EQ(d_got, d_want);
+  EXPECT_EQ(st_got.faults_simulated, st_want.faults_simulated);
+  EXPECT_EQ(st_got.newly_detected, st_want.newly_detected);
+  EXPECT_EQ(st_got.newly_possibly, st_want.newly_possibly);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got.status(i), want.status(i))
+        << "fault " << fault_to_string(nl, got.fault(i));
+  }
+}
+
+/// The compiled engine's whole-list grading of one batch must reproduce
+/// the reference's bit for bit: statuses, detection slots, stats.
 void expect_compiled_parity(const Netlist& nl, const ClockingScheme& s,
                             uint32_t ncp, uint64_t seed) {
   SCOPED_TRACE(s.name + " ncp" + std::to_string(ncp));
   const GateId se = nl.find("scan_en");
   PatternSet ps("x");
   const PatternBatch b = make_batch(nl, s, ncp, seed, &ps);
-  const uint64_t live = NcpFaultSim::live_mask(b);
 
-  NcpFaultSim interp(nl, s, se, FsimMode::kConeLimited);
-  NcpFaultSim comp(nl, s, se, FsimMode::kCompiled);
+  FaultList want = FaultList::build(nl, s.model);
+  std::vector<std::pair<size_t, unsigned>> d_want;
+  const FsimStats st_want = RefFaultSim(nl, s, se, b).grade(want, &d_want);
 
-  // Per-fault probe masks (the sharded primitive).
-  FaultList fl = FaultList::build(nl, s.model);
-  interp.simulate_good(b);
-  comp.simulate_good(b);
-  for (size_t i = 0; i < fl.size(); ++i) {
-    FsimWork wi, wc;
-    const auto m1 = interp.probe_fault(fl.fault(i), live, &wi);
-    const auto m2 = comp.probe_fault(fl.fault(i), live, &wc);
-    ASSERT_EQ(m1, m2) << "fault " << fault_to_string(nl, fl.fault(i));
-    ASSERT_EQ(wi.gate_evals, wc.gate_evals)
-        << "fault " << fault_to_string(nl, fl.fault(i));
-    ASSERT_EQ(wi.events_processed, wc.events_processed)
-        << "fault " << fault_to_string(nl, fl.fault(i));
-  }
-
-  // Whole-list grading: statuses, detection slots, stats, counters.
-  FaultList fl1 = FaultList::build(nl, s.model);
-  FaultList fl2 = FaultList::build(nl, s.model);
-  std::vector<std::pair<size_t, unsigned>> d1, d2;
-  const FsimStats st1 = interp.detect_faults(b, fl1, &d1);
-  const FsimStats st2 = comp.detect_faults(b, fl2, &d2);
-  EXPECT_EQ(d1, d2);
-  EXPECT_EQ(st1.faults_simulated, st2.faults_simulated);
-  EXPECT_EQ(st1.newly_detected, st2.newly_detected);
-  EXPECT_EQ(st1.newly_possibly, st2.newly_possibly);
-  EXPECT_EQ(st1.gate_evals, st2.gate_evals);
-  EXPECT_EQ(st1.events_processed, st2.events_processed);
-  for (size_t i = 0; i < fl1.size(); ++i) {
-    ASSERT_EQ(fl1.status(i), fl2.status(i))
-        << "fault " << fault_to_string(nl, fl1.fault(i));
-  }
+  NcpFaultSim comp(nl, s, se);
+  FaultList got = FaultList::build(nl, s.model);
+  std::vector<std::pair<size_t, unsigned>> d_got;
+  const FsimStats st_got = comp.detect_faults(b, got, &d_got);
+  expect_same_grading(nl, got, st_got, d_got, want, st_want, d_want);
 }
 
 TEST(ConeProgramParity, TransitionSchemesWithXStates) {
@@ -207,6 +201,8 @@ TEST(ConeProgramParity, CorpusCircuitsAllSchemes) {
 }
 
 TEST(ConeProgramParity, ShardedCompiledMatchesSequentialInterpreted) {
+  // The compiled engine, sharded 1-3 ways, against the sequential
+  // interpreted reference (RefFaultSim).
   const Netlist nl = test_soc(12);
   const ClockingScheme s = scheme_cpf_basic(nl.num_domains());
   const GateId se = nl.find("scan_en");
@@ -215,56 +211,57 @@ TEST(ConeProgramParity, ShardedCompiledMatchesSequentialInterpreted) {
 
   FaultList ref = FaultList::build(nl, FaultModel::kTransition);
   std::vector<std::pair<size_t, unsigned>> dref;
-  NcpFaultSim interp(nl, s, se, FsimMode::kConeLimited);
-  const FsimStats stref = interp.detect_faults(b, ref, &dref);
+  const FsimStats stref = RefFaultSim(nl, s, se, b).grade(ref, &dref);
 
+  uint64_t gate_evals = 0, events = 0;
   for (const size_t shards : {size_t{1}, size_t{2}, size_t{3}}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     FaultList fl = FaultList::build(nl, FaultModel::kTransition);
     std::vector<std::pair<size_t, unsigned>> dets;
-    ShardedFaultSim sim(nl, s, se, shards, FsimMode::kCompiled);
+    ShardedFaultSim sim(nl, s, se, shards);
     const FsimStats st = sim.detect_faults(b, fl, &dets);
-    EXPECT_EQ(dets, dref);
-    EXPECT_EQ(st.gate_evals, stref.gate_evals);
-    EXPECT_EQ(st.events_processed, stref.events_processed);
-    for (size_t i = 0; i < fl.size(); ++i) {
-      ASSERT_EQ(fl.status(i), ref.status(i));
+    expect_same_grading(nl, fl, st, dets, ref, stref, dref);
+    // The work counters are shard-independent.
+    if (shards == 1) {
+      gate_evals = st.gate_evals;
+      events = st.events_processed;
     }
+    EXPECT_EQ(st.gate_evals, gate_evals);
+    EXPECT_EQ(st.events_processed, events);
   }
 }
 
 TEST(ConeProgramParity, SessionPipelineIdenticalToInterpreted) {
-  // End-to-end through the Session front door on a corpus circuit.
-  auto run = [](FsimMode m) {
-    SessionConfig cfg;
-    cfg.design_file(std::string(OCC_CIRCUITS_DIR) + "/s344c.bench")
-        .scan({.num_chains = 2})
-        .scheme(scheme_cpf_basic(1))
-        .fsim_mode(m);
-    return Session(std::move(cfg)).run();
-  };
-  const SessionResult a = run(FsimMode::kCompiled);
-  const SessionResult b = run(FsimMode::kConeLimited);
-  EXPECT_EQ(a.pattern_count(), b.pattern_count());
-  EXPECT_EQ(a.test_coverage(), b.test_coverage());
-  EXPECT_EQ(a.atpg.fsim.gate_evals, b.atpg.fsim.gate_evals);
-  EXPECT_EQ(a.atpg.fsim.events_processed, b.atpg.fsim.events_processed);
-  ASSERT_EQ(a.atpg.faults.size(), b.atpg.faults.size());
-  for (size_t i = 0; i < a.atpg.faults.size(); ++i) {
-    ASSERT_EQ(a.atpg.faults.status(i), b.atpg.faults.status(i));
+  // End to end through the Session front door on a corpus circuit with
+  // the multi-procedure enhanced scheme and sharded fault simulation:
+  // the session's detected set must be exactly what the interpreted
+  // reference (RefFaultSim) finds when it re-grades the final
+  // (mixed-procedure) pattern set.
+  SessionConfig cfg;
+  cfg.design_file(std::string(OCC_CIRCUITS_DIR) + "/s344c.bench")
+      .scan({.num_chains = 2})
+      .scheme(scheme_cpf_enhanced(1, 2))
+      .fsim_shards(3);
+  const SessionResult r = Session(std::move(cfg)).run();
+  const Netlist& nl = *r.netlist;
+  const PatternSet& ps = r.atpg.patterns;
+  ASSERT_GT(ps.size(), 0u);
+  FaultList ref = FaultList::build(nl, r.scheme.model);
+  test::ref_grade_window(nl, r.scheme, r.scan_en, ps, 0, ps.size(), ref,
+                         nullptr);
+  ASSERT_EQ(ref.size(), r.atpg.faults.size());
+  for (size_t i = 0; i < ref.size(); ++i) {
+    ASSERT_EQ(ref.status(i) == FaultStatus::kDetected,
+              r.atpg.faults.status(i) == FaultStatus::kDetected)
+        << "fault " << fault_to_string(nl, ref.fault(i));
   }
-  std::ostringstream ta, tb;
-  a.atpg.patterns.write_text(ta);
-  b.atpg.patterns.write_text(tb);
-  EXPECT_EQ(ta.str(), tb.str());
 }
 
 TEST(ConeProgramParity, DPinFaultOnFlopFedByFlop) {
   // Regression: a D-pin branch fault on a flop whose D net is itself a
   // corrupted flop. The carried-state seed and the injection seed name
-  // the same capture candidate; without dedup the interpreted engine
-  // double-counted next-frame activation events and its
-  // events_processed diverged from the compiled engine's.
+  // the same capture candidate; without dedup the flop's corruption is
+  // carried twice and next-frame activation events are double-counted.
   Netlist nl("ff2ff");
   const GateId a = nl.add_input("a");
   const GateId f1 = nl.add_dff(kNoGate, 0, "f1");
@@ -296,30 +293,28 @@ TEST(ConeProgramParity, DPinFaultOnFlopFedByFlop) {
   const uint64_t live = NcpFaultSim::live_mask(b);
 
   FaultList fl = FaultList::build(nl, FaultModel::kStuckAt);
-  NcpFaultSim interp(nl, s, kNoGate, FsimMode::kConeLimited);
-  NcpFaultSim comp(nl, s, kNoGate, FsimMode::kCompiled);
-  interp.simulate_good(b);
+  const RefFaultSim ref(nl, s, kNoGate, b);
+  NcpFaultSim comp(nl, s, kNoGate);
   comp.simulate_good(b);
+  FsimWork work;
   for (size_t i = 0; i < fl.size(); ++i) {
-    FsimWork wi, wc;
-    const auto m1 = interp.probe_fault(fl.fault(i), live, &wi);
-    const auto m2 = comp.probe_fault(fl.fault(i), live, &wc);
-    ASSERT_EQ(m1, m2) << fault_to_string(nl, fl.fault(i));
-    ASSERT_EQ(wi.gate_evals, wc.gate_evals)
-        << fault_to_string(nl, fl.fault(i));
-    ASSERT_EQ(wi.events_processed, wc.events_processed)
+    const auto [hard, poss] = comp.probe_fault(fl.fault(i), live, &work);
+    ASSERT_EQ(ref.masks(fl.fault(i)), (RefFaultSim::Masks{hard, poss}))
         << fault_to_string(nl, fl.fault(i));
   }
+  // Whole-list work pinned: one event per fanout activation of each
+  // distinct corrupted flop, so a double-carried flop shows up here.
+  EXPECT_EQ(work.gate_evals, 66u);
+  EXPECT_EQ(work.events_processed, 70u);
 }
 
 TEST(ConeProgramStructure, LoweringInvariants) {
   const Netlist nl = test_soc(13);
   const ClockingScheme s = scheme_cpf_enhanced(nl.num_domains(), 3);
-  const GateId se = nl.find("scan_en");
-  NcpFaultSim sim(nl, s, se, FsimMode::kCompiled);
-  for (size_t ncp = 0; ncp < s.procedures.size(); ++ncp) {
-    const ConeProgram& prog = sim.cone_program(ncp);
-    ASSERT_EQ(prog.frames.size(), s.procedures[ncp].cycles.size());
+  for (const NamedCaptureProcedure& ncp : s.procedures) {
+    const ConeProgram prog =
+        compile_cone_program(nl, ncp, build_frame_obs(nl, ncp));
+    ASSERT_EQ(prog.frames.size(), ncp.cycles.size());
     for (const FrameProgram& fp : prog.frames) {
       ASSERT_LE(fp.num_nodes, prog.max_nodes);
       ASSERT_EQ(fp.gate_of.size(), fp.num_nodes);
@@ -332,12 +327,9 @@ TEST(ConeProgramStructure, LoweringInvariants) {
       for (uint32_t n = 0; n < fp.num_nodes; ++n) {
         const Gate& g = nl.gate(fp.gate_of[n]);
         const ConeNode& rec = fp.nodes[n];
-        // Dense ids are level-sorted; level boundaries bracket them.
+        // Dense ids are level-sorted.
         ASSERT_GE(g.level, prev_level);
         prev_level = g.level;
-        const size_t l = static_cast<size_t>(g.level);
-        ASSERT_GE(n, fp.level_begin[l]);
-        ASSERT_LT(n, fp.level_begin[l + 1]);
         // Operands precede their reader (the sweep's scheduling
         // invariant); fanouts strictly follow it.
         if (rec.nf > 0 && rec.nf <= 2) {
@@ -367,7 +359,7 @@ TEST(ConeProgramAllocations, SteadyStateHotLoopIsAllocationFree) {
   PatternSet ps("x");
   const PatternBatch b = make_batch(nl, s, 0, 99, &ps);
 
-  NcpFaultSim sim(nl, s, se, FsimMode::kCompiled);
+  NcpFaultSim sim(nl, s, se);
   sim.simulate_good(b);
 
   // Warm-up: builds the replay programs, sizes the scratch arena and
@@ -382,7 +374,7 @@ TEST(ConeProgramAllocations, SteadyStateHotLoopIsAllocationFree) {
   const FsimStats st = sim.detect_faults(b, fl);
   const uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u)
-      << "compiled-mode detect_faults allocated on a warmed-up engine";
+      << "detect_faults allocated on a warmed-up engine";
   EXPECT_GT(st.faults_simulated, 0u);
   EXPECT_GT(st.gate_evals, 0u);
 }

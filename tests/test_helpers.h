@@ -1,13 +1,18 @@
-// Shared test utilities: a random sequential-netlist generator and an
-// independent scalar reference fault simulator used as an oracle against
-// the packed PPSFP engine.
+// Shared test utilities: a random sequential-netlist generator and two
+// independent reference fault simulators used as oracles against the
+// packed PPSFP engine -- a scalar one-pattern simulator (ref_detects)
+// and a brute-force 64-lane full simulator (RefFaultSim).
 #pragma once
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
+#include "core/clock_scheme.h"
 #include "core/ncp.h"
 #include "fault/fault.h"
+#include "fault/fault_list.h"
+#include "fsim/fsim.h"
 #include "fsim/pattern.h"
 #include "netlist/library.h"
 #include "netlist/netlist.h"
@@ -195,6 +200,220 @@ inline bool ref_detects(const Netlist& nl, const NamedCaptureProcedure& ncp,
     }
   }
   return false;
+}
+
+/// Brute-force reference for NcpFaultSim: an interpreter that simulates
+/// every gate of the netlist, good and faulty, in every frame of one
+/// packed batch -- no observability cones, no event schedule, no overlay
+/// arenas, no STR/STF pairing -- one fault at a time, 64 lanes per word.
+/// Its one shortcut is exact: a faulty frame that starts from the good
+/// machine's state and injects nothing on any lane is the good frame, so
+/// it is copied rather than re-simulated. Fault semantics follow the
+/// engine's contract (fsim/fsim.h): stuck-at forced in every frame,
+/// transition forced as the stuck-at of its initial value in each
+/// at-speed frame whose fault-free launch condition holds on that lane.
+class RefFaultSim {
+ public:
+  struct Masks {
+    uint64_t hard = 0;
+    uint64_t poss = 0;
+    bool operator==(const Masks&) const = default;
+  };
+
+  RefFaultSim(const Netlist& nl, const ClockingScheme& s, GateId scan_en,
+              const PatternBatch& b)
+      : nl_(nl),
+        ncp_(s.procedures[b.ncp_index]),
+        scan_en_(s.scan_en_frozen ? scan_en : kNoGate),
+        batch_(b),
+        live_(NcpFaultSim::live_mask(b)),
+        pos_(nl.size(), 0) {
+    for (size_t i = 0; i < nl.inputs().size(); ++i) pos_[nl.inputs()[i]] = i;
+    for (size_t i = 0; i < nl.dffs().size(); ++i) pos_[nl.dffs()[i]] = i;
+    for (const GateId sc : scan_cells(nl)) scan_pos_.push_back(pos_[sc]);
+    for (const GateId g : nl.topo_order()) {
+      const Gate& gate = nl.gate(g);
+      order_.push_back({g, gate.type, fanins_.size(), gate.fanin.size()});
+      fanins_.insert(fanins_.end(), gate.fanin.begin(), gate.fanin.end());
+      max_fanin_ = std::max(max_fanin_, gate.fanin.size());
+    }
+    std::vector<Val64> load(nl.dffs().size(), Val64::allx());
+    for (size_t i = 0; i < scan_pos_.size(); ++i) {
+      load[scan_pos_[i]] = b.load[i];
+    }
+    good_states_.push_back(std::move(load));
+    run(nullptr, {}, [this](size_t, const auto& vals, const auto& state) {
+      good_frames_.push_back(vals);
+      good_states_.push_back(state);
+      return true;
+    });
+  }
+
+  /// Detection masks of `f` over the live lanes, observed the way the
+  /// engine observes: strobed POs frame by frame, stopping after the
+  /// first frame that hard-detects on some lane, then -- if none did --
+  /// the scan-cell unload. Differences involving X count as possible.
+  Masks masks(const Fault& f) const {
+    const size_t frames = ncp_.cycles.size();
+    std::vector<uint64_t> inj(frames, 0);
+    if (is_transition(f.type)) {
+      const GateId site = fault_net(nl_, f);
+      const bool init = fault_value(f.type);
+      for (size_t k = 1; k < frames; ++k) {
+        if (!ncp_.cycles[k].at_speed) continue;
+        const Val64 prev = good_frames_[k - 1][site];
+        const Val64 now = good_frames_[k][site];
+        inj[k] = (init ? prev.is1() & now.is0() : prev.is0() & now.is1()) &
+                 live_;
+      }
+    } else {
+      inj.assign(frames, live_);
+    }
+    Masks m;
+    const auto observe = [&m](Val64 g, Val64 b) {
+      m.hard |= (g.v ^ b.v) & ~g.x & ~b.x;
+      m.poss |= g.x ^ b.x;
+    };
+    const std::vector<Val64> final_state = run(
+        &f, inj, [&](size_t k, const std::vector<Val64>& vals, const auto&) {
+          if (!ncp_.cycles[k].po_strobe) return true;
+          for (const GateId po : nl_.outputs()) {
+            observe(good_frames_[k][po], vals[po]);
+          }
+          return m.hard == 0;
+        });
+    if (m.hard == 0) {
+      const std::vector<Val64>& good_final = good_states_.back();
+      for (const size_t p : scan_pos_) observe(good_final[p], final_state[p]);
+    }
+    return {m.hard & live_, m.poss & live_};
+  }
+
+  /// Grades every fault of `fl` the engine still simulates and merges
+  /// with the engine's canonical merge: the statuses, detection slots
+  /// and stats NcpFaultSim::detect_faults must reproduce (minus the
+  /// work counters, which only the engine has).
+  FsimStats grade(FaultList& fl,
+                  std::vector<std::pair<size_t, unsigned>>* dets) const {
+    std::vector<FaultProbe> probes(fl.size());
+    for (size_t i = 0; i < fl.size(); ++i) {
+      if (!fsim_wants_simulation(fl.status(i))) continue;
+      const Masks m = masks(fl.fault(i));
+      probes[i] = {m.hard, m.poss, true};
+    }
+    return merge_fault_probes(probes, fl, dets);
+  }
+
+ private:
+  struct Node {
+    GateId g;
+    GateType type;
+    size_t fanin;  // first fanin in fanins_
+    size_t nf;
+  };
+
+  // Simulates the frames in order from the scan load; `f` (may be null)
+  // is forced on lanes inj[k] of frame k. After frame k settles and its
+  // pulse captures, frame_done(k, values, state) returns false to stop
+  // early. Returns the flop state after the last simulated pulse.
+  template <class FrameDone>
+  std::vector<Val64> run(const Fault* f, const std::vector<uint64_t>& inj,
+                         FrameDone&& frame_done) const {
+    const auto& dffs = nl_.dffs();
+    std::vector<Val64> state = good_states_.front();
+    std::vector<Val64> vals(nl_.size(), Val64::allx());
+    std::vector<Val64> ins(max_fanin_);
+    for (size_t k = 0; k < ncp_.cycles.size(); ++k) {
+      const uint64_t m = f != nullptr ? inj[k] : 0;
+      if (f != nullptr && m == 0 && state == good_states_[k]) {
+        state = good_states_[k + 1];
+        if (!frame_done(k, good_frames_[k], state)) break;
+        continue;
+      }
+      const auto force = [&](Val64 v) {
+        return Val64{fault_value(f->type) ? v.v | m : v.v & ~m, v.x & ~m};
+      };
+      for (const Node& n : order_) {
+        Val64& out = vals[n.g];
+        switch (n.type) {
+          case GateType::kInput:
+            out = n.g == scan_en_ ? Val64::all0()
+                                  : batch_.pi_frames[k][pos_[n.g]];
+            break;
+          case GateType::kDff:
+            out = state[pos_[n.g]];
+            break;
+          case GateType::kTie0:
+            out = Val64::all0();
+            break;
+          case GateType::kTie1:
+            out = Val64::all1();
+            break;
+          case GateType::kXSource:
+            out = Val64::allx();
+            break;
+          default:
+            for (size_t i = 0; i < n.nf; ++i) ins[i] = vals[fanins_[n.fanin + i]];
+            if (m != 0 && n.g == f->gate && f->pin < n.nf) {
+              ins[f->pin] = force(ins[f->pin]);
+            }
+            out = eval_gate_packed(n.type, {ins.data(), n.nf});
+        }
+        if (m != 0 && n.g == f->gate && f->pin == kOutputPin) out = force(out);
+      }
+      for (size_t i = 0; i < dffs.size(); ++i) {
+        const Gate& ff = nl_.gate(dffs[i]);
+        if (!(ncp_.cycles[k].pulses & (DomainMask{1} << ff.domain))) continue;
+        const Val64 d = vals[ff.fanin[0]];
+        state[i] = m != 0 && f->gate == dffs[i] && f->pin == 0 ? force(d) : d;
+      }
+      if (!frame_done(k, vals, state)) break;
+    }
+    return state;
+  }
+
+  const Netlist& nl_;
+  const NamedCaptureProcedure& ncp_;
+  GateId scan_en_;  // forced to 0 in every frame; kNoGate if not frozen
+  PatternBatch batch_;
+  uint64_t live_;
+  std::vector<size_t> pos_;       // PI gate -> PI position, DFF -> dff pos
+  std::vector<size_t> scan_pos_;  // scan position -> dff position
+  std::vector<Node> order_;       // every gate, topological order
+  std::vector<GateId> fanins_;    // Node::fanin indexes here
+  size_t max_fanin_ = 0;
+  std::vector<std::vector<Val64>> good_frames_;  // [frame][gate]
+  std::vector<std::vector<Val64>> good_states_;  // [frame + 1][dff pos]:
+                                                 // flop state entering
+                                                 // frame k; back() = unload
+};
+
+/// Reference grading of patterns [first, first + n) of `ps`, batched
+/// like NcpFaultSim's window API (maximal same-NCP runs, 64 lanes per
+/// sweep, fault dropping across sweeps, slots relative to `first`).
+inline FsimStats ref_grade_window(
+    const Netlist& nl, const ClockingScheme& s, GateId scan_en,
+    const PatternSet& ps, size_t first, size_t n, FaultList& fl,
+    std::vector<std::pair<size_t, unsigned>>* dets) {
+  FsimStats st;
+  for (size_t i = first; i < first + n;) {
+    const uint32_t ncp = ps[i].ncp_index;
+    size_t run_end = i + 1;
+    while (run_end < first + n && ps[run_end].ncp_index == ncp) ++run_end;
+    for (size_t b = i; b < run_end; b += 64) {
+      const PatternBatch batch = pack_batch(
+          ps, b, std::min<size_t>(64, run_end - b), nl, s.procedures[ncp]);
+      std::vector<std::pair<size_t, unsigned>> d;
+      st += RefFaultSim(nl, s, scan_en, batch).grade(fl, &d);
+      for (const auto& [fault, slot] : d) {
+        if (dets) {
+          dets->emplace_back(fault, static_cast<unsigned>(b - first) + slot);
+        }
+      }
+    }
+    i = run_end;
+  }
+  return st;
 }
 
 }  // namespace test

@@ -179,7 +179,7 @@ TEST(SatAtpg, ProvesRedundantFaultUntestable) {
   res.patterns = PatternSet(s.name);
   res.cubes = PatternSet(s.name);
   Rng rng(opts.seed);
-  ShardedFaultSim fsim(nl, s, kNoGate, 1, FsimMode::kCompiled);
+  ShardedFaultSim fsim(nl, s, kNoGate, 1);
   PipelineContext ctx{nl, s, kNoGate, opts, fl, fsim, rng, res, nullptr};
   SatPatternSource src;
   src.generate(ctx);

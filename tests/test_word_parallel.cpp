@@ -1,11 +1,10 @@
-// Tests: word-parallel PPSFP engine (FsimMode::kWordParallel, the
-// production default) -- lane-boundary parity of statuses, detection
-// slots AND work counters against the compiled and interpreted scalar
-// engines at batch sizes that straddle the 64-lane word boundary
-// (1, 63, 64, 65, 200), across all five clocking schemes, the
-// committed circuits/ corpus, X-state frames (which force the
-// per-frame fallback off the X-free one-word kernel), the sharded
-// dispatcher, and the window API's chunking/slot-mapping contract.
+// Tests: word-parallel PPSFP through the window API -- lane-boundary
+// parity of statuses, detection slots and stats against the interpreted
+// brute-force reference simulator (tests/test_helpers.h) at batch sizes
+// that straddle the 64-lane word boundary (1, 63, 64, 65, 200), across
+// all five clocking schemes, the committed circuits/ corpus, X-state
+// frames, the sharded dispatcher, and the window API's
+// chunking/slot-mapping contract.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -17,6 +16,7 @@
 #include "fsim/sharded.h"
 #include "gen/socgen.h"
 #include "netlist/bench_io.h"
+#include "test_helpers.h"
 #include "util/rng.h"
 
 namespace occ {
@@ -35,9 +35,9 @@ Netlist test_soc(uint64_t seed) {
 }
 
 /// `count` random patterns bound to procedure `ncp`. Fully specified by
-/// default (the word kernel only engages on X-free frames); with
-/// `x_holes`, ~15% of loads and changeable PI frames are knocked back
-/// to X so the per-frame fallback path is what gets parity-checked.
+/// default; with `x_holes`, ~15% of loads and changeable PI frames are
+/// knocked back to X so three-valued propagation is what gets
+/// parity-checked.
 PatternSet make_patterns(const Netlist& nl, const ClockingScheme& s,
                          uint32_t ncp, size_t count, uint64_t seed,
                          bool x_holes = false) {
@@ -73,14 +73,13 @@ PatternSet make_patterns(const Netlist& nl, const ClockingScheme& s,
 }
 
 struct GradedRun {
-  FsimStats st;
-  std::vector<std::pair<size_t, unsigned>> dets;
+  FsimStats st{};
+  std::vector<std::pair<size_t, unsigned>> dets{};
   FaultList fl;
 };
 
-/// Grades `ps` through the window API on a persistent engine of the
-/// given mode (fresh fault list per call, like every production
-/// caller).
+/// Grades `ps` through the window API on a persistent engine (fresh
+/// fault list per call, like every production caller).
 GradedRun grade(NcpFaultSim& sim, const Netlist& nl,
                 const ClockingScheme& s, const PatternSet& ps) {
   GradedRun r{.fl = FaultList::build(nl, s.model)};
@@ -88,14 +87,23 @@ GradedRun grade(NcpFaultSim& sim, const Netlist& nl,
   return r;
 }
 
+/// The reference's grading of the same window.
+GradedRun reference(const Netlist& nl, const ClockingScheme& s,
+                    const PatternSet& ps) {
+  GradedRun r{.fl = FaultList::build(nl, s.model)};
+  r.st = test::ref_grade_window(nl, s, nl.find("scan_en"), ps, 0, ps.size(),
+                                r.fl, &r.dets);
+  return r;
+}
+
+/// Statuses, detection slots and stats (work counters are the engine's
+/// own, so `b` may be a reference run).
 void expect_runs_equal(const Netlist& nl, const GradedRun& a,
                        const GradedRun& b) {
   EXPECT_EQ(a.dets, b.dets);
   EXPECT_EQ(a.st.faults_simulated, b.st.faults_simulated);
   EXPECT_EQ(a.st.newly_detected, b.st.newly_detected);
   EXPECT_EQ(a.st.newly_possibly, b.st.newly_possibly);
-  EXPECT_EQ(a.st.gate_evals, b.st.gate_evals);
-  EXPECT_EQ(a.st.events_processed, b.st.events_processed);
   ASSERT_EQ(a.fl.size(), b.fl.size());
   for (size_t i = 0; i < a.fl.size(); ++i) {
     ASSERT_EQ(a.fl.status(i), b.fl.status(i))
@@ -103,27 +111,19 @@ void expect_runs_equal(const Netlist& nl, const GradedRun& a,
   }
 }
 
-/// The word-parallel engine must reproduce the compiled AND the
-/// interpreted scalar engines bit for bit -- statuses, detection
-/// slots, stats and both deterministic work counters -- at every batch
-/// size around the 64-lane boundary.
+/// The engine must reproduce the reference bit for bit -- statuses,
+/// detection slots and stats -- at every window size around the 64-lane
+/// boundary.
 void expect_word_parity(const Netlist& nl, const ClockingScheme& s,
                         uint32_t ncp, uint64_t seed,
                         bool x_holes = false) {
-  const GateId se = nl.find("scan_en");
-  NcpFaultSim word(nl, s, se, FsimMode::kWordParallel);
-  NcpFaultSim comp(nl, s, se, FsimMode::kCompiled);
-  NcpFaultSim interp(nl, s, se, FsimMode::kConeLimited);
+  NcpFaultSim word(nl, s, nl.find("scan_en"));
   for (const size_t n : {size_t{1}, size_t{63}, size_t{64}, size_t{65},
                          size_t{200}}) {
     SCOPED_TRACE(s.name + " ncp" + std::to_string(ncp) + " n=" +
                  std::to_string(n));
     const PatternSet ps = make_patterns(nl, s, ncp, n, seed + n, x_holes);
-    const GradedRun w = grade(word, nl, s, ps);
-    const GradedRun c = grade(comp, nl, s, ps);
-    const GradedRun i = grade(interp, nl, s, ps);
-    expect_runs_equal(nl, w, c);
-    expect_runs_equal(nl, w, i);
+    expect_runs_equal(nl, grade(word, nl, s, ps), reference(nl, s, ps));
   }
 }
 
@@ -139,10 +139,8 @@ TEST(WordParallelParity, AllFiveSchemesAcrossLaneBoundaries) {
 }
 
 TEST(WordParallelParity, EnhancedCpfAllProcedures) {
-  // Multi-pulse bursts and inter-domain procedures: carried faulty
-  // state across frames means a non-X-free frame can poison a later
-  // X-free one -- the kernel's per-pass in_state check, not just the
-  // per-frame flag, is what this exercises.
+  // Multi-pulse bursts and inter-domain procedures: faulty state
+  // carried across frames, including X from non-scan power-up state.
   const Netlist nl = test_soc(22);
   const ClockingScheme s = scheme_cpf_enhanced(nl.num_domains(), 4);
   for (uint32_t ncp = 0; ncp < s.procedures.size(); ++ncp) {
@@ -150,10 +148,9 @@ TEST(WordParallelParity, EnhancedCpfAllProcedures) {
   }
 }
 
-TEST(WordParallelParity, XStateFramesFallBackBitIdentically) {
-  // X holes in loads and PI frames mean most frames fail the X-free
-  // screen: the word engine must route those through the scalar
-  // compiled kernel and still match it event for event.
+TEST(WordParallelParity, XStateFramesMatchReference) {
+  // X holes in loads and PI frames: three-valued propagation, with
+  // possible detections, must still match the reference bit for bit.
   const Netlist nl = test_soc(23);
   const size_t nd = nl.num_domains();
   for (const ClockingScheme& s :
@@ -178,17 +175,18 @@ TEST(WordParallelParity, CorpusCircuits) {
 }
 
 TEST(WordParallelParity, ShardedMatchesSequentialInterpreted) {
+  // Sharded window grading, 1-3 shards, against the sequential
+  // interpreted reference.
   const Netlist nl = test_soc(24);
   const ClockingScheme s = scheme_cpf_basic(nl.num_domains());
   const GateId se = nl.find("scan_en");
   const PatternSet ps = make_patterns(nl, s, 0, 130, 42);
 
-  NcpFaultSim interp(nl, s, se, FsimMode::kConeLimited);
-  const GradedRun ref = grade(interp, nl, s, ps);
+  const GradedRun ref = reference(nl, s, ps);
 
   for (const size_t shards : {size_t{1}, size_t{2}, size_t{3}}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
-    ShardedFaultSim sim(nl, s, se, shards, FsimMode::kWordParallel);
+    ShardedFaultSim sim(nl, s, se, shards);
     GradedRun r{.fl = FaultList::build(nl, s.model)};
     r.st = sim.detect_faults(ps, 0, ps.size(), r.fl, &r.dets);
     expect_runs_equal(nl, r, ref);
@@ -210,11 +208,11 @@ TEST(WordParallelWindow, MatchesManualChunkingAndMapsSlots) {
        std::vector<std::pair<size_t, size_t>>{{0, 200}, {10, 70}}) {
     SCOPED_TRACE("first=" + std::to_string(first) + " n=" +
                  std::to_string(n));
-    NcpFaultSim word(nl, s, se, FsimMode::kWordParallel);
+    NcpFaultSim word(nl, s, se);
     GradedRun w{.fl = FaultList::build(nl, s.model)};
     w.st = word.detect_faults(ps, first, n, w.fl, &w.dets);
 
-    NcpFaultSim manual(nl, s, se, FsimMode::kWordParallel);
+    NcpFaultSim manual(nl, s, se);
     GradedRun m{.fl = FaultList::build(nl, s.model)};
     for (size_t b = first; b < first + n; b += 64) {
       const size_t cnt = std::min<size_t>(64, first + n - b);
@@ -228,15 +226,17 @@ TEST(WordParallelWindow, MatchesManualChunkingAndMapsSlots) {
       }
     }
     expect_runs_equal(nl, w, m);
+    EXPECT_EQ(w.st.gate_evals, m.st.gate_evals);
+    EXPECT_EQ(w.st.events_processed, m.st.events_processed);
   }
 }
 
 TEST(WordParallelWindow, MixedNcpRunsGradeEachProcedure) {
   // Patterns alternating between capture procedures: the window API
   // must split them into same-NCP runs. Cross-checked against the
-  // interpreted engine through the same window (counters included) and
-  // against one-pattern-at-a-time grading (statuses only -- dropping
-  // quantizes at the sweep boundary, so counters legitimately differ).
+  // reference through the same window and against one-pattern-at-a-time
+  // grading (statuses only -- dropping quantizes at the sweep boundary,
+  // so slots and counters legitimately differ).
   const Netlist nl = test_soc(26);
   const ClockingScheme s = scheme_cpf_enhanced(nl.num_domains(), 3);
   ASSERT_GT(s.procedures.size(), 1u);
@@ -251,18 +251,15 @@ TEST(WordParallelWindow, MixedNcpRunsGradeEachProcedure) {
     ps.add(one[0]);
   }
 
-  NcpFaultSim word(nl, s, se, FsimMode::kWordParallel);
+  NcpFaultSim word(nl, s, se);
   GradedRun w{.fl = FaultList::build(nl, s.model)};
   w.st = word.detect_faults(ps, 0, ps.size(), w.fl, &w.dets);
+  expect_runs_equal(nl, w, reference(nl, s, ps));
 
-  NcpFaultSim interp(nl, s, se, FsimMode::kConeLimited);
-  GradedRun i = grade(interp, nl, s, ps);
-  expect_runs_equal(nl, w, i);
-
-  NcpFaultSim scalar(nl, s, se, FsimMode::kCompiled);
+  NcpFaultSim single(nl, s, se);
   FaultList one_at_a_time = FaultList::build(nl, s.model);
   for (size_t p = 0; p < ps.size(); ++p) {
-    scalar.detect_faults(ps, p, 1, one_at_a_time);
+    single.detect_faults(ps, p, 1, one_at_a_time);
   }
   ASSERT_EQ(w.fl.size(), one_at_a_time.size());
   for (size_t f = 0; f < w.fl.size(); ++f) {

@@ -8,12 +8,11 @@
 //
 // Usage:
 //   occ run --design circuits/s344c.bench [--scheme ncp] [--chains N]
-//           [--shards N] [--atpg-shards N]
-//           [--mode word|compiled|cone|exhaustive] [--seed N]
+//           [--shards N] [--atpg-shards N] [--seed N]
 //           [--random-rounds N] [--edt CHANNELS] [--repeat N]
 //           [--sat] [--sat-budget CONFLICTS] [--json PATH] [--quiet]
 //
-// The engine-selection flags (--mode/--shards/--atpg-shards/--sat/
+// The engine-selection flags (--shards/--atpg-shards/--sat/
 // --sat-budget) are the shared vocabulary of util/cli.h's
 // parse_engine_flag and map onto one occ::EngineOptions handed to
 // SessionConfig::engine(); bench_engines and bench_table1 parse the
@@ -79,10 +78,9 @@ int usage(const char* argv0) {
       << "usage:\n"
       << "  " << argv0
       << " run --design PATH [--scheme NAME] [--chains N] [--shards N]\n"
-      << "      [--atpg-shards N] [--mode word|compiled|cone|exhaustive]\n"
-      << "      [--seed N] [--random-rounds N] [--edt CHANNELS]\n"
-      << "      [--repeat N] [--sat] [--sat-budget CONFLICTS]\n"
-      << "      [--json PATH] [--quiet]\n"
+      << "      [--atpg-shards N] [--seed N] [--random-rounds N]\n"
+      << "      [--edt CHANNELS] [--repeat N] [--sat]\n"
+      << "      [--sat-budget CONFLICTS] [--json PATH] [--quiet]\n"
       << "  " << argv0 << " stats --design PATH\n"
       << "  " << argv0 << " corpus [--dir DIR]\n"
       << "  " << argv0
@@ -130,7 +128,7 @@ struct RunArgs {
   std::string json_path;
   size_t chains = 2;
   size_t repeat = 1;
-  EngineOptions engine;  // --mode/--shards/--atpg-shards/--sat*
+  EngineOptions engine;  // --shards/--atpg-shards/--sat*
   std::optional<uint64_t> seed;
   size_t random_rounds = 0;
   size_t edt_channels = 0;
@@ -262,7 +260,6 @@ int cmd_run(const RunArgs& a) {
              resolve_atpg_shards(
                  a.engine.atpg_shards,
                  ShardedFaultSim::resolve_shards(a.engine.fsim.shards)));
-    meta.set("mode", fsim_mode_name(a.engine.fsim.mode));
     meta.set("repeat", repeat);
     meta.set("test_coverage", r.test_coverage());
     meta.set("fault_coverage", r.fault_coverage());
