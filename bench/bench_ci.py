@@ -26,9 +26,9 @@ Subcommands:
                            metrics in CURRENT are allowed). --include-meta
                            additionally pins every meta key with the
                            given prefix (repeatable). Used for the
-                           heuristics-off parity gate: with
-                           --atpg-heuristics off the search must
-                           reproduce the committed pre-heuristics
+                           escalation-off parity gate: with
+                           --atpg-escalation off the search must
+                           reproduce the committed pre-escalation
                            counters exactly, not merely within a
                            regression threshold.
 

@@ -23,15 +23,13 @@
 // (scan-inserted with 4 chains); `--corpus-dir <dir>` relocates the
 // corpus the --json report reads. Engine selection uses the shared
 // parse_engine_flag vocabulary of util/cli.h (--shards/--atpg-shards/
-// --sat/--sat-budget/--atpg-heuristics/--atpg-escalation); of these only
-// two affect the report -- --atpg-shards pins the worker count of the
-// parallel deterministic-PODEM workload (atpg.det.*; default 0 =
-// hardware concurrency) and --atpg-heuristics toggles the PODEM search
-// heuristics across the ATPG workloads (atpg.det.* and atpg.sat.*;
-// `off` reproduces the pre-heuristics counters bit-exactly, which the
-// CI parity gate pins for bench_table1) -- because every other
-// workload pins its own shard count by design, so its counters and
-// walls stay comparable across runs.
+// --sat/--sat-budget/--atpg-escalation); of these only two affect the
+// report -- --atpg-shards pins the worker count of the parallel
+// deterministic-PODEM workload (atpg.det.*; default 0 = hardware
+// concurrency) and --atpg-escalation toggles the PODEM->SAT escalation
+// of the atpg.det and atpg.sat workloads -- because every other
+// workload pins its own engine configuration by design, so its counters
+// and walls stay comparable across runs.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -75,12 +73,12 @@ std::string g_corpus_dir = "circuits";
 /// measurements (deterministic counters are checked for equality).
 size_t g_repeat = 1;
 /// Engine-selection flags (shared parse_engine_flag vocabulary). Only
-/// `atpg_shards` is consumed -- it pins the deterministic-PODEM worker
-/// count of the --json report's atpg.det workload (0 = hardware
-/// concurrency, matching the sharded-fsim workload; results are
-/// bit-identical for every value, only atpg.det.wall_ms moves). The
-/// other fields parse but deliberately do not steer the report: its
-/// workloads pin their own shard counts.
+/// `atpg_shards` and `atpg_escalation` are consumed -- the first pins
+/// the deterministic-PODEM worker count of the --json report's atpg.det
+/// workload (0 = hardware concurrency, matching the sharded-fsim
+/// workload; results are bit-identical for every value, only
+/// atpg.det.wall_ms moves). The other fields parse but deliberately do
+/// not steer the report: its workloads pin their own engine settings.
 EngineOptions g_engine;
 
 Netlist& bench_soc() {
@@ -198,7 +196,7 @@ void BM_SessionPipeline(benchmark::State& state) {
     SessionConfig cfg;
     cfg.design_ref(nl)
         .scheme(scheme_cpf_basic(nl.num_domains()))
-        .fsim_shards(shards);
+        .engine({.fsim = {.shards = shards}});
     const SessionResult r = Session(std::move(cfg)).run();
     benchmark::DoNotOptimize(r.atpg.patterns.size());
     patterns = r.pattern_count();
@@ -418,9 +416,7 @@ int write_json_report(const std::string& path) {
     std::vector<double> walls;
     for (size_t r = 0; r < g_repeat; ++r) {
       SessionConfig cfg;
-      cfg.design_ref(nl)
-          .scheme(scheme_cpf_basic(nl.num_domains()))
-          .atpg_heuristics(g_engine.atpg_heuristics);
+      cfg.design_ref(nl).scheme(scheme_cpf_basic(nl.num_domains()));
       const auto t0 = std::chrono::steady_clock::now();
       const SessionResult res = Session(std::move(cfg)).run();
       walls.push_back(ms_since(t0));
@@ -455,10 +451,9 @@ int write_json_report(const std::string& path) {
       SessionConfig cfg;
       cfg.design_ref(nl)
           .scheme(scheme_cpf_basic(nl.num_domains()))
-          .fsim_shards(0)  // hardware concurrency
-          .atpg_shards(g_engine.atpg_shards)
-          .atpg_heuristics(g_engine.atpg_heuristics)
-          .atpg_escalation(g_engine.atpg_escalation)
+          .engine({.fsim = {.shards = 0},  // hardware concurrency
+                   .atpg_shards = g_engine.atpg_shards,
+                   .atpg_escalation = g_engine.atpg_escalation})
           .observer([&](const ProgressEvent& ev) {
             if (ev.stage != "source:podem") return;
             if (ev.kind == ProgressEvent::Kind::kStageBegin) {
@@ -485,9 +480,7 @@ int write_json_report(const std::string& path) {
     metrics.set("atpg.det.wall_ms", repeat_median(std::move(walls)));
     metrics.set("atpg.det.patterns", det_patterns);
     // Committed search-effort counters: deterministic for any shard
-    // count, so they are gated alongside the pattern count. The
-    // heuristic-effect counters (implication_hits & co) are zero with
-    // --atpg-heuristics off.
+    // count, so they are gated alongside the pattern count.
     metrics.set("atpg.det.backtracks", det_stats.backtracks);
     metrics.set("atpg.det.implication_hits", det_stats.implication_hits);
     meta.set("atpg.det.decisions", det_stats.decisions);
@@ -519,16 +512,17 @@ int write_json_report(const std::string& path) {
     AtpgOptions starved;
     starved.backtrack_limit = 20;
     starved.abort_retry_factor = 1;
-    starved.sat_backend = true;
     // Budget-capped so the workload stays a few seconds even under
     // --repeat; faults whose redundancy proof needs more search count
     // as still_aborted here (the budget, not the solver, is the limit).
-    starved.sat_conflict_budget = 1000;
     // Escalation (default on) settles most of the starved abort pool
     // inside the deterministic stage; the SAT stage then only sees the
     // residue. --atpg-escalation off restores the pre-escalation
     // workload shape.
-    starved.escalation = g_engine.atpg_escalation;
+    const EngineOptions sat_engine{
+        .sat_backend = true,
+        .sat_conflict_budget = 1000,
+        .atpg_escalation = g_engine.atpg_escalation};
     std::vector<double> walls;
     SatStats st;
     for (size_t r = 0; r < g_repeat; ++r) {
@@ -538,7 +532,7 @@ int write_json_report(const std::string& path) {
       cfg.design_ref(nl)
           .scheme(scheme_cpf_basic(nl.num_domains()))
           .atpg(starved)
-          .atpg_heuristics(g_engine.atpg_heuristics)
+          .engine(sat_engine)
           .observer([&](const ProgressEvent& ev) {
             if (ev.stage != "source:sat") return;
             if (ev.kind == ProgressEvent::Kind::kStageBegin) {
@@ -647,8 +641,7 @@ int write_json_report(const std::string& path) {
       SessionConfig cfg;
       cfg.design_file(path)
           .scan({.num_chains = 4})
-          .scheme(scheme_cpf_basic(parsed.num_domains()))
-          .atpg_heuristics(g_engine.atpg_heuristics);
+          .scheme(scheme_cpf_basic(parsed.num_domains()));
       const auto t0 = std::chrono::steady_clock::now();
       const SessionResult res = Session(std::move(cfg)).run();
       walls.push_back(ms_since(t0));
@@ -677,8 +670,8 @@ int main(int argc, char** argv) {
   // workload for an external design; `--corpus-dir <dir>` points the
   // report's parse->simulate workload at the committed corpus. Engine
   // selection is parse_engine_flag's shared vocabulary (see the file
-  // comment: only --atpg-shards steers the report). Any other flags are
-  // passed through to google-benchmark.
+  // comment: only --atpg-shards and --atpg-escalation steer the report).
+  // Any other flags are passed through to google-benchmark.
   std::string json_path;
   std::vector<char*> passthrough{argv[0]};
   for (int i = 1; i < argc; ++i) {

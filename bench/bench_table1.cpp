@@ -8,9 +8,13 @@
 //
 // Usage: bench_table1 [--quick|--full] [--design PATH] [--shards N]
 //                     [--atpg-shards N] [--repeat N]
-//                     [--sat] [--sat-budget CONFLICTS] [--json PATH]
+//                     [--sat] [--sat-budget CONFLICTS]
+//                     [--atpg-escalation on|off] [--json PATH]
+//                     [--allow-shape-fail]
 //   default : mid-size SOC (~3 minutes) -- same orderings as full scale
-//   --quick : small SOC (~40 seconds)
+//   --quick : small SOC (~20 minutes on a 4-vCPU Xeon container with
+//             --shards 4, 1,191-1,329 s measured; leader-serial SAT
+//             probes keep one core busy, so more shards barely help)
 //   --full  : paper-scale shape run (~15-20 minutes); the EXPERIMENTS.md
 //             Table-1 numbers were produced at this scale
 //   --design PATH : run the five experiments on an external
@@ -28,6 +32,10 @@
 //                PODEM-aborted faults get a CNF miter decision (test
 //                cube or proven-untestable). The per-stage disposition
 //                block in --json then grows a "sat" stage.
+//   --atpg-escalation on|off : PODEM->SAT escalation of the
+//                deterministic stage (default on); off is the
+//                cheap-then-deep PODEM schedule CI pins against
+//                bench/table1_escalation_off.json
 //   --repeat N : run the experiment suite N times (default 1) and
 //                 report the median wall per experiment in the --json
 //                 report; work counters are asserted identical across
@@ -41,6 +49,7 @@
 //                 this flag); it exists for --design runs on arbitrary
 //                 external circuits, where the paper's orderings make
 //                 no promise.
+// Any other flag is a usage error (exit 2) before anything runs.
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
@@ -163,14 +172,16 @@ int main(int argc, char** argv) {
         return 2;
       }
       json_path = argv[++i];
+    } else {
+      std::cerr << "bench_table1: unknown flag '" << argv[i] << "'\n";
+      return 2;
     }
   }
   const size_t shards = ShardedFaultSim::resolve_shards(engine.fsim.shards);
-  const size_t atpg_shards = engine.atpg_shards;
 
   flow::Table1Config cfg;
-  cfg.fsim = engine.fsim;
-  cfg.fsim.shards = shards;
+  cfg.engine = engine;
+  cfg.engine.fsim.shards = shards;
   cfg.soc.seed = 20050307;  // DATE 2005, Munich
   if (!design_path.empty()) {
     // External design: size flags really are ignored (they would
@@ -197,12 +208,6 @@ int main(int argc, char** argv) {
   }
   cfg.max_pulses = 4;
   cfg.atpg.random_rounds = 12;
-  cfg.atpg.sat_backend = engine.sat_backend;
-  cfg.atpg.sat_conflict_budget = engine.sat_conflict_budget;
-  cfg.atpg.heuristics = engine.atpg_heuristics;
-  cfg.atpg.escalation = engine.atpg_escalation;
-  // 0 follows each experiment Session's fsim shard count (= --shards).
-  cfg.atpg.atpg_shards = atpg_shards;
   cfg.design_bench_path = design_path;
 
   std::cout << "=== Table 1: coverage / pattern count, experiments "
@@ -282,8 +287,8 @@ int main(int argc, char** argv) {
         !design_path.empty()
             ? "design:" + design_path
             : (quick ? "quick" : (full ? "full" : "default"));
-    if (write_json_report(json_path, r, walls, scale, shards, atpg_shards,
-                          repeat, cache_stats) != 0) {
+    if (write_json_report(json_path, r, walls, scale, shards,
+                          engine.atpg_shards, repeat, cache_stats) != 0) {
       return 2;
     }
   }

@@ -119,14 +119,6 @@ SessionConfig& SessionConfig::seed(uint64_t s) {
   seed_override_ = s;
   return *this;
 }
-SessionConfig& SessionConfig::sat_backend(bool on) {
-  sat_backend_override_ = on;
-  return *this;
-}
-SessionConfig& SessionConfig::sat_conflict_budget(uint64_t conflicts) {
-  sat_budget_override_ = conflicts;
-  return *this;
-}
 SessionConfig& SessionConfig::source(std::shared_ptr<PatternSource> s) {
   sources_.push_back(std::move(s));
   return *this;
@@ -141,30 +133,6 @@ SessionConfig& SessionConfig::observer(ProgressObserver cb) {
 }
 SessionConfig& SessionConfig::engine(EngineOptions o) {
   engine_ = o;
-  atpg_shards_override_ = o.atpg_shards;
-  sat_backend_override_ = o.sat_backend;
-  sat_budget_override_ = o.sat_conflict_budget;
-  atpg_heuristics_override_ = o.atpg_heuristics;
-  atpg_escalation_override_ = o.atpg_escalation;
-  return *this;
-}
-SessionConfig& SessionConfig::fsim_shards(size_t n) {
-  engine_.fsim.shards = n;
-  return *this;
-}
-SessionConfig& SessionConfig::atpg_shards(size_t n) {
-  engine_.atpg_shards = n;
-  atpg_shards_override_ = n;
-  return *this;
-}
-SessionConfig& SessionConfig::atpg_heuristics(bool on) {
-  engine_.atpg_heuristics = on;
-  atpg_heuristics_override_ = on;
-  return *this;
-}
-SessionConfig& SessionConfig::atpg_escalation(bool on) {
-  engine_.atpg_escalation = on;
-  atpg_escalation_override_ = on;
   return *this;
 }
 SessionConfig& SessionConfig::compress(EdtConfig cfg) {
@@ -363,21 +331,6 @@ SessionResult Session::execute(
   const Netlist& nl = *result.netlist;
   AtpgOptions opts = cfg_.atpg_;
   if (cfg_.seed_override_) opts.seed = *cfg_.seed_override_;
-  if (cfg_.atpg_shards_override_) {
-    opts.atpg_shards = *cfg_.atpg_shards_override_;
-  }
-  if (cfg_.sat_backend_override_) {
-    opts.sat_backend = *cfg_.sat_backend_override_;
-  }
-  if (cfg_.sat_budget_override_) {
-    opts.sat_conflict_budget = *cfg_.sat_budget_override_;
-  }
-  if (cfg_.atpg_heuristics_override_) {
-    opts.heuristics = *cfg_.atpg_heuristics_override_;
-  }
-  if (cfg_.atpg_escalation_override_) {
-    opts.escalation = *cfg_.atpg_escalation_override_;
-  }
   if (cfg_.edt_) opts.keep_cubes = true;  // encoding works on care bits
   {
     const auto atpg_t0 = std::chrono::steady_clock::now();
@@ -392,9 +345,9 @@ SessionResult Session::execute(
     Rng rng(opts.seed);
     ShardedFaultSim fsim(nl, result.scheme, result.scan_en,
                          cfg_.engine_.fsim, cd);
-    PipelineContext ctx{nl,         result.scheme, result.scan_en, opts,
-                        res.faults, fsim,          rng,            res,
-                        obs,        cd.get()};
+    PipelineContext ctx{nl, result.scheme, result.scan_en, opts,
+                        cfg_.engine_, res.faults, fsim, rng, res, obs,
+                        cd.get()};
 
     std::vector<std::shared_ptr<PatternSource>> sources = cfg_.sources_;
     if (sources.empty()) {
@@ -404,7 +357,7 @@ SessionResult Session::execute(
       // aborted.
       sources.push_back(std::make_shared<RandomPatternSource>());
       sources.push_back(std::make_shared<PodemPatternSource>());
-      if (opts.sat_backend) {
+      if (cfg_.engine_.sat_backend) {
         sources.push_back(std::make_shared<sat::SatPatternSource>());
       }
     }

@@ -9,9 +9,9 @@
 /// One SessionConfig describes the scenario; Session::run() executes it
 /// and returns a SessionResult aggregating coverage, pattern counts,
 /// compression statistics and ATE cost. Every example, bench driver and
-/// the Table-1 harness are one Session each; the legacy run_atpg() is a
-/// thin wrapper over a minimal session (see atpg/engine.cpp) and stays
-/// bit-identical for any fsim_shards setting.
+/// the Table-1 harness are one Session each. AtpgOptions (atpg()) say
+/// what the flow computes, EngineOptions (engine()) how the engines run
+/// it; results are bit-identical for every shard count.
 ///
 /// Quickstart:
 /// \code
@@ -149,15 +149,6 @@ class SessionConfig {
   /// Pins the ATPG seed; wins over AtpgOptions::seed regardless of the
   /// order seed() and atpg() were called in.
   SessionConfig& seed(uint64_t s);
-  /// Enables/disables the SAT backend stage on PODEM-aborted faults
-  /// (src/sat): every abort is re-decided by CNF lowering + CDCL -- a
-  /// test cube, a redundancy proof (FaultStatus::kProvenUntestable), or
-  /// still-aborted on budget exhaustion. Wins over
-  /// AtpgOptions::sat_backend regardless of call order.
-  SessionConfig& sat_backend(bool on);
-  /// Per-solve conflict budget of the SAT backend (0 = unlimited). Wins
-  /// over AtpgOptions::sat_conflict_budget regardless of call order.
-  SessionConfig& sat_conflict_budget(uint64_t conflicts);
 
   // ---- pluggable stages --------------------------------------------------
   /// Appends a pattern source; with none registered the session runs the
@@ -169,35 +160,13 @@ class SessionConfig {
   SessionConfig& observer(ProgressObserver cb);
 
   // ---- engine selection --------------------------------------------------
-  /// The whole engine-selection surface in one call: fault-simulation
-  /// shards, PODEM worker shards, SAT backend and its conflict budget.
-  /// This is what the drivers parse their shared
-  /// `--shards/--atpg-shards/--sat*` flags into (see util/cli.h's
-  /// parse_engine_flag); the atpg_shards/sat fields win over the
-  /// corresponding AtpgOptions fields regardless of the order engine()
-  /// and atpg() were called in. Results are bit-identical for every
-  /// shard count.
+  /// The whole engine-selection surface in one call (fsim/options.h):
+  /// fault-simulation shards, PODEM worker shards, SAT backend and its
+  /// conflict budget, PODEM->SAT escalation. This is what the drivers
+  /// parse their shared `--shards/--atpg-shards/--sat*/--atpg-escalation`
+  /// flags into (see util/cli.h's parse_engine_flag). Results are
+  /// bit-identical for every shard count.
   SessionConfig& engine(EngineOptions o);
-  /// Deprecated forward of engine(): fault-simulation shards (thread
-  /// pool size). 1 = sequential; 0 = hardware concurrency.
-  SessionConfig& fsim_shards(size_t n);
-  /// Deprecated forward of engine(): worker shards of the deterministic
-  /// PODEM stage (speculative generation, canonical-order commit; see
-  /// atpg/parallel.h). 0 = follow the fault-simulation shard count (the
-  /// default); 1 = the plain sequential loop. Wins over
-  /// AtpgOptions::atpg_shards regardless of call order.
-  SessionConfig& atpg_shards(size_t n);
-  /// Forward of engine(): PODEM search heuristics toggle (atpg/podem.h).
-  /// Off reproduces the pre-heuristic search and all its committed
-  /// counters bit-identically. Wins over AtpgOptions::heuristics
-  /// regardless of call order.
-  SessionConfig& atpg_heuristics(bool on);
-  /// Forward of engine(): adaptive PODEM->SAT escalation of the
-  /// deterministic stage (atpg/engine.h AtpgOptions::escalation). Off
-  /// reproduces the cheap-then-deep PODEM schedule and all its
-  /// committed counters bit-identically. Wins over
-  /// AtpgOptions::escalation regardless of call order.
-  SessionConfig& atpg_escalation(bool on);
 
   // ---- optional stages ---------------------------------------------------
   /// EDT-compress the deterministic cubes after ATPG (implies
@@ -228,19 +197,10 @@ class SessionConfig {
   std::optional<ClockingScheme> scheme_;
   AtpgOptions atpg_;
   std::optional<uint64_t> seed_override_;
-  std::optional<bool> sat_backend_override_;
-  std::optional<uint64_t> sat_budget_override_;
-  std::optional<bool> atpg_heuristics_override_;
-  std::optional<bool> atpg_escalation_override_;
+  EngineOptions engine_;
   std::vector<std::shared_ptr<PatternSource>> sources_;
   std::vector<std::shared_ptr<ResultSink>> sinks_;
   ProgressObserver observer_;
-  // Engine selection: the fsim half is read directly; the atpg_shards
-  // and sat halves flow through the optional overrides below (set by
-  // engine() and the deprecated per-field forwards alike) so they win
-  // over AtpgOptions only when explicitly configured.
-  EngineOptions engine_;
-  std::optional<size_t> atpg_shards_override_;
   std::optional<EdtConfig> edt_;
   bool on_chip_clocking_ = false;
 };

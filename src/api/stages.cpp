@@ -1,7 +1,6 @@
 #include "api/stages.h"
 
 #include <algorithm>
-#include <iostream>
 #include <memory>
 #include <ostream>
 #include <vector>
@@ -13,6 +12,10 @@
 
 namespace occ {
 namespace {
+
+/// A random round detecting fewer new faults than this ends the random
+/// stage for its capture procedure.
+constexpr size_t kRandomMinYield = 2;
 
 TestPattern empty_pattern(const Netlist& nl,
                           const NamedCaptureProcedure& ncp,
@@ -30,8 +33,7 @@ TestPattern empty_pattern(const Netlist& nl,
 // ---- RandomPatternSource -------------------------------------------------
 
 void RandomPatternSource::generate(PipelineContext& ctx) {
-  const size_t rounds = rounds_.value_or(ctx.opts.random_rounds);
-  const size_t min_yield = min_yield_.value_or(ctx.opts.random_min_yield);
+  const size_t rounds = ctx.opts.random_rounds;
   const size_t num_ncps = ctx.scheme.procedures.size();
 
   for (uint32_t nc = 0; nc < num_ncps; ++nc) {
@@ -57,12 +59,8 @@ void RandomPatternSource::generate(PipelineContext& ctx) {
         }
       }
       ctx.progress(name(), round + 1, rounds);
-      if (st.newly_detected < min_yield) break;
+      if (st.newly_detected < kRandomMinYield) break;
     }
-  }
-  if (ctx.opts.verbose) {
-    std::cerr << "[atpg] after random stage: " << ctx.faults.summary()
-              << "\n";
   }
 }
 
@@ -72,7 +70,10 @@ void PodemPatternSource::generate(PipelineContext& ctx) {
   // The whole stage -- sequential loop and speculative parallel
   // coordinator alike -- lives in atpg/parallel.{h,cpp}; committed
   // results are bit-identical for every shard count.
-  ParallelPodem(ctx, resolve_atpg_shards(ctx.opts, ctx.fsim), name())
+  ParallelPodem(ctx,
+                resolve_atpg_shards(ctx.engine.atpg_shards,
+                                    ctx.fsim.shards()),
+                name())
       .run();
 }
 

@@ -7,7 +7,7 @@
 /// the finished SessionResult to every registered ResultSink. Progress on
 /// long runs is surfaced through a ProgressObserver callback.
 ///
-/// Built-in sources reproduce the classic run_atpg() flow:
+/// Built-in sources:
 ///   RandomPatternSource  -- 64-wide random rounds, first-detector keep;
 ///   PodemPatternSource   -- deterministic PODEM with fault dropping,
 ///                           static cube merging and abort retry;
@@ -18,10 +18,10 @@
 #include <functional>
 #include <iosfwd>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "atpg/engine.h"
+#include "fsim/options.h"
 #include "fsim/sharded.h"
 #include "util/rng.h"
 
@@ -57,6 +57,7 @@ struct PipelineContext {
   const ClockingScheme& scheme;  ///< active clocking scheme
   GateId scan_en;                ///< scan-enable input (kNoGate = none)
   const AtpgOptions& opts;       ///< session ATPG options
+  const EngineOptions& engine;   ///< session engine selection
   FaultList& faults;             ///< shared fault statuses (updated live)
   ShardedFaultSim& fsim;         ///< the session's sharded simulator
   Rng& rng;                      ///< session random stream
@@ -91,29 +92,20 @@ class PatternSource {
   virtual void generate(PipelineContext& ctx) = 0;
 };
 
-/// Random-pattern stage with first-detector pattern selection. Rounds
-/// and the yield floor default to the session's AtpgOptions
-/// (random_rounds / random_min_yield); a round below the floor ends the
-/// stage for that capture procedure.
+/// Random-pattern stage with first-detector pattern selection: up to
+/// AtpgOptions::random_rounds 64-pattern rounds per capture procedure;
+/// a round detecting fewer than two new faults ends the stage for that
+/// procedure.
 class RandomPatternSource : public PatternSource {
  public:
-  /// Rounds and yield floor from the session's AtpgOptions.
-  RandomPatternSource() = default;
-  /// Explicit rounds / yield floor (overrides AtpgOptions).
-  RandomPatternSource(size_t rounds, size_t min_yield)
-      : rounds_(rounds), min_yield_(min_yield) {}
   std::string name() const override { return "random"; }
   void generate(PipelineContext& ctx) override;
-
- private:
-  std::optional<size_t> rounds_;
-  std::optional<size_t> min_yield_;
 };
 
 /// Deterministic PODEM stage: per-NCP unrolled models, capability
 /// pre-filtering, abort retry, static cube merging and windowed
 /// flush-to-fault-simulation, all per the session's AtpgOptions.
-/// Runs on AtpgOptions::atpg_shards worker threads (0 = follow the
+/// Runs on EngineOptions::atpg_shards worker threads (0 = follow the
 /// session's fault-simulation shard count) via the speculative-commit
 /// coordinator in atpg/parallel.h; committed results are bit-identical
 /// to the sequential loop for every shard count.

@@ -2,8 +2,6 @@
 
 #include <sstream>
 
-#include "api/session.h"
-
 namespace occ {
 
 std::string AtpgRunResult::summary() const {
@@ -20,17 +18,6 @@ std::string AtpgRunResult::summary() const {
      << " aborted=" << faults.count(FaultStatus::kAborted)
      << " t=" << seconds << "s";
   return os.str();
-}
-
-AtpgRunResult run_atpg(const Netlist& nl, const ClockingScheme& scheme,
-                       GateId scan_en_pi, const AtpgOptions& opts) {
-  // Compatibility wrapper: the flow lives in occ::Session (api/session.h);
-  // a minimal single-shard session is bit-identical to the historical
-  // engine (tests/test_api.cpp pins the parity).
-  SessionConfig cfg;
-  cfg.design_ref(nl).scan_en(scan_en_pi).scheme(scheme).atpg(opts);
-  SessionResult result = Session(std::move(cfg)).run();
-  return std::move(result.atpg);
 }
 
 }  // namespace occ

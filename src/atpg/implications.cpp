@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "netlist/library.h"
-#include "sat/probe.h"
 
 namespace occ {
 namespace {
@@ -24,8 +23,7 @@ V3 eval_one(const Netlist& comb, const std::vector<V3>& vals, GateId g) {
 
 }  // namespace
 
-ImplicationTable::ImplicationTable(const UnrolledModel& model,
-                                   bool sat_harvest) {
+ImplicationTable::ImplicationTable(const UnrolledModel& model) {
   const Netlist& comb = model.comb();
   const size_t n = comb.size();
   const auto& vars = model.var_gates();
@@ -93,19 +91,6 @@ ImplicationTable::ImplicationTable(const UnrolledModel& model,
         bucket.clear();
       }
       for (GateId g : touched) vals[g] = baseline[g];
-    }
-  }
-
-  if (sat_harvest) {
-    // Solver-based probe (sat/probe.h): assumption propagation over the
-    // persistent incremental solver, bounded refutation probes, and a
-    // harvest of its retained learned binary clauses -- a superset of
-    // the original unit-depth probe.
-    for (const sat::ProbedImplication& imp :
-         sat::probe_solver_implications(model)) {
-      if (baseline[imp.gate] != V3::kX) continue;  // already invariant
-      rows[2 * imp.var + (imp.val ? 1 : 0)].push_back(
-          pack(imp.gate, imp.implied));
     }
   }
 

@@ -13,9 +13,7 @@
 // value onto the dominator chain of every fault site, dooms the whole
 // subtree -- the search flips the decision without paying the forward
 // simulation that would discover the same conflict one implication
-// later. Rows can optionally be enriched by unit-depth probing of the
-// dual-rail SAT lowering (sat/probe.h), which harvests unit-strength
-// learned clauses through the CNF gate templates.
+// later.
 //
 // Lifetime: one table per (UnrolledModel) -- i.e. per (netlist, scheme,
 // capture procedure) -- built once and shared by every PODEM engine on
@@ -42,13 +40,8 @@ class ImplicationTable {
   ImplicationTable() = default;
 
   /// Builds the direct-implication rows for every variable literal of
-  /// `model`. `sat_harvest` additionally merges the unit-propagation
-  /// probe of the CNF lowering (strictly more implications, same
-  /// soundness contract; off by default -- the forward closure already
-  /// captures everything the two-sided templates derive on typical
-  /// netlists, and probing costs one CNF pass per literal).
-  explicit ImplicationTable(const UnrolledModel& model,
-                            bool sat_harvest = false);
+  /// `model`.
+  explicit ImplicationTable(const UnrolledModel& model);
 
   /// Implications of (var = val), sorted by packed literal. Each gate
   /// appears at most once per row.

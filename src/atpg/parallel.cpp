@@ -1,7 +1,6 @@
 #include "atpg/parallel.h"
 
 #include <algorithm>
-#include <iostream>
 #include <utility>
 
 #include "api/compiled_design.h"
@@ -11,11 +10,18 @@
 namespace occ {
 namespace {
 
+/// Open (unfilled) cubes per capture procedure that trigger a fill +
+/// fault-simulation flush of that procedure's window.
+constexpr size_t kMergeWindow = 64;
+
 /// Faults handed to one pool dispatch, per shard. Windows big enough to
 /// amortize the fork-join handshake over real PODEM work, small enough
 /// that a mid-window flush rarely invalidates much speculation (the
-/// flush cadence is opts.merge_window cubes per procedure).
+/// flush cadence is kMergeWindow cubes per procedure).
 constexpr size_t kWindowFaultsPerShard = 16;
+
+/// Per-probe conflict budget of the escalation SAT probe.
+constexpr uint64_t kEscalationConflictBudget = 2000;
 
 }  // namespace
 
@@ -77,11 +83,6 @@ void merge_into(TestPattern& dst, const TestPattern& src) {
 }
 
 }  // namespace
-
-size_t resolve_atpg_shards(const AtpgOptions& opts,
-                           const ShardedFaultSim& fsim) {
-  return resolve_atpg_shards(opts.atpg_shards, fsim.shards());
-}
 
 ParallelPodem::ParallelPodem(PipelineContext& ctx, size_t shards,
                              std::string stage)
@@ -156,11 +157,8 @@ std::pair<const UnrolledModel*, Podem*> ParallelPodem::model_for(
           ctx_.nl, ctx_.scheme, nc, ctx_.scan_en);
       sc.models[nc] = sc.owned_models[nc].get();
     }
-    sc.podems[nc] = std::make_unique<Podem>(
-        *sc.models[nc],
-        Podem::Options{.backtrack_limit = ctx_.opts.backtrack_limit,
-                       .heuristics = ctx_.opts.heuristics,
-                       .sat_harvest = ctx_.opts.implication_sat_harvest});
+    sc.podems[nc] =
+        std::make_unique<Podem>(*sc.models[nc], ctx_.opts.backtrack_limit);
   }
   return {sc.models[nc], sc.podems[nc].get()};
 }
@@ -170,10 +168,7 @@ Podem* ParallelPodem::deep_podem_for(ShardScratch& sc, uint32_t nc) const {
     // Shares the shallow engine's implication table (same model).
     sc.podems_deep[nc] = std::make_unique<Podem>(
         *sc.models[nc],
-        Podem::Options{.backtrack_limit = ctx_.opts.backtrack_limit *
-                                          ctx_.opts.abort_retry_factor,
-                       .heuristics = ctx_.opts.heuristics,
-                       .sat_harvest = ctx_.opts.implication_sat_harvest},
+        ctx_.opts.backtrack_limit * ctx_.opts.abort_retry_factor,
         sc.podems[nc]->implications());
   }
   return sc.podems_deep[nc].get();
@@ -213,7 +208,7 @@ void ParallelPodem::attempt_fault(ShardScratch& sc, size_t fi,
       Podem* used = podem;
       Podem::Outcome outc = used->run(uf, seed_cube);
       if (outc == Podem::Outcome::kAborted) {
-        if (ctx_.opts.escalation) {
+        if (ctx_.engine.atpg_escalation) {
           // Stop here: everything after the first cheap abort (SAT
           // probe, deep retry, remaining instances) depends on the
           // history-carrying incremental solver and must run on the
@@ -312,8 +307,8 @@ void ParallelPodem::escalate(size_t fi, Attempt* out) {
       OCC_DCHECK(ti < 256);
       const uint64_t key = (static_cast<uint64_t>(fi) << 8) | ti;
       std::vector<V3> cube;
-      const sat::IncrementalMiter::Verdict v = miter_for(nc)->decide(
-          key, uf, ctx_.opts.escalation_conflict_budget, &cube);
+      const sat::IncrementalMiter::Verdict v =
+          miter_for(nc)->decide(key, uf, kEscalationConflictBudget, &cube);
       if (v == sat::IncrementalMiter::Verdict::kSat) {
         ++ctx_.res.sat_probe_wins;
         a.cube = cube_to_pattern(*model, cube, ctx_.nl, nc);
@@ -398,16 +393,14 @@ void ParallelPodem::commit_fault(size_t fi, Attempt& att) {
     }
     if (!merged) {
       open_cubes_[att.ncp].push_back(std::move(att.cube));
-      if (open_cubes_[att.ncp].size() >= ctx_.opts.merge_window) {
+      if (open_cubes_[att.ncp].size() >= kMergeWindow) {
         flush(att.ncp);
       }
     }
     // The generated cube provably detects fi even before fsim.
     fl.set_status(fi, FaultStatus::kDetected);
-    if (ctx_.opts.heuristics) {
-      cube_cache_[fl.fault(fi).gate] = std::make_shared<CubeCacheEntry>(
-          CubeCacheEntry{att.ncp, std::move(att.var_cube)});
-    }
+    cube_cache_[fl.fault(fi).gate] = std::make_shared<CubeCacheEntry>(
+        CubeCacheEntry{att.ncp, std::move(att.var_cube)});
   } else if (att.aborted) {
     fl.set_status(fi, FaultStatus::kAborted);
   } else if (att.sat_settled) {
@@ -436,7 +429,7 @@ void ParallelPodem::run_sequential() {
 }
 
 ParallelPodem::CubeCacheRef ParallelPodem::seed_for(size_t fi) const {
-  if (cube_cache_.empty()) return nullptr;  // heuristics off, or no hits yet
+  if (cube_cache_.empty()) return nullptr;  // no hits yet
   const auto it = cube_cache_.find(ctx_.faults.fault(fi).gate);
   return it == cube_cache_.end() ? nullptr : it->second;
 }
@@ -532,10 +525,6 @@ void ParallelPodem::run() {
     agg.relowered_faults += m->relowered_faults();
   }
   ctx_.progress(stage_, ctx_.faults.size(), ctx_.faults.size());
-  if (ctx_.opts.verbose) {
-    std::cerr << "[atpg] after deterministic stage: "
-              << ctx_.faults.summary() << "\n";
-  }
 }
 
 }  // namespace occ

@@ -44,19 +44,14 @@
 
 namespace occ {
 
-/// The one `atpg_shards` resolution rule: 0 follows the session's
-/// (already resolved) fault-simulation shard count. Shared by the
-/// stage itself and by every driver echoing the value in reports, so
-/// the JSON meta can never drift from what the session actually ran.
+/// The one EngineOptions::atpg_shards resolution rule: 0 follows the
+/// session's (already resolved) fault-simulation shard count. Shared by
+/// the stage itself and by every driver echoing the value in reports,
+/// so the JSON meta can never drift from what the session actually ran.
 constexpr size_t resolve_atpg_shards(size_t atpg_shards,
                                      size_t resolved_fsim_shards) {
   return atpg_shards == 0 ? resolved_fsim_shards : atpg_shards;
 }
-
-/// Shard count the deterministic stage actually runs with:
-/// `opts.atpg_shards` resolved against the session's ShardedFaultSim.
-size_t resolve_atpg_shards(const AtpgOptions& opts,
-                           const ShardedFaultSim& fsim);
 
 /// Builds the pattern cube of a PODEM/SAT variable assignment: care bits
 /// placed per the model's VarInfo map, PI values copied forward into
@@ -103,10 +98,11 @@ class ParallelPodem {
     TestPattern cube;       ///< the care-bit cube when detected
     std::vector<V3> var_cube;  ///< var-space copy of the detecting cube
     Podem::Stats stats;     ///< PODEM work of this attempt only
-    /// Escalation (opts.escalation): the attempt stopped at its first
-    /// cheap-PODEM abort; the leader resumes it at commit time (SAT
-    /// probe -> deep retry -> remaining instances) so the history-
-    /// dependent incremental solves happen in canonical fault order.
+    /// Escalation (EngineOptions::atpg_escalation): the attempt stopped
+    /// at its first cheap-PODEM abort; the leader resumes it at commit
+    /// time (SAT probe -> deep retry -> remaining instances) so the
+    /// history-dependent incremental solves happen in canonical fault
+    /// order.
     bool pending = false;
     /// Instance proven undetectable by a SAT probe; with no detection
     /// and no abort left, the fault commits as kProvenUntestable.
@@ -183,13 +179,13 @@ class ParallelPodem {
   std::vector<std::unique_ptr<sat::IncrementalMiter>> miters_;
   // Open (unfilled) cube windows per NCP for static merging.
   std::vector<std::vector<TestPattern>> open_cubes_;
-  // Per-cone cube cache (leader-owned; empty when heuristics are off):
-  // latest committed detection per fault-site gate. Shard parity: the
-  // speculative path snapshots each candidate's entry at window build
-  // and, at commit, re-runs the attempt on the leader whenever the
-  // canonical entry has moved -- the committed (seed, attempt) sequence
-  // is therefore exactly the sequential one for any shard count; the
-  // wasted worker run lands in speculative_runs/discarded_cubes.
+  // Per-cone cube cache (leader-owned): latest committed detection per
+  // fault-site gate. Shard parity: the speculative path snapshots each
+  // candidate's entry at window build and, at commit, re-runs the
+  // attempt on the leader whenever the canonical entry has moved -- the
+  // committed (seed, attempt) sequence is therefore exactly the
+  // sequential one for any shard count; the wasted worker run lands in
+  // speculative_runs/discarded_cubes.
   std::unordered_map<GateId, CubeCacheRef> cube_cache_;
 };
 

@@ -1,8 +1,6 @@
 #include "atpg/podem.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 #include "atpg/scoap.h"
 #include "util/check.h"
@@ -94,9 +92,9 @@ inline V3 eval_fast(GateType type, size_t n, GetVal&& val) {
 
 }  // namespace
 
-Podem::Podem(const UnrolledModel& model, Options opts,
+Podem::Podem(const UnrolledModel& model, uint32_t backtrack_limit,
              std::shared_ptr<const ImplicationTable> impl)
-    : model_(&model), comb_(&model.comb()), opts_(opts) {
+    : model_(&model), comb_(&model.comb()), backtrack_limit_(backtrack_limit) {
   const size_t n = comb_->size();
   good_.assign(n, V3::kX);
   faulty_.assign(n, V3::kX);
@@ -167,9 +165,8 @@ Podem::Podem(const UnrolledModel& model, Options opts,
   faulty_ = good_;
   baseline_ = good_;
 
-  // SCOAP testability costs (atpg/scoap.h): cc0_/cc1_ guide backtrace
-  // in both modes (identical values to the pre-heuristic inline DP);
-  // co_ guides objective selection when heuristics are on.
+  // SCOAP testability costs (atpg/scoap.h): cc0_/cc1_ guide backtrace,
+  // co_ guides objective selection.
   Scoap sc = compute_scoap(*comb_, model.observations());
   cc0_ = std::move(sc.cc0);
   cc1_ = std::move(sc.cc1);
@@ -177,8 +174,7 @@ Podem::Podem(const UnrolledModel& model, Options opts,
 
   // Observation reachability: filtering the X-path BFS to nets that
   // can structurally reach an observation never changes its verdict
-  // (every path to an observation runs inside this set), so both modes
-  // use it.
+  // (every path to an observation runs inside this set).
   reach_obs_.assign(n, false);
   const auto& topo = comb_->topo_order();
   for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
@@ -187,8 +183,6 @@ Podem::Podem(const UnrolledModel& model, Options opts,
     for (GateId o : comb_->gate(g).fanout) r = r || reach_obs_[o];
     reach_obs_[g] = r;
   }
-
-  if (!opts_.heuristics) return;
 
   // Immediate dominators toward the observations: idom_[g] = nearest
   // common ancestor (along idom chains) of g's observation-reaching
@@ -226,8 +220,7 @@ Podem::Podem(const UnrolledModel& model, Options opts,
   }
 
   impl_ = impl ? std::move(impl)
-               : std::make_shared<const ImplicationTable>(model,
-                                                          opts_.sat_harvest);
+               : std::make_shared<const ImplicationTable>(model);
   row_stamp_.assign(n, 0);
   row_val_.assign(n, 0);
 }
@@ -380,15 +373,14 @@ bool Podem::detected() const {
 bool Podem::xpath_exists() const {
   // BFS from current D-nets and potentially-activatable sites through
   // X-valued nets to any observation. Restricted to observation-reaching
-  // nets (verdict-preserving; see reach_obs_) and, with heuristics on,
-  // to the fault cone -- a D cannot exist outside it, and any net of a
-  // sensitized path is X-or-D, hence inside the cone.
+  // nets (verdict-preserving; see reach_obs_) and to the fault cone --
+  // a D cannot exist outside it, and any net of a sensitized path is
+  // X-or-D, hence inside the cone.
   ++xpath_epoch_;
   xpath_q_.clear();
-  const bool cone_only = opts_.heuristics;
   auto push = [&](GateId g) {
     if (!reach_obs_[g]) return;
-    if (cone_only && cone_mark_[g] != cone_epoch_) return;
+    if (cone_mark_[g] != cone_epoch_) return;
     if (xpath_mark_[g] != xpath_epoch_) {
       xpath_mark_[g] = xpath_epoch_;
       xpath_q_.push_back(g);
@@ -453,11 +445,10 @@ bool Podem::pick_objective(GateId* net, bool* val) {
   }
   // Live D-frontier (gates with a D input and an unresolved output),
   // used by unique sensitization and the propagation step.
-  const bool heur = opts_.heuristics;
   frontier_buf_.clear();
   for (GateId g : frontier_cand_) {
     if (good_[g] != V3::kX && faulty_[g] != V3::kX) continue;  // resolved
-    if (heur && !reach_obs_[g]) continue;  // a D here is unobservable
+    if (!reach_obs_[g]) continue;  // a D here is unobservable
     bool has_d_in = false;
     const uint32_t end = fi_off_[g + 1];
     for (uint32_t e = fi_off_[g]; e != end; ++e) {
@@ -471,28 +462,19 @@ bool Podem::pick_objective(GateId* net, bool* val) {
 
   // 3. Propagation: walk live frontier gates; take the first that
   // offers a controllable X input, preferring the cheapest one for the
-  // non-controlling value. Heuristics order the frontier deepest-first
-  // with SCOAP observability as tie-break and skip gates that cannot
-  // reach an observation; the pre-heuristic order is deepest-level-first.
-  if (heur) {
-    // Deepest-first like the base engine (closest to the observations),
-    // with SCOAP observability as a deterministic tie-break: of two
-    // frontier gates at the same depth, extend the one with the
-    // cheapest remaining path to a strobed observation.
-    std::sort(frontier_buf_.begin(), frontier_buf_.end(),
-              [this](GateId a, GateId b) {
-                const int32_t la = level_[a];
-                const int32_t lb = level_[b];
-                if (la != lb) return la > lb;
-                if (co_[a] != co_[b]) return co_[a] < co_[b];
-                return a < b;
-              });
-  } else {
-    std::sort(frontier_buf_.begin(), frontier_buf_.end(),
-              [this](GateId a, GateId b) {
-                return level_[a] > level_[b];
-              });
-  }
+  // non-controlling value. The frontier is ordered deepest-first
+  // (closest to the observations), with SCOAP observability as a
+  // deterministic tie-break: of two frontier gates at the same depth,
+  // extend the one with the cheapest remaining path to a strobed
+  // observation.
+  std::sort(frontier_buf_.begin(), frontier_buf_.end(),
+            [this](GateId a, GateId b) {
+              const int32_t la = level_[a];
+              const int32_t lb = level_[b];
+              if (la != lb) return la > lb;
+              if (co_[a] != co_[b]) return co_[a] < co_[b];
+              return a < b;
+            });
   for (GateId cand : frontier_buf_) {
     const V3 cv = controlling_value(type_[cand]);
     const bool want = cv != V3::kX ? cv == V3::k0 : false;
@@ -741,30 +723,27 @@ Podem::Outcome Podem::run(const UnrolledFault& fault,
   const size_t base_mark = trail_.size();
   OCC_CHECK(base_mark == 0, "trail not empty at run start");
 
-  // Static fanout cone of the sites: bounds faulty evaluation in both
-  // modes and the heuristic X-path / dominator checks.
+  // Static fanout cone of the sites: bounds faulty evaluation and the
+  // X-path / dominator checks.
   mark_cone(fault);
 
-  if (opts_.heuristics) {
-    // Dominator early abort: an instance is untestable outright when no
-    // site can both activate (baseline permits the non-forced value)
-    // and propagate (no dominator is blocked by an out-of-cone
-    // controlling baseline value; see site_blocked_statically).
-    bool any_open = false;
-    const V3 act = fault.forced_value ? V3::k0 : V3::k1;
-    for (const auto& [site, pin] : fault.sites) {
-      const GateId t =
-          pin == kOutputPin ? site : fi_[fi_off_[site] + pin];
-      if (baseline_[t] != V3::kX && baseline_[t] != act) continue;
-      if (site_blocked_statically(site)) continue;
-      any_open = true;
-      break;
-    }
-    if (!any_open) {
-      ++stats_.dominator_prunes;
-      fault_ = nullptr;
-      return Outcome::kUntestable;
-    }
+  // Dominator early abort: an instance is untestable outright when no
+  // site can both activate (baseline permits the non-forced value) and
+  // propagate (no dominator is blocked by an out-of-cone controlling
+  // baseline value; see site_blocked_statically).
+  bool any_open = false;
+  const V3 act = fault.forced_value ? V3::k0 : V3::k1;
+  for (const auto& [site, pin] : fault.sites) {
+    const GateId t = pin == kOutputPin ? site : fi_[fi_off_[site] + pin];
+    if (baseline_[t] != V3::kX && baseline_[t] != act) continue;
+    if (site_blocked_statically(site)) continue;
+    any_open = true;
+    break;
+  }
+  if (!any_open) {
+    ++stats_.dominator_prunes;
+    fault_ = nullptr;
+    return Outcome::kUntestable;
   }
 
   // Install the fault.
@@ -833,30 +812,17 @@ Podem::Outcome Podem::run(const UnrolledFault& fault,
     std::fill(cube_.begin(), cube_.end(), V3::kX);
   }
 
-  static const bool kTrace = std::getenv("OCC_PODEM_TRACE") != nullptr;
-  int trace_left = kTrace ? 500 : 0;
   uint32_t backtracks = 0;
   Outcome out = Outcome::kUntestable;
   for (;;) {
     bool conflict = false;
-    const char* why = "";
     if (!constraints_ok_or_pending(nullptr)) {
       conflict = true;
-      why = "constraint";
     } else if (detected()) {
       out = Outcome::kDetected;
       break;
-    } else if (!fault_activatable()) {
+    } else if (!fault_activatable() || !xpath_exists()) {
       conflict = true;
-      why = "unactivatable";
-    } else if (!xpath_exists()) {
-      conflict = true;
-      why = "xpath";
-    }
-    if (trace_left > 0 && conflict) {
-      --trace_left;
-      std::fprintf(stderr, "[podem] conflict(%s) depth=%zu\n", why,
-                   stack_.size());
     }
 
     if (!conflict) {
@@ -864,42 +830,18 @@ Podem::Outcome Podem::run(const UnrolledFault& fault,
       bool val;
       if (!pick_objective(&net, &val)) {
         conflict = true;
-        if (trace_left > 0) {
-          --trace_left;
-          std::fprintf(stderr, "[podem] no-objective depth=%zu\n",
-                       stack_.size());
-        }
       } else {
-        if (trace_left > 0) {
-          --trace_left;
-          std::fprintf(stderr,
-                       "[podem] obj net=%u('%s') val=%d depth=%zu\n", net,
-                       comb_->gate(net).name.c_str(), int(val),
-                       stack_.size());
-        }
         uint32_t var;
         bool var_val;
         if (!backtrace(net, val, &var, &var_val)) {
           conflict = true;
-          if (trace_left > 0) {
-            --trace_left;
-            std::fprintf(stderr, "[podem] backtrace-fail depth=%zu\n",
-                         stack_.size());
-          }
         } else {
-          if (trace_left > 0) {
-            --trace_left;
-            std::fprintf(stderr, "[podem] decide var=%u('%s')=%d\n", var,
-                         comb_->gate(model_->var_gates()[var]).name.c_str(),
-                         int(var_val));
-          }
           bool tried_both = false;
           bool doomed = false;
           // Consult the implication table only for shallow decisions:
           // a refutation there skips a large subtree, while deep in the
           // search the row scan costs more than the subtree it saves.
-          const bool consult =
-              opts_.heuristics && stack_.size() < kConsultDepth;
+          const bool consult = stack_.size() < kConsultDepth;
           if (consult && literal_conflicts(var, var_val)) {
             // The preferred phase is statically refuted: take the other
             // phase directly (the refuted subtree would conflict after
@@ -927,7 +869,7 @@ Podem::Outcome Podem::run(const UnrolledFault& fault,
 
     // Conflict: flip the most recent decision not yet tried both ways.
     ++stats_.backtracks;
-    if (++backtracks > opts_.backtrack_limit) {
+    if (++backtracks > backtrack_limit_) {
       out = Outcome::kAborted;
       break;
     }
@@ -940,7 +882,7 @@ Podem::Outcome Podem::run(const UnrolledFault& fault,
       if (!d.tried_both) {
         d.tried_both = true;
         const bool flipped = old == V3::k0;  // try the other value
-        if (opts_.heuristics && stack_.size() <= kConsultDepth &&
+        if (stack_.size() <= kConsultDepth &&
             literal_conflicts(d.var, flipped)) {
           // The remaining phase is statically refuted too: exhaust the
           // decision without simulating its doomed subtree.

@@ -10,8 +10,7 @@
 //     "site carries its initial value in frame k-1");
 //   * X-path pruning and backtrace guided by variable reachability.
 //
-// Search heuristics (Options::heuristics, on by default; see
-// docs/ARCHITECTURE.md "PODEM search heuristics"):
+// Search heuristics (docs/ARCHITECTURE.md "PODEM search heuristics"):
 //   * SCOAP observability-guided objective selection (atpg/scoap.h);
 //   * dominator-based early abort: an instance none of whose sites has
 //     an unblocked dominator chain to an observation is untestable
@@ -22,8 +21,6 @@
 //   * fault-cone-restricted X-path checks;
 //   * seeded runs (run() with a seed cube) backing the per-cone cube
 //     cache of the parallel stage.
-// With heuristics off the search is bit-identical to the pre-heuristic
-// engine: same decisions, same counters, same outcomes.
 //
 // Outcomes: detected (assignment() holds the test cube), untestable
 // (search space exhausted -- untestable *under this capture procedure*),
@@ -40,20 +37,8 @@
 
 namespace occ {
 
-struct PodemOptions {
-  uint32_t backtrack_limit = 300;
-  /// Master switch for the search heuristics (SCOAP-guided objectives,
-  /// dominator early abort, static implication consult, cone-restricted
-  /// X-path). Off reproduces the pre-heuristic search bit-identically.
-  bool heuristics = true;
-  /// Enrich the implication table via unit-depth probing of the SAT
-  /// lowering (sat/probe.h). Only read when `heuristics` is on.
-  bool sat_harvest = false;
-};
-
 class Podem {
  public:
-  using Options = PodemOptions;
   enum class Outcome : uint8_t { kDetected, kUntestable, kAborted };
 
   struct Stats {
@@ -62,10 +47,10 @@ class Podem {
     uint64_t backtracks = 0;
     uint64_t implications = 0;
     /// Decision phases refuted by the static implication table before
-    /// any forward simulation (heuristics only).
+    /// any forward simulation.
     uint64_t implication_hits = 0;
     /// Instances classified untestable by the dominator early abort
-    /// before any search (heuristics only).
+    /// before any search.
     uint64_t dominator_prunes = 0;
     /// Seeded runs attempted / detected straight from the seed cube.
     uint64_t cache_tries = 0;
@@ -96,10 +81,11 @@ class Podem {
     }
   };
 
-  /// `impl` optionally shares an implication table already built for
-  /// the same model (the deep-retry engine reuses its sibling's); when
-  /// null and heuristics are on, the table is built here.
-  explicit Podem(const UnrolledModel& model, Options opts = Options(),
+  /// A run aborts after `backtrack_limit` backtracks. `impl` optionally
+  /// shares an implication table already built for the same model (the
+  /// deep-retry engine reuses its sibling's); when null, the table is
+  /// built here.
+  explicit Podem(const UnrolledModel& model, uint32_t backtrack_limit = 300,
                  std::shared_ptr<const ImplicationTable> impl = nullptr);
 
   /// Attempts to detect one compiled fault. The engine may call run()
@@ -116,8 +102,8 @@ class Podem {
 
   const Stats& stats() const { return stats_; }
 
-  /// The shared implication table (null when heuristics are off); pass
-  /// to sibling engines on the same model to skip the rebuild.
+  /// The shared implication table; pass to sibling engines on the same
+  /// model to skip the rebuild.
   const std::shared_ptr<const ImplicationTable>& implications() const {
     return impl_;
   }
@@ -162,7 +148,7 @@ class Podem {
   void assign_var(uint32_t var, bool val);
   void undo_to(size_t mark);
 
-  // Heuristics (all no-ops / unused when opts_.heuristics is off).
+  // Heuristics.
   void mark_cone(const UnrolledFault& fault);
   bool site_blocked_statically(GateId site) const;
   bool site_dead_under_row(GateId site) const;
@@ -170,14 +156,14 @@ class Podem {
 
   const UnrolledModel* model_;
   const Netlist* comb_;
-  Options opts_;
+  uint32_t backtrack_limit_;
   Stats stats_;
 
   // Flat propagation view of the combinational model (ctor-built):
   // per-gate type/level plus CSR fanin/fanout edges, all contiguous,
   // so the implication hot path never chases the pointer-rich Gate
   // objects. Pure representation change -- values and visit order
-  // match the Gate-based loops exactly, in both modes.
+  // match the Gate-based loops exactly.
   std::vector<GateType> type_;
   std::vector<int32_t> level_;
   std::vector<uint32_t> fi_off_;  // size()+1 offsets into fi_
@@ -195,20 +181,20 @@ class Podem {
   std::vector<bool> reach_obs_;   // gate reaches >= 1 observation
   // SCOAP-style controllability costs (effort to set a net to 0/1);
   // guides backtrace input selection. co_ (observability) additionally
-  // guides objective selection when heuristics are on.
+  // guides objective selection.
   std::vector<uint32_t> cc0_;
   std::vector<uint32_t> cc1_;
   std::vector<uint32_t> co_;
 
-  // Immediate dominator toward the observations over the fanout DAG
-  // (heuristics only): idom_[g] is the first gate every g->observation
-  // path passes through after g, comb_->size() the virtual sink fed by
-  // every observation, -1 unreachable. idepth_ is the chain depth used
-  // for nearest-common-ancestor walks.
+  // Immediate dominator toward the observations over the fanout DAG:
+  // idom_[g] is the first gate every g->observation path passes through
+  // after g, comb_->size() the virtual sink fed by every observation,
+  // -1 unreachable. idepth_ is the chain depth used for
+  // nearest-common-ancestor walks.
   std::vector<int32_t> idom_;
   std::vector<uint32_t> idepth_;
 
-  // Static implication table + row-consult scratch (heuristics only).
+  // Static implication table + row-consult scratch.
   std::shared_ptr<const ImplicationTable> impl_;
   std::vector<uint32_t> row_stamp_;
   std::vector<uint8_t> row_val_;
@@ -221,7 +207,7 @@ class Podem {
 
   // Static fanout cone of the current fault's sites: the only region
   // where the faulty machine can differ from the good one, so faulty
-  // evaluation is skipped outside it (outcome-identical in both modes).
+  // evaluation is skipped outside it (outcome-identical).
   std::vector<uint32_t> cone_mark_;
   uint32_t cone_epoch_ = 0;
   std::vector<GateId> cone_stack_;

@@ -27,9 +27,8 @@ Scoap compute_scoap(const Netlist& comb,
   auto& cc1 = sc.cc1;
 
   // Forward pass: controllability. The recurrences (including the
-  // coarse XOR/XNOR sum-of-easiest-sides) must stay identical to the
-  // pre-heuristic inline computation -- heuristics-off backtrace parity
-  // depends on these exact values.
+  // coarse XOR/XNOR sum-of-easiest-sides) steer every PODEM backtrace,
+  // so any change here moves the committed pattern counts.
   for (GateId g : comb.topo_order()) {
     const Gate& gate = comb.gate(g);
     if (gate.type == GateType::kInput) {

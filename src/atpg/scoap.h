@@ -5,9 +5,8 @@
 // from a net to any of the given observation outputs. All three are the
 // classic Goldstein dynamic programs with saturating arithmetic: one
 // forward topological pass for controllability, one reverse pass for
-// observability. The controllability recurrences are shared verbatim
-// with the pre-heuristic PODEM backtrace (which computed CC0/CC1
-// inline), so heuristics-off search behaves bit-identically.
+// observability. PODEM's backtrace reads CC0/CC1, its objective
+// selection CO.
 #pragma once
 
 #include <cstdint>

@@ -119,7 +119,7 @@ Table1Result run_table1(const Table1Config& cfg) {
         .scheme(spec.scheme)
         .atpg(opts)
         .on_chip_clocking(spec.on_chip)
-        .fsim_shards(cfg.fsim.shards);
+        .engine(cfg.engine);
     if (cfg.cache != nullptr) {
       // Sessions share the harness cache: one frozen compiled artifact
       // per scheme serves every repeat (the compiled level keys on the

@@ -28,9 +28,10 @@ struct Table1Config {
   size_t max_pulses = 4;
   AtpgOptions atpg;
   bool classify_leftovers = true;
-  /// Fault-simulation engine (shard count) forwarded to each
-  /// experiment's Session; results are identical for every setting.
-  FsimOptions fsim;
+  /// Engine selection forwarded to each experiment's Session (shards,
+  /// SAT backend, escalation); results are identical for every shard
+  /// count.
+  EngineOptions engine;
   /// Optional shared design cache (api/compiled_design.h). With one
   /// attached, the harness builds + scan-inserts the design exactly once
   /// per configuration (base cache level) and every experiment/repeat

@@ -1,13 +1,14 @@
 /// \file
-/// Engine-selection options shared by every fault-simulation driver.
+/// Engine-selection options: the one home of every engine knob.
 ///
 /// FsimOptions holds the shard count of the ShardedFaultSim wrapper;
-/// EngineOptions adds the remaining engine knobs (deterministic PODEM
-/// worker shards, the SAT backend and its conflict budget) that used to
-/// be scattered over SessionConfig setters and per-driver flag loops.
-/// SessionConfig owns one EngineOptions; the drivers parse the shared
-/// `--shards/--atpg-shards/--sat/--sat-budget` flags into it via
-/// occ::parse_engine_flag (util/cli.h).
+/// EngineOptions adds the deterministic-PODEM worker shards, the SAT
+/// backend and its conflict budget, and the PODEM->SAT escalation
+/// switch. SessionConfig::engine() takes one EngineOptions and the
+/// session hands it to every stage through PipelineContext::engine; the
+/// drivers parse the shared `--shards/--atpg-shards/--sat/--sat-budget/
+/// --atpg-escalation` flags into it via occ::parse_engine_flag
+/// (util/cli.h).
 #pragma once
 
 #include <cstddef>
@@ -24,26 +25,31 @@ struct FsimOptions {
   size_t shards = 1;
 };
 
-/// The whole engine-selection surface in one struct: what used to be
-/// SessionConfig::fsim_shards()/atpg_shards()/sat_backend()/
-/// sat_conflict_budget() and one flag-parsing branch per driver.
+/// The whole engine-selection surface in one struct; AtpgOptions
+/// (atpg/engine.h) holds only what the flow computes, never how.
 struct EngineOptions {
-  FsimOptions fsim;
-  /// Worker shards of the deterministic PODEM stage (0 = follow the
-  /// fault-simulation shard count; 1 = plain sequential loop).
+  FsimOptions fsim = {};
+  /// Worker shards of the deterministic PODEM stage (atpg/parallel.h):
+  /// 0 = follow the fault-simulation shard count; 1 = the plain
+  /// sequential loop. Committed results are bit-identical for every
+  /// value -- only wall clock and the wasted speculative work
+  /// (AtpgRunResult::speculative_runs) vary.
   size_t atpg_shards = 0;
-  /// Run the SAT backend (sat/source.h) on PODEM-aborted faults.
+  /// Run the SAT backend (sat/source.h) on faults the PODEM stage left
+  /// aborted: each gets a CNF miter decision -- a test cube, a
+  /// redundancy proof (kProvenUntestable), or kUnknown within the
+  /// conflict budget (stays aborted).
   bool sat_backend = false;
   /// Per-solve conflict budget of the SAT backend; 0 = unlimited.
   uint64_t sat_conflict_budget = 100000;
-  /// PODEM search heuristics (atpg/podem.h) + the parallel stage's cube
-  /// cache. Off (`--atpg-heuristics off`) reproduces the pre-heuristic
-  /// search and all its committed counters bit-identically.
-  bool atpg_heuristics = true;
-  /// Adaptive PODEM->SAT escalation of the deterministic stage
-  /// (atpg/engine.h AtpgOptions::escalation). Off
-  /// (`--atpg-escalation off`) reproduces the cheap-then-deep PODEM
-  /// schedule and all its committed counters bit-identically.
+  /// Adaptive PODEM->SAT escalation in the deterministic stage: a fault
+  /// aborting at the cheap backtrack limit first gets a bounded
+  /// incremental-SAT probe (shared clause-learning miter per capture
+  /// procedure); the deep PODEM retry runs only when the probe is
+  /// inconclusive. Probes run at canonical commit order on the leader,
+  /// so results stay bit-identical across `atpg_shards`. Off
+  /// (`--atpg-escalation off`) reproduces the cheap-then-deep schedule
+  /// and all its committed counters bit-identically.
   bool atpg_escalation = true;
 };
 

@@ -7,9 +7,9 @@
 // only acts *between* batches -- so the merge reproduces the sequential
 // NcpFaultSim::detect_faults result bit for bit: identical statuses,
 // identical stats, identical (fault, first-detecting-slot) pairs, for
-// any shard count. That invariant is what
-// lets run_atpg stay a thin wrapper over occ::Session regardless of the
-// session's thread setting (tests/test_api.cpp locks it in).
+// any shard count. That invariant is what keeps every Session result
+// independent of the session's thread setting (tests/test_api.cpp
+// locks it in).
 //
 // Each shard walks its interleaved fault subset in the shared
 // cone-locality order (fault/order.h), so consecutive probes inside a

@@ -1,6 +1,7 @@
 #include "sat/solver.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/check.h"
 
@@ -464,45 +465,6 @@ SatResult CdclSolver::solve(const std::vector<Lit>& assumptions) {
       enqueue(next, kNoReason);
     }
   }
-}
-
-bool CdclSolver::propagate_under(const std::vector<Lit>& assumptions,
-                                 std::vector<Lit>* implied) {
-  implied->clear();
-  if (!ok_) return false;
-  cancel_until(0);
-  if (propagate() != kNoReason) {
-    ok_ = false;
-    return false;
-  }
-  const size_t base = trail_.size();
-  trail_lim_.push_back(trail_.size());
-  bool conflict = false;
-  for (const Lit a : assumptions) {
-    OCC_CHECK(lit_var(a) < assigns_.size(),
-              "sat: assumption references variable ", lit_var(a),
-              " but the solver declares ", assigns_.size());
-    if (lit_false(a)) {
-      conflict = true;
-      break;
-    }
-    if (lit_unassigned(a)) enqueue(a, kNoReason);
-  }
-  if (!conflict) conflict = propagate() != kNoReason;
-  if (!conflict) {
-    implied->assign(trail_.begin() + static_cast<ptrdiff_t>(base),
-                    trail_.end());
-  }
-  cancel_until(0);
-  return !conflict;
-}
-
-std::vector<std::pair<Lit, Lit>> CdclSolver::learned_binaries() const {
-  std::vector<std::pair<Lit, Lit>> out;
-  for (const Clause& c : clauses_) {
-    if (c.learned && c.lits.size() == 2) out.emplace_back(c.lits[0], c.lits[1]);
-  }
-  return out;
 }
 
 std::vector<int8_t> unit_propagate(const Cnf& cnf,

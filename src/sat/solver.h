@@ -16,8 +16,7 @@
 // formula itself unsatisfiable for every later solve. Learned clauses,
 // saved phases and VSIDS activities persist across solves; the learned
 // database is bounded by a deterministic activity-based reduction
-// (binaries are kept forever -- they are the cross-fault implication
-// harvest, see learned_binaries()).
+// (binaries are kept forever).
 //
 // Determinism contract: a solve sequence is a pure function of the
 // (clause, solve) call sequence and the options. Decisions break
@@ -30,7 +29,6 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "sat/cnf.h"
@@ -109,14 +107,6 @@ class CdclSolver {
   /// usable unless a level-0 conflict was derived (ok() == false).
   SatResult solve(const std::vector<Lit>& assumptions);
 
-  /// Propagation-only probe: asserts `assumptions` on one throwaway
-  /// decision level, runs unit propagation (over problem *and* learned
-  /// clauses) and reports the implied trail literals in propagation
-  /// order, then backtracks. Returns false when propagation derives a
-  /// conflict (the assumptions are infeasible); no clause is learned.
-  bool propagate_under(const std::vector<Lit>& assumptions,
-                       std::vector<Lit>* implied);
-
   /// False once a level-0 conflict proved the formula unsatisfiable.
   bool ok() const { return ok_; }
 
@@ -129,13 +119,6 @@ class CdclSolver {
 
   /// Learned clauses currently retained in the database.
   size_t learned_kept() const { return learned_count_; }
-
-  /// Retained learned binary clauses (a OR b), in creation order.
-  /// Binaries survive every database reduction, so this is the complete
-  /// binary harvest of the solve history -- each is a logical
-  /// consequence of the problem clauses alone (assumptions enter
-  /// analysis as decisions and are never resolved away).
-  std::vector<std::pair<Lit, Lit>> learned_binaries() const;
 
  private:
   using ClauseRef = uint32_t;

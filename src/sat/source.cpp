@@ -65,7 +65,7 @@ void SatPatternSource::generate(PipelineContext& ctx) {
         const uint64_t key = (static_cast<uint64_t>(fi) << 8) | ti;
         std::vector<V3> cube;
         const IncrementalMiter::Verdict v =
-            miter.decide(key, ufs[ti], ctx.opts.sat_conflict_budget, &cube);
+            miter.decide(key, ufs[ti], ctx.engine.sat_conflict_budget, &cube);
         if (v == IncrementalMiter::Verdict::kSat) {
           TestPattern p = cube_to_pattern(*models[nc], cube, ctx.nl, nc);
           // The model is a full detecting assignment; the flush below

@@ -3,8 +3,7 @@
 /// bench_engines, bench_table1): strict decimal parsing that rejects
 /// non-numeric input instead of silently reading it as 0 the way
 /// std::atoi does, plus the one shared parser for the engine-selection
-/// flags (`--shards/--atpg-shards/--sat/--sat-budget`) every
-/// driver used to hand-roll. All drivers report a usage error and exit
+/// flags every driver speaks. All drivers report a usage error and exit
 /// 2 on a malformed value.
 #pragma once
 
@@ -28,7 +27,6 @@ bool parse_positive_flag(const char* flag, const char* value, size_t* out);
 ///   --atpg-shards N                        (EngineOptions::atpg_shards)
 ///   --sat                                  (EngineOptions::sat_backend)
 ///   --sat-budget CONFLICTS                 (EngineOptions::sat_conflict_budget)
-///   --atpg-heuristics on|off               (EngineOptions::atpg_heuristics)
 ///   --atpg-escalation on|off               (EngineOptions::atpg_escalation)
 ///
 /// `flag` is the current argv token, `value` the next one (or null at

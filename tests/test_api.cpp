@@ -1,5 +1,5 @@
 // Tests: occ::Session pipeline API -- golden paths, observer ordering,
-// error cases, run_atpg parity and sharded fault-simulation determinism.
+// error cases and sharded fault-simulation determinism.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -152,41 +152,6 @@ TEST(Session, CompressionWithoutChainsThrows) {
   EXPECT_THROW(Session(std::move(cfg)).run(), CheckError);
 }
 
-// ---- run_atpg parity -----------------------------------------------------
-
-TEST(Session, RunAtpgParity) {
-  Netlist nl = gen::make_counter(8);
-  insert_scan(nl, {.num_chains = 2});
-  const GateId se = nl.find("scan_en");
-  const ClockingScheme scheme = scheme_stuck_at_external(1);
-  AtpgOptions opts;
-  opts.seed = 20050307;
-  opts.random_rounds = 4;
-
-  const AtpgRunResult legacy = run_atpg(nl, scheme, se, opts);
-
-  for (size_t shards : {size_t{1}, size_t{3}}) {
-    SessionConfig cfg;
-    cfg.design_ref(nl).scan_en(se).scheme(scheme).atpg(opts)
-        .fsim_shards(shards);
-    const SessionResult r = Session(std::move(cfg)).run();
-    EXPECT_EQ(legacy.pattern_count(), r.pattern_count())
-        << "shards=" << shards;
-    EXPECT_DOUBLE_EQ(legacy.test_coverage(), r.test_coverage())
-        << "shards=" << shards;
-    EXPECT_DOUBLE_EQ(legacy.fault_coverage(), r.fault_coverage())
-        << "shards=" << shards;
-    EXPECT_EQ(legacy.random_patterns, r.atpg.random_patterns);
-    EXPECT_EQ(legacy.deterministic_patterns,
-              r.atpg.deterministic_patterns);
-    ASSERT_EQ(legacy.faults.size(), r.atpg.faults.size());
-    for (size_t i = 0; i < legacy.faults.size(); ++i) {
-      ASSERT_EQ(legacy.faults.status(i), r.atpg.faults.status(i))
-          << "fault " << i << " diverged with shards=" << shards;
-    }
-  }
-}
-
 // ---- sharded fault simulation -------------------------------------------
 
 TEST(ShardedFaultSim, BitIdenticalToSequential) {
@@ -242,7 +207,7 @@ TEST(ShardedFaultSim, TransitionSessionIdenticalAcrossShards) {
   auto run_with = [&](size_t shards) {
     SessionConfig cfg;
     cfg.design_ref(nl).scan_en(se).scheme(scheme_cpf_enhanced(2, 3))
-        .atpg(opts).fsim_shards(shards);
+        .atpg(opts).engine({.fsim = {.shards = shards}});
     return Session(std::move(cfg)).run();
   };
   const SessionResult r1 = run_with(1);

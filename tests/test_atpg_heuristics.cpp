@@ -5,13 +5,15 @@
 //     circuits (atpg/scoap.h);
 //   * implication-table soundness against a brute-force single-literal
 //     forward simulation, across all five Table-1 clocking schemes
-//     (atpg/implications.h), including the SAT unit-probe harvest
-//     checked exhaustively over every variable completion;
+//     (atpg/implications.h), and exhaustively over every variable
+//     completion;
 //   * dominator early abort never reclassifies a testable fault:
-//     a crafted guaranteed-prune circuit plus randomized on/off
-//     full-search agreement;
-//   * session-level on/off/SAT classification agreement (a fault
-//     detected in one mode must not be (proven) untestable in another);
+//     a crafted guaranteed-prune circuit plus randomized agreement of
+//     full-budget PODEM with the unlimited-budget SAT verdict;
+//   * session-level classification agreement across the escalation
+//     on/off schedules with the SAT backend on (a fault detected in one
+//     mode must not be (proven) untestable in the other unless the SAT
+//     verdict confirms the capture model cannot test it);
 //   * per-cone cube cache: committed results bit-identical across
 //     repeats and atpg_shards {1, 2, 3, 8}, non-vacuously (the cache
 //     must actually be exercised).
@@ -183,7 +185,7 @@ TEST(AtpgHeuristics, ImplicationRowsMatchBruteForceAcrossSchemes) {
   }
 }
 
-TEST(AtpgHeuristics, SatHarvestRowsHoldUnderEveryCompletion) {
+TEST(AtpgHeuristics, ImplicationRowsHoldUnderEveryCompletion) {
   // Small model so every 0/1 completion of the variables can be
   // enumerated: each row literal must hold in every completion that
   // contains its inducing literal (the table's soundness contract).
@@ -196,10 +198,8 @@ TEST(AtpgHeuristics, SatHarvestRowsHoldUnderEveryCompletion) {
   const size_t nv = um.var_gates().size();
   ASSERT_LE(nv, 12u) << "shrink the netlist: completion sweep is 2^nv";
 
-  const ImplicationTable plain(um, /*sat_harvest=*/false);
-  const ImplicationTable harvested(um, /*sat_harvest=*/true);
-  // The harvest only ever adds implications.
-  EXPECT_GE(harvested.num_literals(), plain.num_literals());
+  const ImplicationTable table(um);
+  EXPECT_GT(table.num_literals(), 0u) << "empty table: the sweep is vacuous";
 
   const Netlist& comb = um.comb();
   std::vector<V3> vals(comb.size());
@@ -237,14 +237,12 @@ TEST(AtpgHeuristics, SatHarvestRowsHoldUnderEveryCompletion) {
     }
     // Every row whose inducing literal this completion contains must be
     // fully satisfied by it.
-    for (const ImplicationTable* table : {&plain, &harvested}) {
-      for (uint32_t v = 0; v < nv; ++v) {
-        const bool val = ((mask >> v) & 1) != 0;
-        for (const uint32_t lit : table->row(v, val)) {
-          EXPECT_EQ(vals[ImplicationTable::lit_gate(lit)],
-                    v3_from_bool(ImplicationTable::lit_value(lit)))
-              << "unsound implication from var " << v << " = " << val;
-        }
+    for (uint32_t v = 0; v < nv; ++v) {
+      const bool val = ((mask >> v) & 1) != 0;
+      for (const uint32_t lit : table.row(v, val)) {
+        EXPECT_EQ(vals[ImplicationTable::lit_gate(lit)],
+                  v3_from_bool(ImplicationTable::lit_value(lit)))
+            << "unsound implication from var " << v << " = " << val;
       }
     }
   }
@@ -285,32 +283,33 @@ TEST(AtpgHeuristics, DominatorAbortFiresOnlyOnBlockedCones) {
 
   const ClockingScheme s = comb_scheme();
   const UnrolledModel um(nl, s, 0, kNoGate);
-  Podem on(um, PodemOptions{.backtrack_limit = 4096, .heuristics = true});
-  Podem off(um, PodemOptions{.backtrack_limit = 4096, .heuristics = false});
+  Podem podem(um, 4096);
+  using Verdict = sat::IncrementalMiter::Verdict;
 
   for (const FaultType t : {FaultType::kSa0, FaultType::kSa1}) {
     const auto blocked_targets = um.translate({u1, kOutputPin, t});
     ASSERT_EQ(blocked_targets.size(), 1u);
-    const Podem::Stats before = on.stats();
-    EXPECT_EQ(on.run(blocked_targets[0]), Podem::Outcome::kUntestable);
-    const Podem::Stats delta = on.stats() - before;
+    const Podem::Stats before = podem.stats();
+    EXPECT_EQ(podem.run(blocked_targets[0]), Podem::Outcome::kUntestable);
+    const Podem::Stats delta = podem.stats() - before;
     EXPECT_GE(delta.dominator_prunes, 1u);
     EXPECT_EQ(delta.decisions, 0u) << "prune must precede any search";
-    // The exhaustive (heuristics-off) search agrees.
-    EXPECT_EQ(off.run(blocked_targets[0]), Podem::Outcome::kUntestable);
+    // The complete (unlimited-budget SAT) search agrees.
+    EXPECT_NE(test::sat_verdict(um, blocked_targets[0]), Verdict::kSat);
 
-    // Control: the observable twin is testable in both modes.
+    // Control: the observable twin is testable under both searches.
     const auto open_targets = um.translate({u2, kOutputPin, t});
     ASSERT_EQ(open_targets.size(), 1u);
-    EXPECT_EQ(on.run(open_targets[0]), Podem::Outcome::kDetected);
-    EXPECT_EQ(off.run(open_targets[0]), Podem::Outcome::kDetected);
+    EXPECT_EQ(podem.run(open_targets[0]), Podem::Outcome::kDetected);
+    EXPECT_EQ(test::sat_verdict(um, open_targets[0]), Verdict::kSat);
   }
 }
 
-TEST(AtpgHeuristics, OnOffOutcomesAgreeOnRandomNetlists) {
-  // With a budget deep enough that neither mode aborts, heuristics
-  // on/off are two complete searches of the same space: outcomes must
-  // match fault for fault (cubes may differ; classifications may not).
+TEST(AtpgHeuristics, PodemOutcomesMatchSatOnRandomNetlists) {
+  // With a budget deep enough that PODEM does not abort, PODEM and the
+  // unlimited-budget SAT decision are two complete searches of the same
+  // space: outcomes must match fault for fault (cubes may differ;
+  // classifications may not).
   for (const uint64_t seed : {101u, 202u, 303u}) {
     Rng rng(seed);
     const Netlist nl = random_netlist(
@@ -321,24 +320,15 @@ TEST(AtpgHeuristics, OnOffOutcomesAgreeOnRandomNetlists) {
     for (const ClockingScheme& s : schemes) {
       SCOPED_TRACE(s.name + " seed " + std::to_string(seed));
       const UnrolledModel um(nl, s, 0, kNoGate);
-      Podem on(um,
-               PodemOptions{.backtrack_limit = 20000, .heuristics = true});
-      Podem off(um,
-                PodemOptions{.backtrack_limit = 20000, .heuristics = false});
+      Podem podem(um, 20000);
       const FaultList fl = FaultList::build(nl, s.model);
       for (size_t i = 0; i < fl.size(); ++i) {
         for (const auto& t : um.translate(fl.fault(i))) {
-          const auto oa = on.run(t);
-          const auto ob = off.run(t);
-          if (oa != Podem::Outcome::kAborted &&
-              ob != Podem::Outcome::kAborted) {
-            EXPECT_EQ(oa, ob) << fault_to_string(nl, fl.fault(i));
-          }
-          EXPECT_FALSE(oa == Podem::Outcome::kUntestable &&
-                       ob == Podem::Outcome::kDetected)
-              << fault_to_string(nl, fl.fault(i));
-          EXPECT_FALSE(ob == Podem::Outcome::kUntestable &&
-                       oa == Podem::Outcome::kDetected)
+          const Podem::Outcome out = podem.run(t);
+          if (out == Podem::Outcome::kAborted) continue;
+          EXPECT_EQ(out == Podem::Outcome::kDetected,
+                    test::sat_verdict(um, t) ==
+                        sat::IncrementalMiter::Verdict::kSat)
               << fault_to_string(nl, fl.fault(i));
         }
       }
@@ -347,7 +337,7 @@ TEST(AtpgHeuristics, OnOffOutcomesAgreeOnRandomNetlists) {
 }
 
 // ---------------------------------------------------------------------------
-// Session-level differential: heuristics on vs off vs SAT backend.
+// Session-level differential: escalation on vs off, SAT backend on.
 
 gen::SocParams diff_soc(uint64_t seed) {
   gen::SocParams prm;
@@ -361,7 +351,7 @@ gen::SocParams diff_soc(uint64_t seed) {
   return prm;
 }
 
-// A hard detection in one heuristics mode must never collide with an
+// A hard detection in one escalation mode must never collide with an
 // untestability verdict in the other -- unless the capture model
 // itself is the reason. Full-procedure fault simulation can
 // collaterally detect a fault the single-capture unrolled model
@@ -369,8 +359,8 @@ gen::SocParams diff_soc(uint64_t seed) {
 // outside the modeled capture, e.g. through the scan path), and which
 // faults get that collateral credit depends on the pattern set, which
 // legitimately differs between modes. Such splits are adjudicated
-// against the model ground truth: direct PODEM with a generous budget
-// on every target cycle, in both modes, must agree the fault is
+// against the model ground truth: the unlimited-budget SAT decision of
+// every target cycle of every procedure must agree the fault is
 // model-untestable -- anything else is a real soundness bug.
 void expect_no_unsound_split(const SessionResult& r_on,
                              const SessionResult& r_off) {
@@ -385,10 +375,8 @@ void expect_no_unsound_split(const SessionResult& r_on,
     for (uint32_t nc = 0; nc < scheme.procedures.size(); ++nc) {
       const UnrolledModel um(nl, scheme, nc, kNoGate);
       for (const auto& t : um.translate(f)) {
-        for (const bool heur : {false, true}) {
-          Podem p(um, PodemOptions{.backtrack_limit = 500000,
-                                   .heuristics = heur});
-          if (p.run(t) != Podem::Outcome::kUntestable) return false;
+        if (test::sat_verdict(um, t) == sat::IncrementalMiter::Verdict::kSat) {
+          return false;
         }
       }
     }
@@ -402,7 +390,7 @@ void expect_no_unsound_split(const SessionResult& r_on,
         (soff == FaultStatus::kDetected && untestable(son));
     if (!split) continue;
     EXPECT_TRUE(model_untestable(r_on.atpg.faults.fault(i)))
-        << "fault " << i << ": hard-detected in one heuristics mode, "
+        << "fault " << i << ": hard-detected in one escalation mode, "
         << "(proven) untestable in the other, and the capture model "
         << "itself finds a test -- unsound classification";
   }
@@ -410,23 +398,24 @@ void expect_no_unsound_split(const SessionResult& r_on,
 
 TEST(AtpgHeuristics, SessionOnOffSatClassificationsAgree) {
   // Tight backtrack budget so plenty of faults abort and flow into the
-  // SAT backend; a fault hard-detected under either heuristics mode
-  // must never be (proven) untestable under the other.
+  // escalation probe or the SAT backend; a fault hard-detected with
+  // escalation on or off must never be (proven) untestable under the
+  // other schedule.
   const gen::SocParams prm = diff_soc(31);
   const ClockingScheme schemes[] = {scheme_stuck_at_external(1),
                                     scheme_cpf_basic(1)};
   for (const ClockingScheme& scheme : schemes) {
     SCOPED_TRACE(scheme.name);
-    auto run = [&](bool heur) {
+    auto run = [&](bool escalation) {
       SessionConfig cfg;
       cfg.design([prm] { return gen::generate_soc(prm); })
           .scan({.num_chains = 2})
           .scheme(scheme)
-          .sat_backend(true)
-          .sat_conflict_budget(2000)
-          .atpg_heuristics(heur)
-          .fsim_shards(1)
-          .atpg_shards(1);
+          .engine({.fsim = {.shards = 1},
+                   .atpg_shards = 1,
+                   .sat_backend = true,
+                   .sat_conflict_budget = 2000,
+                   .atpg_escalation = escalation});
       AtpgOptions opts;
       opts.backtrack_limit = 25;
       opts.abort_retry_factor = 1;
@@ -442,7 +431,7 @@ TEST(AtpgHeuristics, SessionOnOffSatClassificationsAgree) {
 TEST(AtpgHeuristics, CorpusOnOffSatClassificationsAgree) {
   // Same invariant on the committed corpus circuits: in particular the
   // dominator abort must never flip a fault the SAT backend (or the
-  // exhaustive heuristics-off search) proves testable.
+  // unlimited-budget SAT adjudication) proves testable.
   const std::pair<const char*, size_t> designs[] = {{"s27m.bench", 2},
                                                     {"s344c.bench", 1}};
   for (const auto& [name, nd] : designs) {
@@ -451,16 +440,16 @@ TEST(AtpgHeuristics, CorpusOnOffSatClassificationsAgree) {
                                       scheme_cpf_basic(nd)};
     for (const ClockingScheme& scheme : schemes) {
       SCOPED_TRACE(scheme.name);
-      auto run = [&](bool heur) {
+      auto run = [&](bool escalation) {
         SessionConfig cfg;
         cfg.design_file(std::string(OCC_CIRCUITS_DIR) + "/" + name)
             .scan({.num_chains = 2})
             .scheme(scheme)
-            .sat_backend(true)
-            .sat_conflict_budget(2000)
-            .atpg_heuristics(heur)
-            .fsim_shards(1)
-            .atpg_shards(1);
+            .engine({.fsim = {.shards = 1},
+                     .atpg_shards = 1,
+                     .sat_backend = true,
+                     .sat_conflict_budget = 2000,
+                     .atpg_escalation = escalation});
         AtpgOptions opts;
         opts.backtrack_limit = 25;
         opts.abort_retry_factor = 1;
@@ -518,9 +507,7 @@ TEST(AtpgHeuristics, CubeCacheDeterministicAcrossRepeatsAndShards) {
     cfg.design([prm] { return gen::generate_soc(prm); })
         .scan({.num_chains = 4})
         .scheme(scheme_cpf_basic(2))
-        .atpg_heuristics(true)
-        .fsim_shards(1)
-        .atpg_shards(shards);
+        .engine({.fsim = {.shards = 1}, .atpg_shards = shards});
     AtpgOptions opts;
     opts.backtrack_limit = 80;
     cfg.atpg(opts);

@@ -86,7 +86,7 @@ SessionConfig soc_config(const gen::SocParams& prm,
 
 // The tentpole promise, on the paper-style generated SOC under every
 // Table-1 clocking scheme: the parallel stage commits bit-identical
-// results for shard counts {1, 2, 3, 8}. fsim_shards stays 1 so the
+// results for shard counts {1, 2, 3, 8}. The fsim shards stay 1 so the
 // comparison isolates the deterministic-stage coordinator.
 TEST(AtpgParallel, AllSchemesBitIdenticalAcrossShardCounts) {
   const gen::SocParams prm = mini_soc(7, 2);
@@ -101,7 +101,7 @@ TEST(AtpgParallel, AllSchemesBitIdenticalAcrossShardCounts) {
   for (const auto& [name, scheme] : schemes) {
     SCOPED_TRACE(name);
     SessionConfig seq = soc_config(prm, scheme);
-    seq.fsim_shards(1).atpg_shards(1);
+    seq.engine({.fsim = {.shards = 1}, .atpg_shards = 1});
     const SessionResult r_seq = Session(std::move(seq)).run();
     EXPECT_EQ(r_seq.atpg.speculative_runs, 0u)
         << "sequential stage never speculates";
@@ -109,7 +109,7 @@ TEST(AtpgParallel, AllSchemesBitIdenticalAcrossShardCounts) {
     const std::string fp_seq = fingerprint(r_seq);
     for (const size_t shards : {2, 3, 8}) {
       SessionConfig par = soc_config(prm, scheme);
-      par.fsim_shards(1).atpg_shards(shards);
+      par.engine({.fsim = {.shards = 1}, .atpg_shards = shards});
       EXPECT_EQ(fp_seq, fingerprint(Session(std::move(par)).run()))
           << "atpg_shards=" << shards;
     }
@@ -126,11 +126,11 @@ TEST(AtpgParallel, SingleDomainSocWithRandomStage) {
   AtpgOptions opts;
   opts.backtrack_limit = 80;
   opts.random_rounds = 3;
-  seq.atpg(opts).fsim_shards(1).atpg_shards(1);
+  seq.atpg(opts).engine({.fsim = {.shards = 1}, .atpg_shards = 1});
   const std::string fp_seq = fingerprint(Session(std::move(seq)).run());
   for (const size_t shards : {3, 8}) {
     SessionConfig par = soc_config(prm, scheme_cpf_basic(1));
-    par.atpg(opts).fsim_shards(1).atpg_shards(shards);
+    par.atpg(opts).engine({.fsim = {.shards = 1}, .atpg_shards = shards});
     EXPECT_EQ(fp_seq, fingerprint(Session(std::move(par)).run()))
         << "atpg_shards=" << shards;
   }
@@ -151,8 +151,7 @@ TEST(AtpgParallel, CorpusBitIdenticalAcrossShardCounts) {
           .scheme(nd > 1 ? scheme_cpf_enhanced(nd, 3)
                          : scheme_cpf_basic(nd))
           .on_chip_clocking(true)
-          .fsim_shards(1)
-          .atpg_shards(atpg_shards);
+          .engine({.fsim = {.shards = 1}, .atpg_shards = atpg_shards});
       return cfg;
     };
     const std::string fp_seq =
@@ -170,15 +169,15 @@ TEST(AtpgParallel, CorpusBitIdenticalAcrossShardCounts) {
 TEST(AtpgParallel, ComposesWithShardedFaultSimulation) {
   const gen::SocParams prm = mini_soc(23, 2);
   SessionConfig seq = soc_config(prm, scheme_cpf_basic(2));
-  seq.fsim_shards(1).atpg_shards(1);
+  seq.engine({.fsim = {.shards = 1}, .atpg_shards = 1});
   const std::string fp_seq = fingerprint(Session(std::move(seq)).run());
 
   SessionConfig follow = soc_config(prm, scheme_cpf_basic(2));
-  follow.fsim_shards(3);  // atpg_shards defaults to 0 = follow (3)
+  follow.engine({.fsim = {.shards = 3}});  // atpg_shards 0 = follow (3)
   EXPECT_EQ(fp_seq, fingerprint(Session(std::move(follow)).run()));
 
   SessionConfig crossed = soc_config(prm, scheme_cpf_basic(2));
-  crossed.fsim_shards(2).atpg_shards(8);
+  crossed.engine({.fsim = {.shards = 2}, .atpg_shards = 8});
   EXPECT_EQ(fp_seq, fingerprint(Session(std::move(crossed)).run()));
 }
 
@@ -187,12 +186,12 @@ TEST(AtpgParallel, ResolveFollowsFsimShards) {
   const Netlist nl = gen::generate_soc(mini_soc(3, 1));
   const ClockingScheme scheme = scheme_cpf_basic(1);
   ShardedFaultSim fsim(nl, scheme, kNoGate, 3);
-  AtpgOptions opts;
-  EXPECT_EQ(resolve_atpg_shards(opts, fsim), 3u);
-  opts.atpg_shards = 5;
-  EXPECT_EQ(resolve_atpg_shards(opts, fsim), 5u);
-  opts.atpg_shards = 1;
-  EXPECT_EQ(resolve_atpg_shards(opts, fsim), 1u);
+  EngineOptions engine;
+  EXPECT_EQ(resolve_atpg_shards(engine.atpg_shards, fsim.shards()), 3u);
+  engine.atpg_shards = 5;
+  EXPECT_EQ(resolve_atpg_shards(engine.atpg_shards, fsim.shards()), 5u);
+  engine.atpg_shards = 1;
+  EXPECT_EQ(resolve_atpg_shards(engine.atpg_shards, fsim.shards()), 1u);
 }
 
 }  // namespace

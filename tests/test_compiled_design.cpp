@@ -103,14 +103,14 @@ std::vector<SchemeSpec> five_schemes(size_t nd) {
 
 SessionConfig make_config(const SchemeSpec& spec,
                           const std::shared_ptr<DesignCache>& cache,
-                          size_t shards = 1) {
+                          EngineOptions engine = {}) {
   SessionConfig cfg;
   cfg.design([] { return gen::generate_soc(soc_params()); })
       .scan({.num_chains = 2})
       .scheme(spec.scheme)
       .atpg(cheap_atpg())
       .on_chip_clocking(spec.on_chip)
-      .fsim_shards(shards);
+      .engine(engine);
   if (cache != nullptr) {
     cfg.design_cache(cache).design_key("soc5");
   }
@@ -146,21 +146,14 @@ TEST(CompiledDesign, CachedVsFreshBitIdentityAcrossSchemes) {
 TEST(CompiledDesign, CachedVsFreshBitIdentityAcrossModesAndShards) {
   const SchemeSpec spec{"cpf_basic", true,
                         scheme_cpf_basic(soc_params().domains)};
-  // The ATPG engine modes: default, PODEM heuristics off, escalation
-  // off.
-  struct Mode {
-    bool heuristics;
-    bool escalation;
-  };
-  for (const Mode mode : {Mode{true, true}, Mode{false, true},
-                          Mode{true, false}}) {
-    SCOPED_TRACE("heuristics " + std::to_string(mode.heuristics) +
-                 " escalation " + std::to_string(mode.escalation));
+  // The ATPG engine modes: escalation on (the default) and off.
+  for (const bool escalation : {true, false}) {
+    SCOPED_TRACE("escalation " + std::to_string(escalation));
     const auto config = [&](const std::shared_ptr<DesignCache>& cache,
                             size_t shards) {
-      SessionConfig cfg = make_config(spec, cache, shards);
-      cfg.atpg_heuristics(mode.heuristics).atpg_escalation(mode.escalation);
-      return cfg;
+      return make_config(spec, cache,
+                         {.fsim = {.shards = shards},
+                          .atpg_escalation = escalation});
     };
     // One cache per mode, shared across the shard sweep: shard count
     // must not change results OR require a rebuild (same content key).
@@ -193,12 +186,11 @@ TEST(CompiledDesign, CachedVsFreshBitIdentityWithSatBackend) {
   AtpgOptions starved;
   starved.backtrack_limit = 10;
   starved.abort_retry_factor = 1;
-  starved.sat_backend = true;
   const SchemeSpec spec{"cpf_basic", true,
                         scheme_cpf_basic(soc_params().domains)};
   const auto cache = std::make_shared<DesignCache>();
   auto run_one = [&](const std::shared_ptr<DesignCache>& c) {
-    SessionConfig cfg = make_config(spec, c);
+    SessionConfig cfg = make_config(spec, c, {.sat_backend = true});
     cfg.atpg(starved);
     return Session(std::move(cfg)).run();
   };
@@ -228,7 +220,7 @@ TEST(CompiledDesign, PrepareOnceExecuteMany) {
     cfg.compiled(cd)
         .atpg(cheap_atpg())
         .on_chip_clocking(spec.on_chip)
-        .fsim_shards(1);
+        .engine({.fsim = {.shards = 1}});
     const SessionResult r = Session(std::move(cfg)).run();
     EXPECT_EQ(result_fingerprint(baseline), result_fingerprint(r))
         << "injected-artifact run " << i << " diverged";

@@ -27,6 +27,10 @@
 // Counts every operator new in the process; the steady-state test
 // snapshots it around a warmed-up detect_faults call. Deallocation
 // routes straight to free() so the pairing stays trivially correct.
+// The nothrow forms must be replaced too: the library's nothrow new
+// (e.g. std::stable_sort's temporary buffer) would otherwise hand a
+// non-malloc block to the free() below, which ASan reports as an
+// alloc-dealloc mismatch.
 
 namespace {
 std::atomic<uint64_t> g_alloc_count{0};
@@ -51,6 +55,16 @@ void* operator new(std::size_t n, std::align_val_t a) {
 void* operator new[](std::size_t n, std::align_val_t a) {
   return ::operator new(n, a);
 }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  try {
+    return ::operator new(n);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
+  return ::operator new(n, t);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
@@ -62,6 +76,12 @@ void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
   std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  ::operator delete(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  ::operator delete(p);
 }
 
 namespace occ {
@@ -241,7 +261,7 @@ TEST(ConeProgramParity, SessionPipelineIdenticalToInterpreted) {
   cfg.design_file(std::string(OCC_CIRCUITS_DIR) + "/s344c.bench")
       .scan({.num_chains = 2})
       .scheme(scheme_cpf_enhanced(1, 2))
-      .fsim_shards(3);
+      .engine({.fsim = {.shards = 3}});
   const SessionResult r = Session(std::move(cfg)).run();
   const Netlist& nl = *r.netlist;
   const PatternSet& ps = r.atpg.patterns;

@@ -165,11 +165,11 @@ TEST(Corpus, ShardedBitIdenticalToSequential) {
   for (const char* name : {"s27m.bench", "s344c.bench", "s1423c.bench"}) {
     SCOPED_TRACE(name);
     SessionConfig seq = corpus_config(name, 3);
-    seq.fsim_shards(1);
+    seq.engine({.fsim = {.shards = 1}});
     const std::string fp_seq = fingerprint(Session(std::move(seq)).run());
     for (size_t shards : {2, 5}) {
       SessionConfig par = corpus_config(name, 3);
-      par.fsim_shards(shards);
+      par.engine({.fsim = {.shards = shards}});
       EXPECT_EQ(fp_seq, fingerprint(Session(std::move(par)).run()))
           << "shards=" << shards;
     }

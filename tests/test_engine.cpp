@@ -4,6 +4,7 @@
 #include "atpg/engine.h"
 #include "dft/scan.h"
 #include "gen/circuits.h"
+#include "test_helpers.h"
 
 namespace occ {
 namespace {
@@ -25,7 +26,7 @@ ClockingScheme comb_sa_scheme() {
 
 TEST(Engine, C17FullCoverage) {
   Netlist nl = gen::make_c17();
-  const AtpgRunResult r = run_atpg(nl, comb_sa_scheme(), kNoGate);
+  const AtpgRunResult r = test::session_atpg(nl, comb_sa_scheme(), kNoGate);
   EXPECT_DOUBLE_EQ(r.test_coverage(), 1.0);
   EXPECT_DOUBLE_EQ(r.fault_coverage(), 1.0);
   EXPECT_GT(r.pattern_count(), 0u);
@@ -35,13 +36,13 @@ TEST(Engine, C17FullCoverage) {
 
 TEST(Engine, AdderFullCoverage) {
   Netlist nl = gen::make_adder(8);
-  const AtpgRunResult r = run_atpg(nl, comb_sa_scheme(), kNoGate);
+  const AtpgRunResult r = test::session_atpg(nl, comb_sa_scheme(), kNoGate);
   EXPECT_DOUBLE_EQ(r.test_coverage(), 1.0);
 }
 
 TEST(Engine, Alu4HighCoverage) {
   Netlist nl = gen::make_alu4();
-  const AtpgRunResult r = run_atpg(nl, comb_sa_scheme(), kNoGate);
+  const AtpgRunResult r = test::session_atpg(nl, comb_sa_scheme(), kNoGate);
   EXPECT_GT(r.test_coverage(), 0.98);
   EXPECT_EQ(r.faults.count(FaultStatus::kUndetected), 0u)
       << "every fault must be classified detected/untestable/aborted";
@@ -52,7 +53,7 @@ TEST(Engine, ScanCounterStuckAt) {
   insert_scan(nl, {.num_chains = 1});
   const GateId se = nl.find("scan_en");
   const AtpgRunResult r =
-      run_atpg(nl, scheme_stuck_at_external(1), se);
+      test::session_atpg(nl, scheme_stuck_at_external(1), se);
   EXPECT_GT(r.test_coverage(), 0.97);
 }
 
@@ -66,10 +67,11 @@ TEST(Engine, TransitionCoverageOrderingOnSharedCircuit) {
   opts.random_rounds = 8;
 
   const AtpgRunResult rb =
-      run_atpg(nl, scheme_external_full(2, 3), se, opts);
-  const AtpgRunResult rc = run_atpg(nl, scheme_cpf_basic(2), se, opts);
+      test::session_atpg(nl, scheme_external_full(2, 3), se, opts);
+  const AtpgRunResult rc =
+      test::session_atpg(nl, scheme_cpf_basic(2), se, opts);
   const AtpgRunResult rd =
-      run_atpg(nl, scheme_cpf_enhanced(2, 3), se, opts);
+      test::session_atpg(nl, scheme_cpf_enhanced(2, 3), se, opts);
 
   // Constraint-untestable faults stay in the fault-coverage denominator,
   // which is where the clocking capability differences show.
@@ -84,8 +86,10 @@ TEST(Engine, DeterministicForSeed) {
   Netlist nl = gen::make_alu4();
   AtpgOptions opts;
   opts.seed = 777;
-  const AtpgRunResult r1 = run_atpg(nl, comb_sa_scheme(), kNoGate, opts);
-  const AtpgRunResult r2 = run_atpg(nl, comb_sa_scheme(), kNoGate, opts);
+  const AtpgRunResult r1 =
+      test::session_atpg(nl, comb_sa_scheme(), kNoGate, opts);
+  const AtpgRunResult r2 =
+      test::session_atpg(nl, comb_sa_scheme(), kNoGate, opts);
   EXPECT_EQ(r1.pattern_count(), r2.pattern_count());
   EXPECT_EQ(r1.faults.count(FaultStatus::kDetected),
             r2.faults.count(FaultStatus::kDetected));
@@ -99,9 +103,9 @@ TEST(Engine, CompactionNeverLosesCoverage) {
   with.reverse_compaction = true;
   without.reverse_compaction = false;
   const AtpgRunResult rw =
-      run_atpg(nl, scheme_stuck_at_external(1), se, with);
+      test::session_atpg(nl, scheme_stuck_at_external(1), se, with);
   const AtpgRunResult ro =
-      run_atpg(nl, scheme_stuck_at_external(1), se, without);
+      test::session_atpg(nl, scheme_stuck_at_external(1), se, without);
   EXPECT_EQ(rw.faults.count(FaultStatus::kDetected),
             ro.faults.count(FaultStatus::kDetected))
       << "reverse-order compaction must be detection-preserving";
@@ -113,7 +117,7 @@ TEST(Engine, PatternsValidateAgainstTheirNcp) {
   insert_scan(nl, {.num_chains = 1});
   const GateId se = nl.find("scan_en");
   const ClockingScheme s = scheme_cpf_basic(1);
-  const AtpgRunResult r = run_atpg(nl, s, se);
+  const AtpgRunResult r = test::session_atpg(nl, s, se);
   for (const TestPattern& p : r.patterns) {
     ASSERT_LT(p.ncp_index, s.procedures.size());
     p.validate(nl, s.procedures[p.ncp_index]);
@@ -126,7 +130,7 @@ TEST(Engine, ClassificationRunsWhenRequested) {
   const GateId se = nl.find("scan_en");
   AtpgOptions opts;
   opts.classify = true;
-  const AtpgRunResult r = run_atpg(nl, scheme_cpf_basic(1), se, opts);
+  const AtpgRunResult r = test::session_atpg(nl, scheme_cpf_basic(1), se, opts);
   // The shadow circuit leaves transition faults untested; the classifier
   // must attribute at least some of them.
   EXPECT_GT(r.classes.total_classified, 0u);
@@ -139,9 +143,9 @@ TEST(Engine, TransitionPatternsExceedStuckAt) {
   insert_scan(nl, {.num_chains = 1});
   const GateId se = nl.find("scan_en");
   const AtpgRunResult sa =
-      run_atpg(nl, scheme_stuck_at_external(1), se);
+      test::session_atpg(nl, scheme_stuck_at_external(1), se);
   const AtpgRunResult tf =
-      run_atpg(nl, scheme_external_full(1, 3), se);
+      test::session_atpg(nl, scheme_external_full(1, 3), se);
   EXPECT_GT(tf.pattern_count(), sa.pattern_count());
 }
 

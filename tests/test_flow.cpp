@@ -19,6 +19,7 @@
 #include "gen/socgen.h"
 #include "sim/event_sim.h"
 #include "util/check.h"
+#include "test_helpers.h"
 
 namespace occ {
 namespace {
@@ -183,8 +184,8 @@ TEST(Engine, CubeMergingReducesPatterns) {
   merged.reverse_compaction = false;
   unmerged.reverse_compaction = false;
   unmerged.merge_cubes = false;  // same flush cadence, no merging
-  const AtpgRunResult rm = run_atpg(nl, s, kNoGate, merged);
-  const AtpgRunResult ru = run_atpg(nl, s, kNoGate, unmerged);
+  const AtpgRunResult rm = test::session_atpg(nl, s, kNoGate, merged);
+  const AtpgRunResult ru = test::session_atpg(nl, s, kNoGate, unmerged);
   EXPECT_LT(rm.pattern_count(), ru.pattern_count())
       << "static cube merging must compact the deterministic set";
   EXPECT_EQ(rm.faults.count(FaultStatus::kDetected),
@@ -200,7 +201,8 @@ TEST(Engine, KeepCubesExposesCareBits) {
   opts.keep_cubes = true;
   opts.reverse_compaction = false;
   const AtpgRunResult r =
-      run_atpg(nl, scheme_stuck_at_external(1), nl.find("scan_en"), opts);
+      test::session_atpg(nl, scheme_stuck_at_external(1),
+                         nl.find("scan_en"), opts);
   ASSERT_FALSE(r.cubes.empty());
   EXPECT_LT(r.cubes.care_bit_density(), 1.0)
       << "cubes must retain X (unfilled) positions";
@@ -237,7 +239,7 @@ TEST(AteExport, OnChipProgramStructure) {
   const ClockingScheme s = scheme_cpf_basic(1);
   AtpgOptions opts;
   opts.reverse_compaction = false;
-  const AtpgRunResult r = run_atpg(nl, s, chains.scan_en, opts);
+  const AtpgRunResult r = test::session_atpg(nl, s, chains.scan_en, opts);
   ASSERT_FALSE(r.patterns.empty());
 
   const AteProgram prog =
@@ -278,7 +280,7 @@ TEST(AteExport, ExternalProgramEmitsPerPulseCycles) {
   const ClockingScheme s = scheme_external_full(1, 3);
   AtpgOptions opts;
   opts.reverse_compaction = false;
-  const AtpgRunResult r = run_atpg(nl, s, chains.scan_en, opts);
+  const AtpgRunResult r = test::session_atpg(nl, s, chains.scan_en, opts);
   ASSERT_FALSE(r.patterns.empty());
   const AteProgram prog =
       export_ate_program(nl, chains, s, r.patterns, /*on_chip=*/false);
@@ -304,7 +306,7 @@ TEST(PatternSet, TextDumpRoundsAllFields) {
   const ClockingScheme s = scheme_cpf_basic(1);
   AtpgOptions opts;
   opts.reverse_compaction = false;
-  const AtpgRunResult r = run_atpg(nl, s, nl.find("scan_en"), opts);
+  const AtpgRunResult r = test::session_atpg(nl, s, nl.find("scan_en"), opts);
   ASSERT_FALSE(r.patterns.empty());
   std::ostringstream os;
   r.patterns.write_text(os);

@@ -1,13 +1,17 @@
-// Shared test utilities: a random sequential-netlist generator and two
+// Shared test utilities: a random sequential-netlist generator, two
 // independent reference fault simulators used as oracles against the
 // packed PPSFP engine -- a scalar one-pattern simulator (ref_detects)
-// and a brute-force 64-lane full simulator (RefFaultSim).
+// and a brute-force 64-lane full simulator (RefFaultSim) -- the
+// unlimited-budget SAT verdict (sat_verdict) PODEM's outcomes are
+// checked against, and a one-call minimal Session (session_atpg).
 #pragma once
 
 #include <algorithm>
 #include <utility>
 #include <vector>
 
+#include "api/session.h"
+#include "atpg/unroll.h"
 #include "core/clock_scheme.h"
 #include "core/ncp.h"
 #include "fault/fault.h"
@@ -16,10 +20,34 @@
 #include "fsim/pattern.h"
 #include "netlist/library.h"
 #include "netlist/netlist.h"
+#include "sat/incremental.h"
 #include "util/rng.h"
 
 namespace occ {
 namespace test {
+
+/// The complete reference search for one fault instance: an
+/// unlimited-budget SAT decision on a fresh incremental miter of `um`.
+/// kSat means a test exists under the model; kUnsat and kNoObservation
+/// mean the instance is undetectable. Never kUnknown.
+inline sat::IncrementalMiter::Verdict sat_verdict(const UnrolledModel& um,
+                                                   const UnrolledFault& uf) {
+  sat::IncrementalMiter miter(um);
+  std::vector<V3> cube;
+  return miter.decide(0, uf, 0, &cube);
+}
+
+/// The ATPG result of one minimal Session over the borrowed netlist `nl`
+/// (no scan insertion; `scan_en` as given, kNoGate = none; default
+/// engine options).
+inline AtpgRunResult session_atpg(const Netlist& nl,
+                                  const ClockingScheme& scheme,
+                                  GateId scan_en,
+                                  const AtpgOptions& opts = {}) {
+  SessionConfig cfg;
+  cfg.design_ref(nl).scan_en(scan_en).scheme(scheme).atpg(opts);
+  return Session(std::move(cfg)).run().atpg;
+}
 
 struct RandomNetlistParams {
   size_t pis = 6;

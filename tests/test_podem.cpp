@@ -8,6 +8,7 @@
 #include "dft/scan.h"
 #include "fsim/fsim.h"
 #include "gen/circuits.h"
+#include "test_helpers.h"
 
 namespace occ {
 namespace {
@@ -121,7 +122,7 @@ TEST(Podem, AbortsUnderTinyBacktrackLimit) {
   nl.finalize();
   const ClockingScheme s = comb_sa_scheme();
   UnrolledModel um(nl, s, 0, kNoGate);
-  Podem podem(um, PodemOptions{.backtrack_limit = 0});
+  Podem podem(um, 0);
   const auto targets = um.translate({an, kOutputPin, FaultType::kSa0});
   const auto out = podem.run(targets[0]);
   EXPECT_TRUE(out == Podem::Outcome::kAborted ||
@@ -285,10 +286,10 @@ Fault miter_fault(const Netlist& nl, const ClockingScheme& s) {
 }
 
 TEST(Podem, RedundantMiterExhaustsBacktrackLimitOnEveryScheme) {
-  // Satellite regression for the heuristics PR: on every Table-1
-  // clocking scheme, a redundant fault must hit the backtrack limit
-  // (kAborted) rather than be misclassified -- with heuristics on AND
-  // off. A zero limit means the first conflict aborts.
+  // On every Table-1 clocking scheme, a redundant fault under a zero
+  // backtrack limit (the first conflict aborts) must abort or be pruned
+  // -- never be misclassified as detected -- and the unlimited-budget
+  // SAT decision must prove every target undetectable.
   const Netlist nl = xor_miter(4);
   const ClockingScheme schemes[] = {
       scheme_stuck_at_external(1),      scheme_external_full(1, 3),
@@ -300,27 +301,27 @@ TEST(Podem, RedundantMiterExhaustsBacktrackLimitOnEveryScheme) {
     for (uint32_t nc = 0; nc < s.procedures.size(); ++nc) {
       const UnrolledModel um(nl, s, nc, kNoGate);
       const auto targets = um.translate(miter_fault(nl, s));
-      // Heuristics off: the plain search has no way to prove
-      // redundancy without conflicts, so a zero budget always aborts.
-      Podem off(um,
-                PodemOptions{.backtrack_limit = 0, .heuristics = false});
+      // The complete search proves redundancy on every target cycle.
       for (const auto& t : targets) {
-        EXPECT_EQ(off.run(t), Podem::Outcome::kAborted) << "ncp " << nc;
+        EXPECT_NE(test::sat_verdict(um, t),
+                  sat::IncrementalMiter::Verdict::kSat)
+            << "ncp " << nc;
       }
-      // Heuristics on: the dominator/implication prunes may prove some
-      // target cycles untestable before the first conflict -- that is
-      // the point of the heuristics -- but never claim a detection.
-      Podem on(um, PodemOptions{.backtrack_limit = 0, .heuristics = true});
+      // The dominator/implication prunes may prove some target cycles
+      // untestable before the first conflict -- that is the point of the
+      // heuristics -- but PODEM never claims a detection.
+      Podem podem(um, 0);
       for (const auto& t : targets) {
-        EXPECT_NE(on.run(t), Podem::Outcome::kDetected) << "ncp " << nc;
+        EXPECT_NE(podem.run(t), Podem::Outcome::kDetected) << "ncp " << nc;
       }
     }
   }
 }
 
 TEST(Podem, RedundantMiterProvenUntestableUnderGenerousLimit) {
-  // Same targets with room to exhaust: the complete search must settle
-  // on kUntestable in both modes (never kDetected, never kAborted).
+  // Same targets with room to exhaust: PODEM must settle on kUntestable
+  // (never kDetected, never kAborted), as the unlimited-budget SAT
+  // decision does.
   const Netlist nl = xor_miter(4);
   const ClockingScheme schemes[] = {scheme_stuck_at_external(1),
                                     scheme_cpf_basic(1)};
@@ -329,13 +330,11 @@ TEST(Podem, RedundantMiterProvenUntestableUnderGenerousLimit) {
     const UnrolledModel um(nl, s, 0, kNoGate);
     const auto targets = um.translate(miter_fault(nl, s));
     ASSERT_FALSE(targets.empty());
-    for (const bool heur : {true, false}) {
-      Podem podem(um, PodemOptions{.backtrack_limit = 200000,
-                                   .heuristics = heur});
-      for (const auto& t : targets) {
-        EXPECT_EQ(podem.run(t), Podem::Outcome::kUntestable)
-            << "heuristics " << heur;
-      }
+    Podem podem(um, 200000);
+    for (const auto& t : targets) {
+      EXPECT_EQ(podem.run(t), Podem::Outcome::kUntestable);
+      EXPECT_EQ(test::sat_verdict(um, t),
+                sat::IncrementalMiter::Verdict::kUnsat);
     }
   }
 }
@@ -356,10 +355,10 @@ TEST(Podem, AbortedFaultsReachSatBackendUnchanged) {
   SessionConfig cfg;
   cfg.design_ref(nl)
       .scheme(scheme_stuck_at_external(1))
-      .sat_backend(true)
-      .atpg_escalation(false)
-      .fsim_shards(1)
-      .atpg_shards(1);
+      .engine({.fsim = {.shards = 1},
+               .atpg_shards = 1,
+               .sat_backend = true,
+               .atpg_escalation = false});
   AtpgOptions opts;
   opts.backtrack_limit = 30;
   opts.abort_retry_factor = 1;

@@ -30,14 +30,21 @@ Netlist hard_netlist(uint64_t seed) {
 
 AtpgOptions aborting_opts() {
   // A starved PODEM: plenty of aborts for the SAT stage to pick up.
-  // Escalation is pinned off throughout this file -- these tests pin
-  // the abort->SAT-stage handoff contract, and the deterministic
-  // stage's in-line SAT probe would otherwise settle the aborts first.
   AtpgOptions opts;
   opts.backtrack_limit = 1;
   opts.abort_retry_factor = 1;
-  opts.escalation = false;
   return opts;
+}
+
+EngineOptions no_escalation(
+    bool sat_backend = false,
+    uint64_t sat_budget = EngineOptions{}.sat_conflict_budget) {
+  // Escalation is pinned off throughout this file -- these tests pin
+  // the abort->SAT-stage handoff contract, and the deterministic
+  // stage's in-line SAT probe would otherwise settle the aborts first.
+  return {.sat_backend = sat_backend,
+          .sat_conflict_budget = sat_budget,
+          .atpg_escalation = false};
 }
 
 std::string fingerprint(const SessionResult& r) {
@@ -67,8 +74,10 @@ TEST(SatAtpg, ClassifiesEveryAbortedFault) {
     const Netlist nl = hard_netlist(seed);
     // First a reference run without the backend, to know aborts exist.
     SessionConfig base;
-    base.design_ref(nl).scheme(scheme_stuck_at_external(2)).atpg(
-        aborting_opts());
+    base.design_ref(nl)
+        .scheme(scheme_stuck_at_external(2))
+        .atpg(aborting_opts())
+        .engine(no_escalation());
     const SessionResult off = Session(base).run();
     ASSERT_GT(off.atpg.faults.count(FaultStatus::kAborted), 0u)
         << "workload produced no aborts; the test is vacuous";
@@ -76,7 +85,7 @@ TEST(SatAtpg, ClassifiesEveryAbortedFault) {
     EXPECT_EQ(off.atpg.sat.solves, 0u);
 
     SessionConfig cfg = base;
-    cfg.sat_backend(true).sat_conflict_budget(0);  // unlimited
+    cfg.engine(no_escalation(true, 0));  // unlimited
     const SessionResult on = Session(cfg).run();
     // Unlimited budget: every abort becomes a cube or a proof.
     EXPECT_EQ(on.atpg.faults.count(FaultStatus::kAborted), 0u);
@@ -93,8 +102,10 @@ TEST(SatAtpg, ClassifiesEveryAbortedFault) {
 TEST(SatAtpg, StageDispositionsAreRecorded) {
   const Netlist nl = hard_netlist(3);
   SessionConfig cfg;
-  cfg.design_ref(nl).scheme(scheme_cpf_basic(2)).atpg(aborting_opts())
-      .sat_backend(true);
+  cfg.design_ref(nl)
+      .scheme(scheme_cpf_basic(2))
+      .atpg(aborting_opts())
+      .engine(no_escalation(true));
   const SessionResult r = Session(cfg).run();
   ASSERT_EQ(r.atpg.stage_dispositions.size(), 3u);
   EXPECT_EQ(r.atpg.stage_dispositions[0].stage, "random");
@@ -125,8 +136,10 @@ TEST(SatAtpg, StageDispositionsAreRecorded) {
 TEST(SatAtpg, OffMeansNoSatWorkAndNoSatStage) {
   const Netlist nl = hard_netlist(4);
   SessionConfig cfg;
-  cfg.design_ref(nl).scheme(scheme_stuck_at_external(2)).atpg(
-      aborting_opts());
+  cfg.design_ref(nl)
+      .scheme(scheme_stuck_at_external(2))
+      .atpg(aborting_opts())
+      .engine(no_escalation());
   const SessionResult r = Session(cfg).run();
   EXPECT_EQ(r.atpg.sat.solves, 0u);
   EXPECT_EQ(r.atpg.sat.patterns, 0u);
@@ -142,9 +155,10 @@ TEST(SatAtpg, DeterministicAcrossRepeatsAndShardSettings) {
     cfg.design_ref(nl)
         .scheme(scheme_cpf_basic(2))
         .atpg(aborting_opts())
-        .sat_backend(true)
-        .fsim_shards(fsim_shards)
-        .atpg_shards(atpg_shards);
+        .engine({.fsim = {.shards = fsim_shards},
+                 .atpg_shards = atpg_shards,
+                 .sat_backend = true,
+                 .atpg_escalation = false});
     return fingerprint(Session(cfg).run());
   };
   const std::string a = run(1, 1);
@@ -173,14 +187,16 @@ TEST(SatAtpg, ProvesRedundantFaultUntestable) {
   for (size_t i = 0; i < fl.size(); ++i) {
     fl.set_status(i, FaultStatus::kAborted);
   }
-  AtpgOptions opts;
+  const AtpgOptions opts;
+  const EngineOptions engine;
   AtpgRunResult res;
   res.scheme_name = s.name;
   res.patterns = PatternSet(s.name);
   res.cubes = PatternSet(s.name);
   Rng rng(opts.seed);
   ShardedFaultSim fsim(nl, s, kNoGate, 1);
-  PipelineContext ctx{nl, s, kNoGate, opts, fl, fsim, rng, res, nullptr};
+  PipelineContext ctx{nl, s, kNoGate, opts, engine, fl, fsim, rng, res,
+                      nullptr};
   SatPatternSource src;
   src.generate(ctx);
 
@@ -219,12 +235,14 @@ TEST(SatAtpg, ProvesRedundantFaultUntestable) {
 TEST(SatAtpg, BudgetExhaustionLeavesFaultAborted) {
   const Netlist nl = hard_netlist(6);
   SessionConfig base;
-  base.design_ref(nl).scheme(scheme_stuck_at_external(2)).atpg(
-      aborting_opts());
+  base.design_ref(nl)
+      .scheme(scheme_stuck_at_external(2))
+      .atpg(aborting_opts())
+      .engine(no_escalation());
   // A absurdly small budget cannot prove anything UNSAT; faults whose
   // miters need search stay aborted rather than getting misclassified.
   SessionConfig cfg = base;
-  cfg.sat_backend(true).sat_conflict_budget(1);
+  cfg.engine(no_escalation(true, 1));
   const SessionResult r = Session(cfg).run();
   const SatStats& st = r.atpg.sat;
   EXPECT_GT(st.faults_targeted, 0u);
@@ -233,7 +251,7 @@ TEST(SatAtpg, BudgetExhaustionLeavesFaultAborted) {
   // Whatever was proven with 1 conflict really is proven: re-solving
   // with no budget must agree.
   SessionConfig full = base;
-  full.sat_backend(true).sat_conflict_budget(0);
+  full.engine(no_escalation(true, 0));
   const SessionResult rf = Session(full).run();
   for (size_t i = 0; i < r.atpg.faults.size(); ++i) {
     if (r.atpg.faults.status(i) == FaultStatus::kProvenUntestable) {

@@ -1,8 +1,8 @@
 // Multi-shot solver and incremental-miter tests: micro-fuzz of
 // solve(assumptions) and add_clause-between-solves against fresh
 // one-shot solvers and a brute-force enumerator, gated fault lowering
-// vs the legacy per-fault lowering, probe soundness, and determinism
-// of the escalating deterministic stage across repeats and shards.
+// vs the legacy per-fault lowering, and determinism of the escalating
+// deterministic stage across repeats and shards.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -15,7 +15,6 @@
 #include "sat/cnf.h"
 #include "sat/incremental.h"
 #include "sat/lower.h"
-#include "sat/probe.h"
 #include "sat/solver.h"
 #include "test_helpers.h"
 #include "util/rng.h"
@@ -232,50 +231,6 @@ TEST(SatIncremental, GatedFaultsMatchLegacyLowering) {
   EXPECT_EQ(miter.relowered_faults(), 0u);
 }
 
-TEST(SatIncremental, SolverProbeIsSoundAndCoversUnitProbe) {
-  Rng rng(0x9e0b5u);
-  test::RandomNetlistParams p;
-  p.pis = 5;
-  p.pos = 3;
-  p.flops = 4;
-  p.gates = 40;
-  const Netlist nl = test::random_netlist(rng, p);
-  const ClockingScheme s = scheme_stuck_at_external(1);
-  UnrolledModel um(nl, s, 0, kNoGate);
-
-  const auto pack = [](const ProbedImplication& i) {
-    return (static_cast<uint64_t>(i.var) << 33) |
-           (static_cast<uint64_t>(i.val) << 32) |
-           (static_cast<uint64_t>(i.gate) << 1) |
-           static_cast<uint64_t>(i.implied);
-  };
-  const std::vector<ProbedImplication> solver_probe =
-      probe_solver_implications(um);
-  std::vector<uint64_t> have;
-  for (const auto& i : solver_probe) have.push_back(pack(i));
-  std::sort(have.begin(), have.end());
-
-  // Superset: everything unit propagation finds, the solver probe finds.
-  for (const auto& i : probe_direct_implications(um)) {
-    EXPECT_TRUE(std::binary_search(have.begin(), have.end(), pack(i)))
-        << "unit-probe implication missing from solver probe";
-  }
-
-  // Soundness: var=val AND gate!=implied must be unsatisfiable in the
-  // good machine for every reported implication.
-  CnfLowering lowering(um);
-  CdclSolver solver(lowering.cnf());
-  const auto& vars = um.var_gates();
-  for (const auto& i : solver_probe) {
-    const RailPair vr = lowering.good(vars[i.var]);
-    const RailPair gr = lowering.good(i.gate);
-    const Lit assume = i.val ? vr.one : vr.zero;
-    const Lit forced = i.implied ? gr.one : gr.zero;
-    EXPECT_EQ(solver.solve({assume, lit_neg(forced)}), SatResult::kUnsat)
-        << "unsound probed implication";
-  }
-}
-
 std::string det_fingerprint(const SessionResult& r) {
   std::ostringstream os;
   for (const TestPattern& p : r.atpg.patterns) {
@@ -314,7 +269,7 @@ TEST(SatIncremental, EscalationDeterministicAcrossShards) {
     cfg.design_ref(nl)
         .scheme(scheme_cpf_basic(2))
         .atpg(opts)
-        .atpg_shards(atpg_shards);
+        .engine({.atpg_shards = atpg_shards});
     return Session(std::move(cfg)).run();
   };
   const SessionResult one = run(1);
@@ -343,10 +298,11 @@ TEST(SatIncremental, EscalationOnOffClassificationsAgree) {
     AtpgOptions opts;
     opts.backtrack_limit = 4;
     auto run = [&](bool escalation) {
-      AtpgOptions o = opts;
-      o.escalation = escalation;
       SessionConfig cfg;
-      cfg.design_ref(nl).scheme(scheme_stuck_at_external(2)).atpg(o);
+      cfg.design_ref(nl)
+          .scheme(scheme_stuck_at_external(2))
+          .atpg(opts)
+          .engine({.atpg_escalation = escalation});
       return Session(std::move(cfg)).run();
     };
     const SessionResult off = run(false);
@@ -386,11 +342,12 @@ TEST(SatIncremental, CorpusClassificationsAgreeAcrossModes) {
   starved.backtrack_limit = 10;
   starved.abort_retry_factor = 1;
   auto run = [&](bool escalation, bool sat_backend) {
-    AtpgOptions o = starved;
-    o.escalation = escalation;
-    o.sat_backend = sat_backend;
     SessionConfig cfg;
-    cfg.design_ref(nl).scheme(scheme_stuck_at_external(1)).atpg(o);
+    cfg.design_ref(nl)
+        .scheme(scheme_stuck_at_external(1))
+        .atpg(starved)
+        .engine({.sat_backend = sat_backend,
+                 .atpg_escalation = escalation});
     return Session(std::move(cfg)).run();
   };
   const SessionResult off = run(false, false);

@@ -150,6 +150,52 @@ TEST(CliParse, RejectsMalformedValues) {
   EXPECT_EQ(v, 7u) << "failed parses must not clobber the output";
 }
 
+TEST(CliParse, EngineFlagsConsumeTokensAndParseValues) {
+  EngineOptions e;
+  EXPECT_EQ(parse_engine_flag("--shards", "3", &e), 2);
+  EXPECT_EQ(e.fsim.shards, 3u);
+  EXPECT_EQ(parse_engine_flag("--atpg-shards", "5", &e), 2);
+  EXPECT_EQ(e.atpg_shards, 5u);
+  // A bare flag: the next token is left for the driver.
+  EXPECT_EQ(parse_engine_flag("--sat", "--quick", &e), 1);
+  EXPECT_TRUE(e.sat_backend);
+  EXPECT_EQ(parse_engine_flag("--sat", nullptr, &e), 1);
+  EXPECT_EQ(parse_engine_flag("--sat-budget", "0", &e), 2);
+  EXPECT_EQ(e.sat_conflict_budget, 0u);
+  EXPECT_EQ(parse_engine_flag("--sat-budget", "2500", &e), 2);
+  EXPECT_EQ(e.sat_conflict_budget, 2500u);
+  EXPECT_EQ(parse_engine_flag("--atpg-escalation", "off", &e), 2);
+  EXPECT_FALSE(e.atpg_escalation);
+  EXPECT_EQ(parse_engine_flag("--atpg-escalation", "on", &e), 2);
+  EXPECT_TRUE(e.atpg_escalation);
+}
+
+TEST(CliParse, EngineFlagsRejectMalformedValuesAndSkipOthers) {
+  EngineOptions e;
+  for (const char* flag : {"--shards", "--atpg-shards", "--sat-budget"}) {
+    SCOPED_TRACE(flag);
+    EXPECT_EQ(parse_engine_flag(flag, "x", &e), -1);
+    EXPECT_EQ(parse_engine_flag(flag, "-1", &e), -1);
+    EXPECT_EQ(parse_engine_flag(flag, nullptr, &e), -1);
+  }
+  EXPECT_EQ(parse_engine_flag("--atpg-escalation", "maybe", &e), -1);
+  EXPECT_EQ(parse_engine_flag("--atpg-escalation", nullptr, &e), -1);
+  // Not engine flags (including the removed --atpg-heuristics): 0
+  // tokens consumed, left for the driver to handle or reject.
+  for (const char* flag :
+       {"--atpg-heuristics", "--quick", "--mode", "shards", "--sat=1"}) {
+    SCOPED_TRACE(flag);
+    EXPECT_EQ(parse_engine_flag(flag, "off", &e), 0);
+  }
+  // Neither a malformed value nor a foreign flag touched the options.
+  const EngineOptions d;
+  EXPECT_EQ(e.fsim.shards, d.fsim.shards);
+  EXPECT_EQ(e.atpg_shards, d.atpg_shards);
+  EXPECT_EQ(e.sat_backend, d.sat_backend);
+  EXPECT_EQ(e.sat_conflict_budget, d.sat_conflict_budget);
+  EXPECT_EQ(e.atpg_escalation, d.atpg_escalation);
+}
+
 // Regression: a dispatch whose fn throws must rethrow exactly once (not
 // once per failing shard, not zero times when shard 0 ran clean) and
 // leave the pool's pending_/generation_ bookkeeping reset, so the same
