@@ -20,17 +20,6 @@ Subcommands:
   check-ratio REPORT A B --min-ratio R
                            Assert metric A >= R * metric B (used to pin
                            the fsim_batch window speedup).
-  check-exact REFERENCE CURRENT [--include-meta PREFIX]...
-                           Assert every non-wall metric of REFERENCE is
-                           bit-exactly reproduced by CURRENT (extra
-                           metrics in CURRENT are allowed). --include-meta
-                           additionally pins every meta key with the
-                           given prefix (repeatable). Used for the
-                           escalation-off parity gate: with
-                           --atpg-escalation off the search must
-                           reproduce the committed pre-escalation
-                           counters exactly, not merely within a
-                           regression threshold.
 
 Exit code 0 = OK, 1 = regression/assertion failure, 2 = usage error.
 """
@@ -178,39 +167,6 @@ def cmd_check_ratio(args):
     return 0 if ok else 1
 
 
-def cmd_check_exact(args):
-    ref = load(args.reference)
-    cur = load(args.current)
-    checked = 0
-    failures = []
-
-    def check(section, key, want):
-        nonlocal checked
-        have = cur.get(section, {}).get(key)
-        checked += 1
-        if have is None:
-            failures.append(f"{section}.{key}: missing from current report")
-        elif have != want:
-            failures.append(f"{section}.{key}: {want!r} -> {have!r}")
-
-    for key, want in ref.get("metrics", {}).items():
-        if is_wall_metric(key):
-            continue  # walls are machine-relative, never bit-exact
-        check("metrics", key, want)
-    for prefix in args.include_meta or []:
-        for key, want in ref.get("meta", {}).items():
-            if key.startswith(prefix):
-                check("meta", key, want)
-    if failures:
-        print(f"FAIL: {len(failures)} of {checked} pinned values diverge "
-              f"from {args.reference}", file=sys.stderr)
-        for f in failures:
-            print(" ", f, file=sys.stderr)
-        return 1
-    print(f"OK: {checked} values bit-exact vs {args.reference}")
-    return 0
-
-
 def main():
     p = argparse.ArgumentParser(description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
@@ -240,13 +196,6 @@ def main():
     r.add_argument("denominator")
     r.add_argument("--min-ratio", type=float, required=True)
     r.set_defaults(fn=cmd_check_ratio)
-
-    e = sub.add_parser("check-exact")
-    e.add_argument("reference")
-    e.add_argument("current")
-    e.add_argument("--include-meta", action="append", metavar="PREFIX",
-                   help="also pin meta keys with this prefix (repeatable)")
-    e.set_defaults(fn=cmd_check_exact)
 
     args = p.parse_args()
     sys.exit(args.fn(args))

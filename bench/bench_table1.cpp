@@ -8,8 +8,7 @@
 //
 // Usage: bench_table1 [--quick|--full] [--design PATH] [--shards N]
 //                     [--atpg-shards N] [--repeat N]
-//                     [--sat] [--sat-budget CONFLICTS]
-//                     [--atpg-escalation on|off] [--json PATH]
+//                     [--sat] [--sat-budget CONFLICTS] [--json PATH]
 //                     [--allow-shape-fail]
 //   default : mid-size SOC (~3 minutes) -- same orderings as full scale
 //   --quick : small SOC (~20 minutes on a 4-vCPU Xeon container with
@@ -28,14 +27,13 @@
 //   --atpg-shards N : deterministic-PODEM worker shards per Session
 //                (default and 0 = follow --shards; committed results
 //                are bit-identical for every value)
-//   --sat : enable the SAT backend (src/sat) in every experiment --
-//                PODEM-aborted faults get a CNF miter decision (test
-//                cube or proven-untestable). The per-stage disposition
-//                block in --json then grows a "sat" stage.
-//   --atpg-escalation on|off : PODEM->SAT escalation of the
-//                deterministic stage (default on); off is the
-//                cheap-then-deep PODEM schedule CI pins against
-//                bench/table1_escalation_off.json
+//   --sat : add the abort ladder's final SAT pass in every experiment
+//                -- after the deterministic stage's SAT probes and deep
+//                retries, every fault still aborted gets a CNF miter
+//                decision (test cube, proven-untestable, or still
+//                aborted at --sat-budget conflicts per solve). The pass
+//                runs inside the podem stage, so its outcome shows in
+//                that stage's disposition.
 //   --repeat N : run the experiment suite N times (default 1) and
 //                 report the median wall per experiment in the --json
 //                 report; work counters are asserted identical across

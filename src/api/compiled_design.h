@@ -8,8 +8,8 @@
 /// the finalized post-scan netlist (+ chain description), the per-NCP
 /// observability masks and the compiled cone replay programs
 /// (sim/cone_program.h), the per-NCP unrolled combinational models
-/// (atpg/unroll.h), and the good-machine CNF lowerings the SAT
-/// backend/escalation start from (sat/lower.h). All
+/// (atpg/unroll.h), and the good-machine CNF lowerings the abort
+/// ladder's SAT miters start from (sat/lower.h). All
 /// of them are pure functions of (netlist, scheme) and read-only during
 /// execution; only per-engine scratch is mutable. CompiledDesign owns
 /// exactly one copy of each, built lazily on first use and then frozen
@@ -96,7 +96,7 @@ class CompiledDesign : public ConeArtifactSource {
   /// Frozen compiled replay program of capture procedure `ncp_index`.
   const ConeProgram& shared_cone_program(size_t ncp_index) const override;
   /// Frozen unrolled combinational model of capture procedure
-  /// `ncp_index` (shared by PODEM shards and the SAT stages; the model
+  /// `ncp_index` (shared by PODEM shards and the SAT miters; the model
   /// is read-only after construction, PODEM scratch stays per-shard).
   const UnrolledModel& unrolled(size_t ncp_index) const;
   /// Frozen good-machine CNF lowering of capture procedure `ncp_index`.

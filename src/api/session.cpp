@@ -11,7 +11,6 @@
 #include "fsim/tfsim.h"
 #include "netlist/bench_io.h"
 #include "netlist/hash.h"
-#include "sat/source.h"
 #include "util/check.h"
 
 namespace occ {
@@ -347,19 +346,15 @@ SessionResult Session::execute(
                          cfg_.engine_.fsim, cd);
     PipelineContext ctx{nl, result.scheme, result.scan_en, opts,
                         cfg_.engine_, res.faults, fsim, rng, res, obs,
-                        cd.get()};
+                        *cd};
 
     std::vector<std::shared_ptr<PatternSource>> sources = cfg_.sources_;
     if (sources.empty()) {
       // Classic pipeline: the random stage reads rounds from opts (and
-      // skips itself at random_rounds = 0), then deterministic PODEM,
-      // then -- when enabled -- the SAT backend on whatever PODEM left
-      // aborted.
+      // skips itself at random_rounds = 0), then deterministic PODEM
+      // (which also runs the SAT backend's final pass when enabled).
       sources.push_back(std::make_shared<RandomPatternSource>());
       sources.push_back(std::make_shared<PodemPatternSource>());
-      if (cfg_.engine_.sat_backend) {
-        sources.push_back(std::make_shared<sat::SatPatternSource>());
-      }
     }
     for (const auto& src : sources) {
       {

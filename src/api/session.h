@@ -162,10 +162,10 @@ class SessionConfig {
   // ---- engine selection --------------------------------------------------
   /// The whole engine-selection surface in one call (fsim/options.h):
   /// fault-simulation shards, PODEM worker shards, SAT backend and its
-  /// conflict budget, PODEM->SAT escalation. This is what the drivers
-  /// parse their shared `--shards/--atpg-shards/--sat*/--atpg-escalation`
-  /// flags into (see util/cli.h's parse_engine_flag). Results are
-  /// bit-identical for every shard count.
+  /// conflict budget. This is what the drivers parse their shared
+  /// `--shards/--atpg-shards/--sat/--sat-budget` flags into (see
+  /// util/cli.h's parse_engine_flag). Results are bit-identical for
+  /// every shard count.
   SessionConfig& engine(EngineOptions o);
 
   // ---- optional stages ---------------------------------------------------

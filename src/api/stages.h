@@ -10,7 +10,7 @@
 /// Built-in sources:
 ///   RandomPatternSource  -- 64-wide random rounds, first-detector keep;
 ///   PodemPatternSource   -- deterministic PODEM with fault dropping,
-///                           static cube merging and abort retry;
+///                           static cube merging and the abort ladder;
 ///   ExternalCubeSource   -- grades cubes produced elsewhere (a previous
 ///                           session, a file, a diagnostic tool).
 #pragma once
@@ -64,11 +64,9 @@ struct PipelineContext {
   AtpgRunResult& res;  ///< pattern/cube accumulators and counters
   const ProgressObserver* observer;  ///< may be null
   /// The session's frozen compiled-design artifact (api/compiled_design.h):
-  /// shared per-NCP unrolled models and CNF bases the deterministic and
-  /// SAT stages consume instead of building private copies. Never null
-  /// for sources run by Session; defaulted for hand-built contexts
-  /// (sources must fall back to private builds).
-  const CompiledDesign* compiled = nullptr;
+  /// the shared per-NCP unrolled models and good-machine CNF lowerings
+  /// the deterministic stage runs over.
+  const CompiledDesign& compiled;
 
   /// Forwards one event to the observer, if any.
   void emit(ProgressEvent::Kind kind, const std::string& stage,
@@ -103,7 +101,9 @@ class RandomPatternSource : public PatternSource {
 };
 
 /// Deterministic PODEM stage: per-NCP unrolled models, capability
-/// pre-filtering, abort retry, static cube merging and windowed
+/// pre-filtering, the abort ladder (SAT probe, deep retry and, with
+/// EngineOptions::sat_backend, a final SAT pass in a nested "sat"
+/// stage span), static cube merging and windowed
 /// flush-to-fault-simulation, all per the session's AtpgOptions.
 /// Runs on EngineOptions::atpg_shards worker threads (0 = follow the
 /// session's fault-simulation shard count) via the speculative-commit

@@ -10,8 +10,7 @@
 //
 // Every Table-1 experiment of the paper is one Session with a different
 // ClockingScheme. AtpgOptions says what the flow computes; how the
-// engines run (shards, SAT backend, escalation) is EngineOptions
-// (fsim/options.h).
+// engines run (shards, SAT backend) is EngineOptions (fsim/options.h).
 #pragma once
 
 #include <cstdint>
@@ -49,13 +48,14 @@ struct AtpgOptions {
   bool keep_cubes = false;
 };
 
-/// Deterministic work counters of the SAT backend stage.
+/// Deterministic SAT work counters: the final pass's dispositions
+/// (EngineOptions::sat_backend) and the solver work of every probe and
+/// final-pass solve on the deterministic stage's miters.
 struct SatStats {
-  size_t faults_targeted = 0;    ///< aborted faults handed to SAT
+  size_t faults_targeted = 0;    ///< aborted faults the final pass decided
   size_t detected = 0;           ///< classified testable (cube emitted)
   size_t proven_untestable = 0;  ///< all miters UNSAT within budget
   size_t still_aborted = 0;      ///< some solve hit the conflict budget
-  size_t patterns = 0;           ///< patterns emitted by the stage
   uint64_t solves = 0;           ///< CDCL solver invocations
   uint64_t conflicts = 0;
   uint64_t decisions = 0;
@@ -70,7 +70,7 @@ struct SatStats {
 /// Fault-status tallies after one pipeline stage, for auditable
 /// coverage reporting (occ run --json / bench_table1 --json).
 struct StageDisposition {
-  std::string stage;  ///< source name ("random", "podem", "sat", ...)
+  std::string stage;  ///< source name ("random", "podem", ...)
   size_t detected = 0;
   size_t possibly_detected = 0;
   size_t untestable = 0;
@@ -98,15 +98,13 @@ struct AtpgRunResult {
   /// and scheduling, unlike `podem`, which counts committed work only.
   size_t speculative_runs = 0;
   size_t discarded_cubes = 0;
-  /// Escalation-schedule counters of the deterministic stage (both zero
-  /// with EngineOptions::atpg_escalation off). Committed in canonical
-  /// fault order, so -- unlike the speculation counters above -- they
-  /// ARE part of the bit-identity contract across shard counts.
+  /// Abort-ladder counters of the deterministic stage. Committed in
+  /// canonical fault order, so -- unlike the speculation counters
+  /// above -- they ARE part of the bit-identity contract across shard
+  /// counts.
   size_t escalations = 0;    ///< cheap-PODEM aborts handed to the SAT probe
   size_t sat_probe_wins = 0; ///< probes that settled the fault (SAT or UNSAT)
-  /// SAT solver counters: the SAT backend stage and the deterministic
-  /// stage's escalation probes both accumulate here (all zero when
-  /// the SAT backend and escalation are both off).
+  /// SAT counters of the deterministic stage's probes and final pass.
   SatStats sat;
   /// Fault-status tallies after each pipeline source stage, in run
   /// order (filled by occ::Session).

@@ -23,6 +23,14 @@ constexpr size_t kWindowFaultsPerShard = 16;
 /// Per-probe conflict budget of the escalation SAT probe.
 constexpr uint64_t kEscalationConflictBudget = 2000;
 
+/// Names instance `ti` of fault `fi` within its procedure's miter: the
+/// probe and the final pass ask about the same key, so the pass resumes
+/// the probe's instance instead of lowering it again.
+uint64_t instance_key(size_t fi, size_t ti) {
+  OCC_DCHECK(ti < 256);
+  return (static_cast<uint64_t>(fi) << 8) | ti;
+}
+
 }  // namespace
 
 TestPattern cube_to_pattern(const UnrolledModel& um,
@@ -131,8 +139,6 @@ ParallelPodem::ParallelPodem(PipelineContext& ctx, size_t shards,
 
   scratch_.resize(shards_);
   for (ShardScratch& sc : scratch_) {
-    sc.models.resize(num_ncps, nullptr);
-    sc.owned_models.resize(num_ncps);
     sc.podems.resize(num_ncps);
     sc.podems_deep.resize(num_ncps);
   }
@@ -143,33 +149,38 @@ ParallelPodem::ParallelPodem(PipelineContext& ctx, size_t shards,
 
 ParallelPodem::~ParallelPodem() = default;
 
-std::pair<const UnrolledModel*, Podem*> ParallelPodem::model_for(
-    ShardScratch& sc, uint32_t nc) const {
-  if (!sc.models[nc]) {
-    if (ctx_.compiled != nullptr) {
-      // The session's frozen model: read-only during the search, so all
-      // shards share one copy (the first caller builds it under the
-      // artifact's call_once; the model bytes are identical to a private
-      // build, so results cannot differ).
-      sc.models[nc] = &ctx_.compiled->unrolled(nc);
-    } else {
-      sc.owned_models[nc] = std::make_unique<UnrolledModel>(
-          ctx_.nl, ctx_.scheme, nc, ctx_.scan_en);
-      sc.models[nc] = sc.owned_models[nc].get();
-    }
-    sc.podems[nc] =
-        std::make_unique<Podem>(*sc.models[nc], ctx_.opts.backtrack_limit);
+bool ParallelPodem::capable(size_t fi, uint32_t nc) const {
+  const Fault& f = ctx_.faults.fault(fi);
+  const Gate& g = ctx_.nl.gate(f.gate);
+  // A fault on a flop's D pin is captured by that flop, and one on a
+  // PO's pin is strobed there; every other fault leaves its gate
+  // through the gate's output.
+  if (f.pin != kOutputPin && g.type == GateType::kDff) {
+    return (capture_mask_[nc] & (DomainMask{1} << g.domain)) != 0;
   }
-  return {sc.models[nc], sc.podems[nc].get()};
+  if (g.type == GateType::kOutput) return po_obs_[nc];
+  return (sink_domains_[f.gate] & capture_mask_[nc]) != 0 ||
+         (sink_po_[f.gate] && po_obs_[nc]);
+}
+
+Podem* ParallelPodem::podem_for(ShardScratch& sc, uint32_t nc) const {
+  if (!sc.podems[nc]) {
+    // The session's frozen model is read-only during the search, so all
+    // shards share one copy (the first caller builds it under the
+    // artifact's call_once).
+    sc.podems[nc] = std::make_unique<Podem>(ctx_.compiled.unrolled(nc),
+                                            ctx_.opts.backtrack_limit);
+  }
+  return sc.podems[nc].get();
 }
 
 Podem* ParallelPodem::deep_podem_for(ShardScratch& sc, uint32_t nc) const {
   if (!sc.podems_deep[nc]) {
     // Shares the shallow engine's implication table (same model).
     sc.podems_deep[nc] = std::make_unique<Podem>(
-        *sc.models[nc],
+        ctx_.compiled.unrolled(nc),
         ctx_.opts.backtrack_limit * ctx_.opts.abort_retry_factor,
-        sc.podems[nc]->implications());
+        podem_for(sc, nc)->implications());
   }
   return sc.podems_deep[nc].get();
 }
@@ -183,138 +194,79 @@ Podem::Stats ParallelPodem::stats_sum(const ShardScratch& sc) const {
   return sum;
 }
 
-void ParallelPodem::attempt_fault(ShardScratch& sc, size_t fi,
-                                  const CubeCacheEntry* seed,
-                                  Attempt* out) const {
-  const Fault& f = ctx_.faults.fault(fi);
-  const DomainMask fsinks = sink_domains_[f.gate];
-  const bool fpo = sink_po_[f.gate];
-  Attempt& a = *out;
-  const Podem::Stats before = stats_sum(sc);
-
-  const size_t num_ncps = ctx_.scheme.procedures.size();
-  for (uint32_t nc = 0; nc < num_ncps && !a.detected; ++nc) {
-    // Capability pre-filter: the fault's effects must be capturable.
-    if (!(fsinks & capture_mask_[nc]) && !(fpo && po_obs_[nc])) continue;
-
-    auto [model, podem] = model_for(sc, nc);
-    // A sibling's cube only seeds the matching capture procedure (var
-    // spaces differ across procedures).
-    const std::vector<V3>* seed_cube =
-        seed != nullptr && seed->ncp == nc ? &seed->var_cube : nullptr;
-    const std::vector<UnrolledFault> targets = model->translate(f);
-    for (size_t ti = 0; ti < targets.size(); ++ti) {
-      const UnrolledFault& uf = targets[ti];
-      Podem* used = podem;
-      Podem::Outcome outc = used->run(uf, seed_cube);
-      if (outc == Podem::Outcome::kAborted) {
-        if (ctx_.engine.atpg_escalation) {
-          // Stop here: everything after the first cheap abort (SAT
-          // probe, deep retry, remaining instances) depends on the
-          // history-carrying incremental solver and must run on the
-          // leader at canonical commit order (escalate()).
-          a.pending = true;
-          a.esc_nc = nc;
-          a.esc_target = ti;
-          a.stats = stats_sum(sc) - before;
-          return;
-        }
-        if (ctx_.opts.abort_retry_factor > 1) {
-          used = deep_podem_for(sc, nc);
-          outc = used->run(uf);
-        }
-      }
-      if (outc == Podem::Outcome::kDetected) {
-        a.cube = cube_to_pattern(*model, used->assignment(), ctx_.nl, nc);
-        a.var_cube = used->assignment();
-        a.ncp = nc;
-        a.detected = true;
-        break;
-      }
-      if (outc == Podem::Outcome::kAborted) a.aborted = true;
-    }
-  }
-  a.stats = stats_sum(sc) - before;
-}
-
 sat::IncrementalMiter* ParallelPodem::miter_for(uint32_t nc) {
   if (!miters_[nc]) {
-    if (ctx_.compiled != nullptr) {
-      // Seed from the artifact's frozen good-machine lowering: the
-      // clause stream is byte-identical to lowering here, so verdicts
-      // and solver counters match bit for bit; only the lowering
-      // traversal is skipped (and shared across runs).
-      miters_[nc] = std::make_unique<sat::IncrementalMiter>(
-          ctx_.compiled->cnf_base(nc), sat::SolverOptions{});
-    } else {
-      // The miter shares scratch_[0]'s unrolled model (building it if no
-      // leader attempt touched this procedure yet).
-      model_for(scratch_[0], nc);
-      miters_[nc] = std::make_unique<sat::IncrementalMiter>(
-          *scratch_[0].models[nc], sat::SolverOptions{});
-    }
+    // Seeded from the artifact's frozen good-machine lowering (copied;
+    // the clause stream is byte-identical to lowering here).
+    miters_[nc] = std::make_unique<sat::IncrementalMiter>(
+        ctx_.compiled.cnf_base(nc), sat::SolverOptions{});
   }
   return miters_[nc].get();
 }
 
-void ParallelPodem::escalate(size_t fi, Attempt* out) {
+void ParallelPodem::walk(ShardScratch& sc, size_t fi,
+                         const CubeCacheEntry* seed, bool leader,
+                         Attempt* out) {
   Attempt& a = *out;
-  OCC_DCHECK(a.pending && !a.detected);
-  a.pending = false;
-  ShardScratch& sc = scratch_[0];
   const Fault& f = ctx_.faults.fault(fi);
-  const DomainMask fsinks = sink_domains_[f.gate];
-  const bool fpo = sink_po_[f.gate];
-  // At commit time the canonical cube-cache entry is exactly the seed
-  // the (possibly leader-re-run) attempt used.
-  const CubeCacheRef seed = seed_for(fi);
   const Podem::Stats before = stats_sum(sc);
+  // Resuming a worker's walk: its cheap PODEM run of the instance at
+  // (esc_nc, esc_target) already aborted.
+  const bool resuming = a.pending;
+  OCC_DCHECK(leader || !resuming);
+  a.pending = false;
 
-  const auto take_detection = [&](Podem* used, const UnrolledModel* model,
-                                  uint32_t nc) {
-    a.cube = cube_to_pattern(*model, used->assignment(), ctx_.nl, nc);
-    a.var_cube = used->assignment();
+  const auto take = [&](const UnrolledModel& model, uint32_t nc,
+                        std::vector<V3> cube) {
+    a.cube = cube_to_pattern(model, cube, ctx_.nl, nc);
+    a.var_cube = std::move(cube);
     a.ncp = nc;
     a.detected = true;
   };
 
   const size_t num_ncps = ctx_.scheme.procedures.size();
-  for (uint32_t nc = a.esc_nc; nc < num_ncps && !a.detected; ++nc) {
-    const bool resuming = nc == a.esc_nc;
-    if (!resuming && !(fsinks & capture_mask_[nc]) && !(fpo && po_obs_[nc])) {
-      continue;
-    }
-    auto [model, podem] = model_for(sc, nc);
+  for (uint32_t nc = resuming ? a.esc_nc : 0; nc < num_ncps && !a.detected;
+       ++nc) {
+    const bool resume_nc = resuming && nc == a.esc_nc;
+    // Capability pre-filter: the fault's effects must be capturable.
+    if (!resume_nc && !capable(fi, nc)) continue;
+    const UnrolledModel& model = ctx_.compiled.unrolled(nc);
+    Podem* podem = podem_for(sc, nc);
+    // A sibling's cube only seeds the matching capture procedure (var
+    // spaces differ across procedures).
     const std::vector<V3>* seed_cube =
         seed != nullptr && seed->ncp == nc ? &seed->var_cube : nullptr;
-    const std::vector<UnrolledFault> targets = model->translate(f);
-    for (size_t ti = resuming ? a.esc_target : 0; ti < targets.size(); ++ti) {
+    const std::vector<UnrolledFault> targets = model.translate(f);
+    for (size_t ti = resume_nc ? a.esc_target : 0; ti < targets.size();
+         ++ti) {
       const UnrolledFault& uf = targets[ti];
-      bool cheap_abort = resuming && ti == a.esc_target;  // already ran
-      if (!cheap_abort) {
+      if (!(resume_nc && ti == a.esc_target)) {
         const Podem::Outcome outc = podem->run(uf, seed_cube);
         if (outc == Podem::Outcome::kDetected) {
-          take_detection(podem, model, nc);
+          take(model, nc, podem->assignment());
           break;
         }
-        cheap_abort = outc == Podem::Outcome::kAborted;
+        if (outc != Podem::Outcome::kAborted) continue;
+        if (!leader) {
+          // Stop here: the rest of the ladder depends on the
+          // history-carrying incremental solver and must run on the
+          // leader at canonical commit order.
+          a.pending = true;
+          a.esc_nc = nc;
+          a.esc_target = ti;
+          a.stats += stats_sum(sc) - before;
+          return;
+        }
       }
-      if (!cheap_abort) continue;
 
-      // Bounded incremental-SAT probe of the aborted instance. The key
-      // identifies (fault, instance) within this procedure's miter.
+      // Bounded incremental-SAT probe of the aborted instance.
       ++ctx_.res.escalations;
-      OCC_DCHECK(ti < 256);
-      const uint64_t key = (static_cast<uint64_t>(fi) << 8) | ti;
       std::vector<V3> cube;
-      const sat::IncrementalMiter::Verdict v =
-          miter_for(nc)->decide(key, uf, kEscalationConflictBudget, &cube);
+      const sat::IncrementalMiter::Verdict v = miter_for(nc)->decide(
+          instance_key(fi, ti), uf, kEscalationConflictBudget, &cube);
       if (v == sat::IncrementalMiter::Verdict::kSat) {
         ++ctx_.res.sat_probe_wins;
-        a.cube = cube_to_pattern(*model, cube, ctx_.nl, nc);
-        a.var_cube = std::move(cube);
-        a.ncp = nc;
-        a.detected = true;
+        take(model, nc, std::move(cube));
         break;
       }
       if (v != sat::IncrementalMiter::Verdict::kUnknown) {
@@ -324,12 +276,12 @@ void ParallelPodem::escalate(size_t fi, Attempt* out) {
         a.sat_settled = true;
         continue;
       }
-      // Probe inconclusive: fall back to today's deep PODEM retry.
+      // Probe inconclusive: deep PODEM retry.
       if (ctx_.opts.abort_retry_factor > 1) {
         Podem* deep = deep_podem_for(sc, nc);
         const Podem::Outcome outc = deep->run(uf);
         if (outc == Podem::Outcome::kDetected) {
-          take_detection(deep, model, nc);
+          take(model, nc, deep->assignment());
           break;
         }
         if (outc == Podem::Outcome::kAborted) a.aborted = true;
@@ -361,6 +313,24 @@ void ParallelPodem::flush(uint32_t nc) {
   q.clear();
 }
 
+void ParallelPodem::merge_cube(uint32_t nc, TestPattern cube) {
+  // Static merge: extra known bits cannot un-detect a cube's target
+  // (3-valued implication is monotone), so compatible cubes share one
+  // pattern -- the dynamic-compaction effect behind realistic
+  // stuck-at/transition pattern-count ratios.
+  if (ctx_.opts.merge_cubes) {
+    for (auto it = open_cubes_[nc].rbegin(); it != open_cubes_[nc].rend();
+         ++it) {
+      if (cubes_compatible(*it, cube)) {
+        merge_into(*it, cube);
+        return;
+      }
+    }
+  }
+  open_cubes_[nc].push_back(std::move(cube));
+  if (open_cubes_[nc].size() >= kMergeWindow) flush(nc);
+}
+
 void ParallelPodem::commit_fault(size_t fi, Attempt& att) {
   FaultList& fl = ctx_.faults;
   if (!eligible(fl.status(fi))) {
@@ -371,32 +341,12 @@ void ParallelPodem::commit_fault(size_t fi, Attempt& att) {
     ctx_.res.discarded_cubes += att.detected ? 1 : 0;
     return;
   }
-  // Escalation resume happens here -- after the eligibility re-check,
-  // in canonical fault order -- so the incremental solver sees the same
+  // A stopped walk resumes here -- after the eligibility re-check, in
+  // canonical fault order -- so the incremental solver sees the same
   // probe sequence for every shard count.
-  if (att.pending) escalate(fi, &att);
+  if (att.pending) walk(scratch_[0], fi, seed_for(fi).get(), true, &att);
   if (att.detected) {
-    // Static merge: extra known bits cannot un-detect a cube's target
-    // (3-valued implication is monotone), so compatible cubes share one
-    // pattern -- the dynamic-compaction effect behind realistic
-    // stuck-at/transition pattern-count ratios.
-    bool merged = false;
-    if (ctx_.opts.merge_cubes) {
-      for (auto it = open_cubes_[att.ncp].rbegin();
-           it != open_cubes_[att.ncp].rend(); ++it) {
-        if (cubes_compatible(*it, att.cube)) {
-          merge_into(*it, att.cube);
-          merged = true;
-          break;
-        }
-      }
-    }
-    if (!merged) {
-      open_cubes_[att.ncp].push_back(std::move(att.cube));
-      if (open_cubes_[att.ncp].size() >= kMergeWindow) {
-        flush(att.ncp);
-      }
-    }
+    merge_cube(att.ncp, std::move(att.cube));
     // The generated cube provably detects fi even before fsim.
     fl.set_status(fi, FaultStatus::kDetected);
     cube_cache_[fl.fault(fi).gate] = std::make_shared<CubeCacheEntry>(
@@ -423,7 +373,7 @@ void ParallelPodem::run_sequential() {
     if ((fi & 0x3ff) == 0) ctx_.progress(stage_, fi, total);
     if (!eligible(fl.status(fi))) continue;
     Attempt att;
-    attempt_fault(scratch_[0], fi, seed_for(fi).get(), &att);
+    walk(scratch_[0], fi, seed_for(fi).get(), true, &att);
     commit_fault(fi, att);
   }
 }
@@ -471,7 +421,7 @@ void ParallelPodem::run_speculative() {
     if (!cand.empty()) {
       pool_->run([&](size_t s) {
         for (size_t k = s; k < cand.size(); k += shards_) {
-          attempt_fault(scratch_[s], cand[k], seeds[k].get(), &attempts[k]);
+          walk(scratch_[s], cand[k], seeds[k].get(), false, &attempts[k]);
         }
       });
     }
@@ -493,12 +443,63 @@ void ParallelPodem::run_speculative() {
         ctx_.res.speculative_runs += att.stats.runs;
         ctx_.res.discarded_cubes += att.detected ? 1 : 0;
         att = Attempt{};
-        attempt_fault(scratch_[0], fi, canonical.get(), &att);
+        walk(scratch_[0], fi, canonical.get(), true, &att);
       }
       commit_fault(fi, att);
       ++k;
     }
   }
+}
+
+void ParallelPodem::sat_pass() {
+  FaultList& fl = ctx_.faults;
+  SatStats& st = ctx_.res.sat;
+  // The target list is fixed up front; a flush may still drop a later
+  // target (aborted faults stay fault-simulated), hence the re-check.
+  std::vector<size_t> targets;
+  for (size_t fi = 0; fi < fl.size(); ++fi) {
+    if (fl.status(fi) == FaultStatus::kAborted) targets.push_back(fi);
+  }
+  const size_t num_ncps = ctx_.scheme.procedures.size();
+  for (size_t k = 0; k < targets.size(); ++k) {
+    ctx_.progress("sat", k, targets.size());
+    const size_t fi = targets[k];
+    if (fl.status(fi) != FaultStatus::kAborted) continue;
+    ++st.faults_targeted;
+    bool budget_out = false;
+    bool found = false;
+    for (uint32_t nc = 0; nc < num_ncps && !found; ++nc) {
+      if (!capable(fi, nc)) continue;
+      const UnrolledModel& model = ctx_.compiled.unrolled(nc);
+      const std::vector<UnrolledFault> ufs = model.translate(fl.fault(fi));
+      for (size_t ti = 0; ti < ufs.size(); ++ti) {
+        std::vector<V3> cube;
+        const sat::IncrementalMiter::Verdict v = miter_for(nc)->decide(
+            instance_key(fi, ti), ufs[ti], ctx_.engine.sat_conflict_budget,
+            &cube);
+        if (v == sat::IncrementalMiter::Verdict::kSat) {
+          // The model is a full detecting assignment; the flush
+          // re-derives the detection and drops collateral faults.
+          fl.set_status(fi, FaultStatus::kDetected);
+          ++st.detected;
+          merge_cube(nc, cube_to_pattern(model, cube, ctx_.nl, nc));
+          found = true;
+          break;
+        }
+        if (v == sat::IncrementalMiter::Verdict::kUnknown) budget_out = true;
+        // kUnsat / kNoObservation: instance undetectable, keep going.
+      }
+    }
+    if (found) continue;
+    if (budget_out) {
+      ++st.still_aborted;  // stays kAborted
+    } else {
+      fl.set_status(fi, FaultStatus::kProvenUntestable);
+      ++st.proven_untestable;
+    }
+  }
+  for (uint32_t nc = 0; nc < open_cubes_.size(); ++nc) flush(nc);
+  ctx_.progress("sat", targets.size(), targets.size());
 }
 
 void ParallelPodem::run() {
@@ -508,9 +509,14 @@ void ParallelPodem::run() {
     run_speculative();
   }
   for (uint32_t nc = 0; nc < open_cubes_.size(); ++nc) flush(nc);
-  // Fold the escalation miters' solver work into the session's SAT
-  // counters. Probes run leader-side in canonical fault order, so these
-  // are deterministic across repeats and shard counts.
+  if (ctx_.engine.sat_backend) {
+    ctx_.emit(ProgressEvent::Kind::kStageBegin, "sat");
+    sat_pass();
+    ctx_.emit(ProgressEvent::Kind::kStageEnd, "sat");
+  }
+  // Fold the miters' solver work into the session's SAT counters. Every
+  // solve runs leader-side in canonical fault order, so these are
+  // deterministic across repeats and shard counts.
   for (const auto& m : miters_) {
     if (!m) continue;
     const sat::SolverStats& st = m->solver().stats();

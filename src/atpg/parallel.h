@@ -6,24 +6,31 @@
 /// Protocol (docs/ARCHITECTURE.md, "The speculative-commit protocol"):
 ///   * the leader scans the fault list in index order and collects a
 ///     window of still-eligible (undetected / possibly-detected) faults;
-///   * every shard of the stage's persistent ThreadPool owns a private
-///     UnrolledModel + Podem pair per capture procedure (PODEM scratch
-///     is never shared) and runs the per-fault attempt -- capability
-///     pre-filter, fault translation, PODEM search with abort retry --
-///     for its interleaved subset of the window;
+///   * every shard of the stage's persistent ThreadPool walks the fault
+///     instances of its interleaved subset of the window -- capability
+///     pre-filter, fault translation, cheap PODEM search -- over the
+///     session's shared per-procedure models, with private PODEM
+///     engines (search scratch is never shared); a walk stops at its
+///     first cheap-PODEM abort;
 ///   * the leader then commits the speculative outcomes in fault-index
 ///     order, running the exact sequential bookkeeping: eligibility
 ///     re-check (the fault may have been dropped by a flush committed
-///     earlier in the same window), static cube merging, windowed
-///     random-fill + fault-simulation flush through the session's
-///     sharded engine, status updates, and Podem::Stats accounting;
+///     earlier in the same window), the rest of a stopped walk (abort
+///     ladder), static cube merging, windowed random-fill +
+///     fault-simulation flush through the session's sharded engine,
+///     status updates, and Podem::Stats accounting;
 ///   * a speculative outcome whose fault is no longer eligible at its
 ///     commit slot is discarded: its work lands in
 ///     AtpgRunResult::speculative_runs / discarded_cubes and never
 ///     reaches the committed counters.
 ///
-/// A PODEM attempt depends only on (netlist, scheme, fault) -- never on
-/// fault statuses, the session RNG, or other attempts -- so the
+/// The stage is the only code that decides a PODEM abort (abort ladder,
+/// docs/ARCHITECTURE.md): SAT probe, deep retry if the probe is
+/// inconclusive, and with EngineOptions::sat_backend a final SAT pass
+/// over the faults still aborted, all on the leader's miters.
+///
+/// A cheap PODEM attempt depends only on (netlist, scheme, fault) --
+/// never on fault statuses, the session RNG, or other attempts -- so the
 /// committed sequence of (attempt, bookkeeping) steps is exactly the
 /// sequential stage's. Patterns, fault statuses, detection slots and
 /// every deterministic work counter match bit for bit across shard
@@ -55,7 +62,7 @@ constexpr size_t resolve_atpg_shards(size_t atpg_shards,
 
 /// Builds the pattern cube of a PODEM/SAT variable assignment: care bits
 /// placed per the model's VarInfo map, PI values copied forward into
-/// frozen frames. Shared by the deterministic stage and the SAT backend.
+/// frozen frames.
 TestPattern cube_to_pattern(const UnrolledModel& um,
                             const std::vector<V3>& cube, const Netlist& nl,
                             uint32_t ncp_index);
@@ -90,19 +97,17 @@ class ParallelPodem {
   };
   using CubeCacheRef = std::shared_ptr<const CubeCacheEntry>;
 
-  /// Speculative outcome of one fault's PODEM attempt.
+  /// Outcome of one fault's instance walk.
   struct Attempt {
     bool detected = false;  ///< some target produced a cube
-    bool aborted = false;   ///< some target hit the backtrack limit
+    bool aborted = false;   ///< some target hit every rung of the ladder
     uint32_t ncp = 0;       ///< capture procedure of `cube` when detected
     TestPattern cube;       ///< the care-bit cube when detected
     std::vector<V3> var_cube;  ///< var-space copy of the detecting cube
     Podem::Stats stats;     ///< PODEM work of this attempt only
-    /// Escalation (EngineOptions::atpg_escalation): the attempt stopped
-    /// at its first cheap-PODEM abort; the leader resumes it at commit
-    /// time (SAT probe -> deep retry -> remaining instances) so the
-    /// history-dependent incremental solves happen in canonical fault
-    /// order.
+    /// A worker's walk stopped at its first cheap-PODEM abort; the
+    /// leader resumes it at commit time so the history-dependent
+    /// incremental solves happen in canonical fault order.
     bool pending = false;
     /// Instance proven undetectable by a SAT probe; with no detection
     /// and no abort left, the fault commits as kProvenUntestable.
@@ -111,15 +116,11 @@ class ParallelPodem {
     size_t esc_target = 0;  ///< resume point: instance index within it
   };
 
-  /// Per-shard scratch: per-capture-procedure model views plus the PODEM
-  /// engines (and the deep-retry engine) running over them. The models
-  /// are the session's shared frozen ones (ctx.compiled) when available
-  /// -- they are read-only during the search, so every shard may share
-  /// one copy -- and lazily-built private fallbacks otherwise; PODEM
+  /// Per-shard scratch: the PODEM engines (and the deep-retry engines)
+  /// per capture procedure, over the session's shared frozen models
+  /// (PipelineContext::compiled; read-only during the search). PODEM
   /// search state is mutable and never shared across shards.
   struct ShardScratch {
-    std::vector<const UnrolledModel*> models;
-    std::vector<std::unique_ptr<UnrolledModel>> owned_models;  // fallback
     std::vector<std::unique_ptr<Podem>> podems;
     std::vector<std::unique_ptr<Podem>> podems_deep;
   };
@@ -132,30 +133,34 @@ class ParallelPodem {
   /// Canonical cube-cache entry for fault `fi` right now (null = none).
   CubeCacheRef seed_for(size_t fi) const;
 
-  std::pair<const UnrolledModel*, Podem*> model_for(ShardScratch& sc,
-                                                    uint32_t nc) const;
+  /// True when procedure `nc` can capture an effect of fault `fi`.
+  bool capable(size_t fi, uint32_t nc) const;
+  Podem* podem_for(ShardScratch& sc, uint32_t nc) const;
   Podem* deep_podem_for(ShardScratch& sc, uint32_t nc) const;
   Podem::Stats stats_sum(const ShardScratch& sc) const;
 
-  /// The per-fault PODEM attempt (worker side; touches only `sc`).
-  /// `seed`: the cube-cache entry visible for this fault (null = none).
-  /// With escalation on, the attempt stops at its first cheap-PODEM
-  /// abort and records the resume point in `out` (see Attempt::pending).
-  void attempt_fault(ShardScratch& sc, size_t fi,
-                     const CubeCacheEntry* seed, Attempt* out) const;
-  /// Leader-side escalation resume for a pending attempt, at commit
-  /// time: bounded incremental-SAT probe of the aborted instance, deep
-  /// PODEM retry only if the probe is inconclusive, then the remaining
-  /// instances/procedures under the same schedule. Runs on scratch_[0]
-  /// and the shared per-NCP miters, in canonical fault order, so the
-  /// committed outcome is bit-identical across shard counts.
-  void escalate(size_t fi, Attempt* att);
+  /// The one walk over fault `fi`'s instances, procedure by procedure,
+  /// until one yields a cube. `seed`: the cube-cache entry visible for
+  /// this fault (null = none). A worker (`leader` false; touches only
+  /// `sc` and `out`) stops at the first cheap-PODEM abort and records
+  /// the resume point (Attempt::pending). The leader escalates each
+  /// cheap abort in place -- SAT probe, then the deep retry if the
+  /// probe is inconclusive -- and, given a pending attempt, resumes it
+  /// at the recorded point. The leader runs on scratch_[0] and the
+  /// shared miters, in canonical fault order.
+  void walk(ShardScratch& sc, size_t fi, const CubeCacheEntry* seed,
+            bool leader, Attempt* out);
   /// The leader's shared incremental miter of capture procedure `nc`.
   sat::IncrementalMiter* miter_for(uint32_t nc);
   /// Sequential bookkeeping for one attempt (leader side).
   void commit_fault(size_t fi, Attempt& att);
+  /// Statically merges `cube` into procedure `nc`'s open window, or
+  /// opens a new slot (flushing a full window).
+  void merge_cube(uint32_t nc, TestPattern cube);
   /// Random-fills and fault-simulates the open cubes of procedure `nc`.
   void flush(uint32_t nc);
+  /// The SAT backend's final pass over the faults still kAborted.
+  void sat_pass();
 
   void run_sequential();
   void run_speculative();
@@ -172,10 +177,11 @@ class ParallelPodem {
 
   std::vector<ShardScratch> scratch_;  // one per shard
   std::unique_ptr<ThreadPool> pool_;   // null when shards_ == 1
-  // Leader-owned incremental SAT miters, one per capture procedure
-  // (lazily built over scratch_[0]'s models; empty with escalation
-  // off). Learned clauses persist across every probed fault of the
-  // procedure; solver work is folded into ctx_.res.sat at stage end.
+  // Leader-owned incremental SAT miters, one per capture procedure,
+  // lazily seeded from the session's frozen good-machine lowering.
+  // Learned clauses persist across every probed fault of the procedure
+  // and into the final pass; solver work is folded into ctx_.res.sat at
+  // stage end.
   std::vector<std::unique_ptr<sat::IncrementalMiter>> miters_;
   // Open (unfilled) cube windows per NCP for static merging.
   std::vector<std::vector<TestPattern>> open_cubes_;

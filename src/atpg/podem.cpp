@@ -813,6 +813,10 @@ Podem::Outcome Podem::run(const UnrolledFault& fault,
   }
 
   uint32_t backtracks = 0;
+  // A failed backtrace cuts its subtree without refuting it (another
+  // objective, e.g. another frame's site, might still succeed), so an
+  // exhausted search after one proves nothing.
+  bool cut_unrefuted = false;
   Outcome out = Outcome::kUntestable;
   for (;;) {
     bool conflict = false;
@@ -835,6 +839,7 @@ Podem::Outcome Podem::run(const UnrolledFault& fault,
         bool var_val;
         if (!backtrace(net, val, &var, &var_val)) {
           conflict = true;
+          cut_unrefuted = true;
         } else {
           bool tried_both = false;
           bool doomed = false;
@@ -897,7 +902,7 @@ Podem::Outcome Podem::run(const UnrolledFault& fault,
       stack_.pop_back();
     }
     if (!resumed && stack_.empty()) {
-      out = Outcome::kUntestable;
+      out = cut_unrefuted ? Outcome::kAborted : Outcome::kUntestable;
       break;
     }
   }

@@ -88,11 +88,14 @@ class Podem {
   explicit Podem(const UnrolledModel& model, uint32_t backtrack_limit = 300,
                  std::shared_ptr<const ImplicationTable> impl = nullptr);
 
-  /// Attempts to detect one compiled fault. The engine may call run()
-  /// repeatedly; internal state resets automatically. A non-null `seed`
-  /// (a sibling cube from the per-cone cache, aligned with
-  /// model.var_gates()) is tried first: its care bits are applied in
-  /// one batch and, if they detect, the run returns without searching.
+  /// Attempts to detect one compiled fault. kUntestable is a proof; a
+  /// search that hits the backtrack limit, or had to cut a subtree it
+  /// could not refute (a failed backtrace), returns kAborted. The engine
+  /// may call run() repeatedly; internal state resets automatically. A
+  /// non-null `seed` (a sibling cube from the per-cone cache, aligned
+  /// with model.var_gates()) is tried first: its care bits are applied
+  /// in one batch and, if they detect, the run returns without
+  /// searching.
   Outcome run(const UnrolledFault& fault,
               const std::vector<V3>* seed = nullptr);
 

@@ -2,13 +2,12 @@
 /// Engine-selection options: the one home of every engine knob.
 ///
 /// FsimOptions holds the shard count of the ShardedFaultSim wrapper;
-/// EngineOptions adds the deterministic-PODEM worker shards, the SAT
-/// backend and its conflict budget, and the PODEM->SAT escalation
-/// switch. SessionConfig::engine() takes one EngineOptions and the
-/// session hands it to every stage through PipelineContext::engine; the
-/// drivers parse the shared `--shards/--atpg-shards/--sat/--sat-budget/
-/// --atpg-escalation` flags into it via occ::parse_engine_flag
-/// (util/cli.h).
+/// EngineOptions adds the deterministic-PODEM worker shards and the SAT
+/// backend's final pass with its conflict budget. SessionConfig::engine()
+/// takes one EngineOptions and the session hands it to every stage
+/// through PipelineContext::engine; the drivers parse the shared
+/// `--shards/--atpg-shards/--sat/--sat-budget` flags into it via
+/// occ::parse_engine_flag (util/cli.h).
 #pragma once
 
 #include <cstddef>
@@ -35,22 +34,14 @@ struct EngineOptions {
   /// value -- only wall clock and the wasted speculative work
   /// (AtpgRunResult::speculative_runs) vary.
   size_t atpg_shards = 0;
-  /// Run the SAT backend (sat/source.h) on faults the PODEM stage left
-  /// aborted: each gets a CNF miter decision -- a test cube, a
-  /// redundancy proof (kProvenUntestable), or kUnknown within the
-  /// conflict budget (stays aborted).
+  /// The SAT backend: the final rung of the deterministic stage's abort
+  /// ladder (atpg/parallel.h). After the last flush, every fault still
+  /// aborted gets a CNF miter decision on the stage's incremental
+  /// miters -- a test cube, a redundancy proof (kProvenUntestable), or
+  /// kUnknown within the conflict budget (stays aborted).
   bool sat_backend = false;
   /// Per-solve conflict budget of the SAT backend; 0 = unlimited.
   uint64_t sat_conflict_budget = 100000;
-  /// Adaptive PODEM->SAT escalation in the deterministic stage: a fault
-  /// aborting at the cheap backtrack limit first gets a bounded
-  /// incremental-SAT probe (shared clause-learning miter per capture
-  /// procedure); the deep PODEM retry runs only when the probe is
-  /// inconclusive. Probes run at canonical commit order on the leader,
-  /// so results stay bit-identical across `atpg_shards`. Off
-  /// (`--atpg-escalation off`) reproduces the cheap-then-deep schedule
-  /// and all its committed counters bit-identically.
-  bool atpg_escalation = true;
 };
 
 }  // namespace occ

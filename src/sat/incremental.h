@@ -4,7 +4,7 @@
 // The good machine is lowered once at construction. Each fault instance
 // is lowered exactly once, gated behind a fresh activation literal
 // (CnfLowering::add_fault_gated), and decided by solving under the
-// assumption {activation} -- there is no mark/rollback re-lowering, and
+// assumption {activation} -- nothing is ever re-lowered, and
 // everything the solver learns while deciding one fault (clauses over
 // good-machine rails, saved phases, VSIDS activities) carries over to
 // every later fault in the same model. Decided instances are retired by
@@ -16,7 +16,7 @@
 // a decide() sequence is a pure function of the (instance, budget) call
 // sequence. Because learned clauses persist, *individual* verdict costs
 // depend on call order; callers that need order-independent results
-// (the escalation schedule) must therefore issue decide() calls in
+// (the deterministic stage's abort ladder) must therefore issue decide() calls in
 // canonical fault order from a single thread.
 #pragma once
 

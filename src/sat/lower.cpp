@@ -50,14 +50,6 @@ CnfLowering::CnfLowering(const UnrolledModel& um) : um_(&um) {
   }
 }
 
-void CnfLowering::rollback(const Mark& m) {
-  OCC_CHECK(m.num_vars <= cnf_.num_vars &&
-                m.num_clauses <= cnf_.clauses.size(),
-            "rollback mark is newer than the formula");
-  cnf_.num_vars = m.num_vars;
-  cnf_.clauses.resize(m.num_clauses);
-}
-
 void CnfLowering::emit_clause(std::vector<Lit> c) {
   if (guard_ != kLitUndef) c.push_back(guard_);
   cnf_.add_clause(std::move(c));

@@ -47,15 +47,6 @@ class CnfLowering {
     return {mk_lit(1 + 2 * g), mk_lit(2 + 2 * g)};
   }
 
-  /// Snapshot for rollback() after a per-fault add_fault() extension.
-  struct Mark {
-    uint32_t num_vars;
-    size_t num_clauses;
-  };
-  Mark mark() const { return {cnf_.num_vars, cnf_.clauses.size()}; }
-  /// Drops every variable and clause added after `m` was taken.
-  void rollback(const Mark& m);
-
   /// Appends the faulty-cone miter for one fault instance: faulty rails
   /// for the fanout cone of the sites, stuck forcing at the sites,
   /// launch constraints on the good machine, and the observation

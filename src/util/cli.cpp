@@ -70,22 +70,6 @@ int parse_engine_flag(const char* flag, const char* value,
     out->sat_conflict_budget = v;
     return 2;
   }
-  if (std::strcmp(flag, "--atpg-escalation") == 0) {
-    if (value == nullptr) {
-      std::cerr << "--atpg-escalation requires on|off\n";
-      return -1;
-    }
-    if (std::strcmp(value, "on") == 0) {
-      out->atpg_escalation = true;
-    } else if (std::strcmp(value, "off") == 0) {
-      out->atpg_escalation = false;
-    } else {
-      std::cerr << "--atpg-escalation expects on|off, got '" << value
-                << "'\n";
-      return -1;
-    }
-    return 2;
-  }
   return 0;
 }
 

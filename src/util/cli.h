@@ -27,7 +27,6 @@ bool parse_positive_flag(const char* flag, const char* value, size_t* out);
 ///   --atpg-shards N                        (EngineOptions::atpg_shards)
 ///   --sat                                  (EngineOptions::sat_backend)
 ///   --sat-budget CONFLICTS                 (EngineOptions::sat_conflict_budget)
-///   --atpg-escalation on|off               (EngineOptions::atpg_escalation)
 ///
 /// `flag` is the current argv token, `value` the next one (or null at
 /// argv's end). Returns the number of argv tokens consumed: 0 when

@@ -16,6 +16,7 @@
 #include "core/clock_scheme.h"
 #include "gen/socgen.h"
 #include "netlist/hash.h"
+#include "test_helpers.h"
 #include "util/check.h"
 
 namespace occ {
@@ -146,14 +147,15 @@ TEST(CompiledDesign, CachedVsFreshBitIdentityAcrossSchemes) {
 TEST(CompiledDesign, CachedVsFreshBitIdentityAcrossModesAndShards) {
   const SchemeSpec spec{"cpf_basic", true,
                         scheme_cpf_basic(soc_params().domains)};
-  // The ATPG engine modes: escalation on (the default) and off.
-  for (const bool escalation : {true, false}) {
-    SCOPED_TRACE("escalation " + std::to_string(escalation));
+  // The ATPG engine modes: the abort ladder without (the default) and
+  // with the SAT backend's final pass.
+  for (const bool sat_backend : {false, true}) {
+    SCOPED_TRACE("sat_backend " + std::to_string(sat_backend));
     const auto config = [&](const std::shared_ptr<DesignCache>& cache,
                             size_t shards) {
       return make_config(spec, cache,
                          {.fsim = {.shards = shards},
-                          .atpg_escalation = escalation});
+                          .sat_backend = sat_backend});
     };
     // One cache per mode, shared across the shard sweep: shard count
     // must not change results OR require a rebuild (same content key).
@@ -166,6 +168,8 @@ TEST(CompiledDesign, CachedVsFreshBitIdentityAcrossModesAndShards) {
           << "shards " << shards;
       if (first_fp == 0) {
         first_fp = result_fingerprint(fresh);
+        // The verdicts themselves agree with the complete search.
+        EXPECT_GT(test::expect_untestable_verdicts_hold(fresh), 0u);
       } else {
         EXPECT_EQ(first_fp, result_fingerprint(fresh))
             << "shard count changed results";
@@ -179,7 +183,7 @@ TEST(CompiledDesign, CachedVsFreshBitIdentityAcrossModesAndShards) {
 // ---- SAT backend over cached CNF bases ----------------------------------
 
 TEST(CompiledDesign, CachedVsFreshBitIdentityWithSatBackend) {
-  // Starved PODEM so the SAT stage sees a real abort pool; the cached
+  // Starved PODEM so the SAT probes see a real abort pool; the cached
   // run replays solver work from the frozen CNF base via the
   // IncrementalMiter copy constructor -- conflicts/solves must match a
   // fresh lowering exactly.

@@ -1,12 +1,17 @@
-// Shared test utilities: a random sequential-netlist generator, two
-// independent reference fault simulators used as oracles against the
-// packed PPSFP engine -- a scalar one-pattern simulator (ref_detects)
-// and a brute-force 64-lane full simulator (RefFaultSim) -- the
-// unlimited-budget SAT verdict (sat_verdict) PODEM's outcomes are
-// checked against, and a one-call minimal Session (session_atpg).
+// Shared test utilities: a random sequential-netlist generator, the
+// redundant XOR miter (xor_miter), two independent reference fault
+// simulators used as oracles against the packed PPSFP engine -- a
+// scalar one-pattern simulator (ref_detects) and a brute-force 64-lane
+// full simulator (RefFaultSim) -- the unlimited-budget SAT verdict
+// (sat_verdict) the ATPG engines' outcomes are checked against, and a
+// one-call minimal Session (session_atpg).
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
+#include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -35,6 +40,104 @@ inline sat::IncrementalMiter::Verdict sat_verdict(const UnrolledModel& um,
   sat::IncrementalMiter miter(um);
   std::vector<V3> cube;
   return miter.decide(0, uf, 0, &cube);
+}
+
+/// The complete search over a finished session's own capture model:
+/// whether sat_verdict finds a test for some instance of a fault under
+/// any of the session's capture procedures.
+class SatOracle {
+ public:
+  explicit SatOracle(const SessionResult& r) {
+    for (uint32_t nc = 0; nc < r.scheme.procedures.size(); ++nc) {
+      models_.push_back(std::make_unique<UnrolledModel>(*r.netlist, r.scheme,
+                                                        nc, r.scan_en));
+    }
+  }
+  bool testable(const Fault& f) const {
+    for (const auto& um : models_) {
+      for (const UnrolledFault& t : um->translate(f)) {
+        if (sat_verdict(*um, t) == sat::IncrementalMiter::Verdict::kSat) {
+          return true;
+        }
+      }
+    }
+    return false;
+  }
+
+ private:
+  std::vector<std::unique_ptr<UnrolledModel>> models_;
+};
+
+/// Checks every untestability verdict of a finished session against
+/// the complete search: a fault the session calls untestable or
+/// proven-untestable must have no test under its capture model. Returns
+/// how many verdicts it checked, so callers can rule out a vacuous pass.
+inline size_t expect_untestable_verdicts_hold(const SessionResult& r) {
+  const SatOracle oracle(r);
+  size_t checked = 0;
+  for (size_t i = 0; i < r.atpg.faults.size(); ++i) {
+    const FaultStatus st = r.atpg.faults.status(i);
+    if (st != FaultStatus::kUntestable &&
+        st != FaultStatus::kProvenUntestable) {
+      continue;
+    }
+    ++checked;
+    EXPECT_FALSE(oracle.testable(r.atpg.faults.fault(i)))
+        << "fault " << i << " ("
+        << fault_to_string(*r.netlist, r.atpg.faults.fault(i))
+        << "): the session calls it untestable, but the capture model "
+        << "has a test";
+  }
+  return checked;
+}
+
+/// Two XOR trees over the same PIs feeding a miter XOR `m`: m is
+/// constant 0 under every assignment, but no gate on the way has a
+/// controlling side value, so neither the dominator prune nor a single
+/// implication can shortcut the proof -- PODEM must exhaust the input
+/// space. A scan flop captures the OR(m, side) output so scan-observing
+/// schemes see the cone too. With `skewed` the second tree is a chain
+/// over the inputs in reverse order: the same parity, bracketed
+/// differently, which CDCL refutes only by real search (from width 16
+/// on, some instances outlast the deterministic stage's SAT probe).
+inline Netlist xor_miter(size_t width, bool skewed = false) {
+  Netlist nl("miter");
+  std::vector<GateId> pis;
+  for (size_t i = 0; i < width; ++i) {
+    pis.push_back(nl.add_input("p" + std::to_string(i)));
+  }
+  size_t k = 0;
+  auto tree = [&](const std::string& pfx) {
+    std::vector<GateId> lvl = pis;
+    while (lvl.size() > 1) {
+      std::vector<GateId> nxt;
+      for (size_t i = 0; i + 1 < lvl.size(); i += 2) {
+        nxt.push_back(nl.add_gate2(GateType::kXor, lvl[i], lvl[i + 1],
+                                   pfx + std::to_string(k++)));
+      }
+      if (lvl.size() % 2) nxt.push_back(lvl.back());
+      lvl = std::move(nxt);
+    }
+    return lvl[0];
+  };
+  const GateId t1 = tree("t1_");
+  GateId t2 = kNoGate;
+  if (skewed) {
+    t2 = pis.back();
+    for (size_t i = pis.size() - 1; i-- > 0;) {
+      t2 = nl.add_gate2(GateType::kXor, t2, pis[i], "c" + std::to_string(i));
+    }
+  } else {
+    t2 = tree("t2_");
+  }
+  const GateId m = nl.add_gate2(GateType::kXor, t1, t2, "m");
+  const GateId side = nl.add_input("side");
+  const GateId o = nl.add_gate2(GateType::kOr, m, side, "o");
+  nl.add_output(o, "po");
+  const GateId ff = nl.add_dff(kNoGate, 0, "ff0", kFlagScan);
+  nl.connect_dff_d(ff, o);
+  nl.finalize();
+  return nl;
 }
 
 /// The ATPG result of one minimal Session over the borrowed netlist `nl`

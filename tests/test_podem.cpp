@@ -237,44 +237,6 @@ TEST(Podem, ClockSequentialInitEnablesShadowTransitionTests) {
   }
 }
 
-/// Two identical XOR trees over the same PIs feeding a miter XOR `m`:
-/// m is constant 0 under every assignment, but no gate on the way has a
-/// controlling side value, so neither the dominator prune nor a single
-/// implication can shortcut the proof -- PODEM must exhaust the input
-/// space. A scan flop captures the OR(m, side) output so scan-observing
-/// schemes see the cone too.
-Netlist xor_miter(size_t width) {
-  Netlist nl("miter");
-  std::vector<GateId> pis;
-  for (size_t i = 0; i < width; ++i) {
-    pis.push_back(nl.add_input("p" + std::to_string(i)));
-  }
-  size_t k = 0;
-  auto tree = [&](const std::string& pfx) {
-    std::vector<GateId> lvl = pis;
-    while (lvl.size() > 1) {
-      std::vector<GateId> nxt;
-      for (size_t i = 0; i + 1 < lvl.size(); i += 2) {
-        nxt.push_back(nl.add_gate2(GateType::kXor, lvl[i], lvl[i + 1],
-                                   pfx + std::to_string(k++)));
-      }
-      if (lvl.size() % 2) nxt.push_back(lvl.back());
-      lvl = std::move(nxt);
-    }
-    return lvl[0];
-  };
-  const GateId t1 = tree("t1_");
-  const GateId t2 = tree("t2_");
-  const GateId m = nl.add_gate2(GateType::kXor, t1, t2, "m");
-  const GateId side = nl.add_input("side");
-  const GateId o = nl.add_gate2(GateType::kOr, m, side, "o");
-  nl.add_output(o, "po");
-  const GateId ff = nl.add_dff(kNoGate, 0, "ff0", kFlagScan);
-  nl.connect_dff_d(ff, o);
-  nl.finalize();
-  return nl;
-}
-
 /// The redundant miter fault under the scheme's own fault model: sa0
 /// needs good(m) = 1, STR needs a 0->1 launch on a constant-0 net --
 /// both unsatisfiable, both only provably so by exhausting the search.
@@ -290,7 +252,7 @@ TEST(Podem, RedundantMiterExhaustsBacktrackLimitOnEveryScheme) {
   // backtrack limit (the first conflict aborts) must abort or be pruned
   // -- never be misclassified as detected -- and the unlimited-budget
   // SAT decision must prove every target undetectable.
-  const Netlist nl = xor_miter(4);
+  const Netlist nl = test::xor_miter(4);
   const ClockingScheme schemes[] = {
       scheme_stuck_at_external(1),      scheme_external_full(1, 3),
       scheme_cpf_basic(1),              scheme_cpf_enhanced(1, 3),
@@ -322,7 +284,7 @@ TEST(Podem, RedundantMiterProvenUntestableUnderGenerousLimit) {
   // Same targets with room to exhaust: PODEM must settle on kUntestable
   // (never kDetected, never kAborted), as the unlimited-budget SAT
   // decision does.
-  const Netlist nl = xor_miter(4);
+  const Netlist nl = test::xor_miter(4);
   const ClockingScheme schemes[] = {scheme_stuck_at_external(1),
                                     scheme_cpf_basic(1)};
   for (const ClockingScheme& s : schemes) {
@@ -340,39 +302,36 @@ TEST(Podem, RedundantMiterProvenUntestableUnderGenerousLimit) {
 }
 
 TEST(Podem, AbortedFaultsReachSatBackendUnchanged) {
-  // The PODEM stage's aborted faults are handed to the SAT stage
-  // verbatim: faults_targeted equals the podem-stage aborted tally.
-  // Escalation is pinned off: this test is about the legacy
-  // abort->SAT-stage handoff, which the in-stage SAT probe would
-  // otherwise resolve before the SAT stage ever sees an abort.
-  // The design is sized so the only aborting faults are the redundant
-  // miter faults (testable faults need far fewer than the budgeted
-  // backtracks; the width-6 miter needs far more), hence the SAT stage
-  // emits no patterns and nothing is collaterally re-classified
-  // between the two stages.
-  Netlist nl = xor_miter(6);
+  // The faults the abort ladder (cheap PODEM, SAT probe) leaves aborted
+  // are handed to the SAT backend's final pass verbatim: faults_targeted
+  // equals the aborted tally of the same session without the backend.
+  // The skewed miter is sized so some probes run out of budget, and the
+  // only aborting faults are the redundant miter faults (testable faults
+  // need far fewer than the budgeted backtracks), hence the pass emits
+  // no cubes and nothing is collaterally re-classified.
+  Netlist nl = test::xor_miter(16, /*skewed=*/true);
   insert_scan(nl, {.num_chains = 1});
-  SessionConfig cfg;
-  cfg.design_ref(nl)
-      .scheme(scheme_stuck_at_external(1))
-      .engine({.fsim = {.shards = 1},
-               .atpg_shards = 1,
-               .sat_backend = true,
-               .atpg_escalation = false});
-  AtpgOptions opts;
-  opts.backtrack_limit = 30;
-  opts.abort_retry_factor = 1;
-  cfg.atpg(opts);
-  const SessionResult r = Session(std::move(cfg)).run();
+  auto run = [&](bool sat_backend) {
+    SessionConfig cfg;
+    cfg.design_ref(nl)
+        .scheme(scheme_stuck_at_external(1))
+        .engine({.fsim = {.shards = 1},
+                 .atpg_shards = 1,
+                 .sat_backend = sat_backend});
+    AtpgOptions opts;
+    opts.backtrack_limit = 30;
+    opts.abort_retry_factor = 1;
+    cfg.atpg(opts);
+    return Session(std::move(cfg)).run();
+  };
+  const SessionResult ladder = run(false);
+  const SessionResult r = run(true);
 
-  const StageDisposition* podem_stage = nullptr;
-  for (const StageDisposition& d : r.atpg.stage_dispositions) {
-    if (d.stage == "podem") podem_stage = &d;
-  }
-  ASSERT_NE(podem_stage, nullptr);
-  EXPECT_GT(podem_stage->aborted, 0u) << "miter fault must abort";
-  EXPECT_EQ(r.atpg.sat.faults_targeted, podem_stage->aborted);
-  // Every aborted fault here is redundant: the SAT stage proves all of
+  const size_t aborted = ladder.atpg.faults.count(FaultStatus::kAborted);
+  EXPECT_GT(aborted, 0u) << "miter faults must outlast the SAT probe";
+  EXPECT_GT(r.atpg.sat.faults_targeted, 0u);
+  EXPECT_EQ(r.atpg.sat.faults_targeted, aborted);
+  // Every aborted fault here is redundant: the final pass proves all of
   // them untestable and detects none.
   EXPECT_EQ(r.atpg.sat.detected, 0u);
   EXPECT_EQ(r.atpg.sat.proven_untestable, r.atpg.sat.faults_targeted);

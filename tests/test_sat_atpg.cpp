@@ -1,50 +1,51 @@
-// Tests: the SatPatternSource stage end-to-end -- every PODEM-aborted
-// fault gets classified (cube or redundancy proof), proven-untestable
-// accounting in the coverage metrics, determinism across repeats and
-// shard settings, and a bit-identical pipeline when the backend is off.
+// Tests: the SAT backend's final pass end-to-end -- every fault the
+// abort ladder (cheap PODEM, SAT probe) leaves aborted gets classified
+// (cube or redundancy proof), each verdict agrees with the
+// unlimited-budget SAT decision, proven-untestable accounting in the
+// coverage metrics, determinism across repeats and shard settings, and
+// no final pass when the backend is off.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "api/session.h"
 #include "core/clock_scheme.h"
-#include "fsim/sharded.h"
-#include "sat/source.h"
+#include "dft/scan.h"
 #include "test_helpers.h"
-#include "util/rng.h"
 
 namespace occ {
 namespace sat {
 namespace {
 
-Netlist hard_netlist(uint64_t seed) {
-  Rng rng(seed);
-  test::RandomNetlistParams p;
-  p.pis = 8;
-  p.pos = 6;
-  p.flops = 10;
-  p.gates = 120;
-  return test::random_netlist(rng, p);
+/// A skewed XOR miter (test_helpers.h): some of its redundant faults
+/// outlast the deterministic stage's SAT probe, so they reach the
+/// final pass.
+Netlist hard_netlist(size_t width) {
+  Netlist nl = test::xor_miter(width, /*skewed=*/true);
+  insert_scan(nl, {.num_chains = 1});
+  return nl;
 }
 
 AtpgOptions aborting_opts() {
-  // A starved PODEM: plenty of aborts for the SAT stage to pick up.
+  // A starved PODEM: plenty of aborts for the abort ladder to pick up.
   AtpgOptions opts;
   opts.backtrack_limit = 1;
   opts.abort_retry_factor = 1;
   return opts;
 }
 
-EngineOptions no_escalation(
-    bool sat_backend = false,
-    uint64_t sat_budget = EngineOptions{}.sat_conflict_budget) {
-  // Escalation is pinned off throughout this file -- these tests pin
-  // the abort->SAT-stage handoff contract, and the deterministic
-  // stage's in-line SAT probe would otherwise settle the aborts first.
-  return {.sat_backend = sat_backend,
-          .sat_conflict_budget = sat_budget,
-          .atpg_escalation = false};
+SessionResult run_session(const Netlist& nl, EngineOptions engine,
+                          const ProgressObserver& observer = {}) {
+  SessionConfig cfg;
+  cfg.design_ref(nl)
+      .scheme(scheme_stuck_at_external(1))
+      .atpg(aborting_opts())
+      .engine(engine)
+      .observer(observer);
+  return Session(std::move(cfg)).run();
 }
 
 std::string fingerprint(const SessionResult& r) {
@@ -64,55 +65,82 @@ std::string fingerprint(const SessionResult& r) {
   const SatStats& st = r.atpg.sat;
   os << "|sat:" << st.faults_targeted << ',' << st.detected << ','
      << st.proven_untestable << ',' << st.still_aborted << ',' << st.solves
-     << ',' << st.conflicts << ',' << st.decisions << ',' << st.patterns;
+     << ',' << st.conflicts << ',' << st.decisions;
   return os.str();
 }
 
-TEST(SatAtpg, ClassifiesEveryAbortedFault) {
-  for (uint64_t seed : {1u, 2u}) {
-    SCOPED_TRACE(seed);
-    const Netlist nl = hard_netlist(seed);
-    // First a reference run without the backend, to know aborts exist.
-    SessionConfig base;
-    base.design_ref(nl)
-        .scheme(scheme_stuck_at_external(2))
-        .atpg(aborting_opts())
-        .engine(no_escalation());
-    const SessionResult off = Session(base).run();
-    ASSERT_GT(off.atpg.faults.count(FaultStatus::kAborted), 0u)
-        << "workload produced no aborts; the test is vacuous";
-    EXPECT_EQ(off.atpg.sat.faults_targeted, 0u);
-    EXPECT_EQ(off.atpg.sat.solves, 0u);
+/// Checks the final pass's verdicts against the unlimited-budget SAT
+/// decision on fresh miters: `ladder` is the same session without the
+/// backend, so its aborted faults are exactly the pass's targets. A
+/// target the pass detected has an instance with a test; one it proved
+/// untestable has none. Returns the number of verdicts checked.
+size_t expect_pass_verdicts_hold(const SessionResult& ladder,
+                                 const SessionResult& r) {
+  const test::SatOracle oracle(r);
+  size_t checked = 0;
+  for (size_t i = 0; i < r.atpg.faults.size(); ++i) {
+    if (ladder.atpg.faults.status(i) != FaultStatus::kAborted) continue;
+    const FaultStatus st = r.atpg.faults.status(i);
+    if (st == FaultStatus::kAborted) continue;  // budget-limited: no claim
+    EXPECT_EQ(st == FaultStatus::kDetected,
+              oracle.testable(r.atpg.faults.fault(i)))
+        << "fault " << i;
+    EXPECT_TRUE(st == FaultStatus::kDetected ||
+                st == FaultStatus::kProvenUntestable)
+        << "fault " << i;
+    ++checked;
+  }
+  return checked;
+}
 
-    SessionConfig cfg = base;
-    cfg.engine(no_escalation(true, 0));  // unlimited
-    const SessionResult on = Session(cfg).run();
+TEST(SatAtpg, ClassifiesEveryAbortedFault) {
+  for (size_t width : {16u, 20u}) {
+    SCOPED_TRACE(width);
+    const Netlist nl = hard_netlist(width);
+    // First a reference run without the backend, to know aborts exist.
+    const SessionResult off = run_session(nl, {});
+    ASSERT_GT(off.atpg.faults.count(FaultStatus::kAborted), 0u)
+        << "no fault outlasted the SAT probe; the test is vacuous";
+    EXPECT_EQ(off.atpg.sat.faults_targeted, 0u);
+
+    const SessionResult on =
+        run_session(nl, {.sat_backend = true, .sat_conflict_budget = 0});
     // Unlimited budget: every abort becomes a cube or a proof.
     EXPECT_EQ(on.atpg.faults.count(FaultStatus::kAborted), 0u);
     EXPECT_GT(on.atpg.sat.faults_targeted, 0u);
     EXPECT_EQ(on.atpg.sat.still_aborted, 0u);
     EXPECT_EQ(on.atpg.sat.detected + on.atpg.sat.proven_untestable,
               on.atpg.sat.faults_targeted);
+    // The pass resumes the probes' instances instead of lowering them
+    // again.
+    EXPECT_EQ(on.atpg.sat.relowered_faults, 0u);
     // SAT-found cubes only ever help coverage.
     EXPECT_GE(on.atpg.faults.count(FaultStatus::kDetected),
               off.atpg.faults.count(FaultStatus::kDetected));
+    EXPECT_EQ(expect_pass_verdicts_hold(off, on),
+              on.atpg.sat.faults_targeted);
   }
 }
 
 TEST(SatAtpg, StageDispositionsAreRecorded) {
-  const Netlist nl = hard_netlist(3);
-  SessionConfig cfg;
-  cfg.design_ref(nl)
-      .scheme(scheme_cpf_basic(2))
-      .atpg(aborting_opts())
-      .engine(no_escalation(true));
-  const SessionResult r = Session(cfg).run();
-  ASSERT_EQ(r.atpg.stage_dispositions.size(), 3u);
+  const Netlist nl = hard_netlist(16);
+  std::vector<std::string> begins;
+  const SessionResult r = run_session(
+      nl, {.sat_backend = true}, [&](const ProgressEvent& e) {
+        if (e.kind == ProgressEvent::Kind::kStageBegin) {
+          begins.push_back(e.stage);
+        }
+      });
+  // The final pass runs inside the podem stage, in a nested span.
+  ASSERT_EQ(r.atpg.stage_dispositions.size(), 2u);
   EXPECT_EQ(r.atpg.stage_dispositions[0].stage, "random");
   EXPECT_EQ(r.atpg.stage_dispositions[1].stage, "podem");
-  EXPECT_EQ(r.atpg.stage_dispositions[2].stage, "sat");
+  const auto podem_span =
+      std::find(begins.begin(), begins.end(), "source:podem");
+  ASSERT_NE(podem_span, begins.end());
+  ASSERT_NE(podem_span + 1, begins.end());
+  EXPECT_EQ(*(podem_span + 1), "sat");
   const auto& podem = r.atpg.stage_dispositions[1];
-  const auto& sat = r.atpg.stage_dispositions[2];
   // Each snapshot tallies the whole fault list.
   const size_t total = r.atpg.faults.size();
   for (const auto& d : r.atpg.stage_dispositions) {
@@ -120,46 +148,46 @@ TEST(SatAtpg, StageDispositionsAreRecorded) {
                   d.proven_untestable + d.aborted + d.undetected,
               total);
   }
-  // The SAT stage only ever consumes aborts: its targets are the podem
-  // stage's aborted pool (minus any dropped collaterally by a flush),
-  // and its snapshot's aborted tally is exactly the budget-exhausted
+  // The pass only ever consumes aborts, and the podem snapshot is taken
+  // after it: its aborted tally is exactly the budget-exhausted
   // leftovers.
   const SatStats& st = r.atpg.sat;
-  EXPECT_LE(st.faults_targeted, podem.aborted);
+  EXPECT_GT(st.faults_targeted, 0u);
   EXPECT_EQ(st.detected + st.proven_untestable + st.still_aborted,
             st.faults_targeted);
-  EXPECT_EQ(sat.aborted, st.still_aborted);
-  EXPECT_EQ(sat.proven_untestable, st.proven_untestable);
-  EXPECT_GE(sat.detected, podem.detected);
+  EXPECT_EQ(podem.aborted, st.still_aborted);
+  EXPECT_GE(podem.proven_untestable, st.proven_untestable);
 }
 
-TEST(SatAtpg, OffMeansNoSatWorkAndNoSatStage) {
-  const Netlist nl = hard_netlist(4);
-  SessionConfig cfg;
-  cfg.design_ref(nl)
-      .scheme(scheme_stuck_at_external(2))
-      .atpg(aborting_opts())
-      .engine(no_escalation());
-  const SessionResult r = Session(cfg).run();
-  EXPECT_EQ(r.atpg.sat.solves, 0u);
-  EXPECT_EQ(r.atpg.sat.patterns, 0u);
+TEST(SatAtpg, OffMeansNoFinalPass) {
+  const Netlist nl = hard_netlist(16);
+  bool sat_span = false;
+  const SessionResult r =
+      run_session(nl, {}, [&](const ProgressEvent& e) {
+        sat_span = sat_span || e.stage == "sat";
+      });
+  // The probes ran (and did SAT work), but with the backend off nothing
+  // re-decides their leftovers.
+  EXPECT_GT(r.atpg.escalations, 0u);
+  EXPECT_GT(r.atpg.faults.count(FaultStatus::kAborted), 0u);
+  EXPECT_EQ(r.atpg.sat.faults_targeted, 0u);
+  EXPECT_EQ(r.atpg.sat.detected + r.atpg.sat.proven_untestable +
+                r.atpg.sat.still_aborted,
+            0u);
+  EXPECT_FALSE(sat_span);
   ASSERT_EQ(r.atpg.stage_dispositions.size(), 2u);
   EXPECT_EQ(r.atpg.stage_dispositions[1].stage, "podem");
-  EXPECT_EQ(r.atpg.faults.count(FaultStatus::kProvenUntestable), 0u);
 }
 
 TEST(SatAtpg, DeterministicAcrossRepeatsAndShardSettings) {
-  const Netlist nl = hard_netlist(5);
+  const Netlist nl = hard_netlist(16);
   auto run = [&](size_t fsim_shards, size_t atpg_shards) {
-    SessionConfig cfg;
-    cfg.design_ref(nl)
-        .scheme(scheme_cpf_basic(2))
-        .atpg(aborting_opts())
-        .engine({.fsim = {.shards = fsim_shards},
-                 .atpg_shards = atpg_shards,
-                 .sat_backend = true,
-                 .atpg_escalation = false});
-    return fingerprint(Session(cfg).run());
+    const SessionResult r =
+        run_session(nl, {.fsim = {.shards = fsim_shards},
+                         .atpg_shards = atpg_shards,
+                         .sat_backend = true});
+    EXPECT_GT(r.atpg.sat.faults_targeted, 0u);
+    return fingerprint(r);
   };
   const std::string a = run(1, 1);
   EXPECT_EQ(a, run(1, 1));  // repeat
@@ -168,9 +196,10 @@ TEST(SatAtpg, DeterministicAcrossRepeatsAndShardSettings) {
 }
 
 TEST(SatAtpg, ProvesRedundantFaultUntestable) {
-  // x = OR(a, NOT a) is constant 1, so x stuck-at-1 has no test. The
-  // SAT stage must prove that (not just fail to find a cube) when the
-  // fault reaches it as an abort.
+  // x = OR(a, NOT a) is constant 1, so x stuck-at-1 has no test. A
+  // PODEM run that aborts on its first backtrack hands it to the SAT
+  // rungs of the abort ladder, which must prove that (not just fail to
+  // find a cube).
   Netlist nl("redundant");
   const GateId a = nl.add_input("a");
   const GateId b = nl.add_input("b");
@@ -182,29 +211,19 @@ TEST(SatAtpg, ProvesRedundantFaultUntestable) {
   nl.finalize();
 
   const ClockingScheme s = scheme_stuck_at_external(1);
-  FaultList fl = FaultList::build(nl, s.model);
-  // Route everything through the SAT stage directly.
-  for (size_t i = 0; i < fl.size(); ++i) {
-    fl.set_status(i, FaultStatus::kAborted);
-  }
-  const AtpgOptions opts;
-  const EngineOptions engine;
-  AtpgRunResult res;
-  res.scheme_name = s.name;
-  res.patterns = PatternSet(s.name);
-  res.cubes = PatternSet(s.name);
-  Rng rng(opts.seed);
-  ShardedFaultSim fsim(nl, s, kNoGate, 1);
-  PipelineContext ctx{nl, s, kNoGate, opts, engine, fl, fsim, rng, res,
-                      nullptr};
-  SatPatternSource src;
-  src.generate(ctx);
+  AtpgOptions starved;
+  starved.backtrack_limit = 0;
+  starved.abort_retry_factor = 1;
+  SessionConfig cfg;
+  cfg.design_ref(nl).scheme(s).atpg(starved).engine({.sat_backend = true});
+  const SessionResult r = Session(std::move(cfg)).run();
+  const FaultList& fl = r.atpg.faults;
 
   EXPECT_EQ(fl.count(FaultStatus::kAborted), 0u);
   EXPECT_GT(fl.count(FaultStatus::kDetected), 0u);
   EXPECT_GT(fl.count(FaultStatus::kProvenUntestable), 0u);
   // Agreement with an unstarved PODEM run: its untestable set is
-  // exactly the SAT stage's proven set, and the detected sets match.
+  // exactly the SAT-proven set, and the detected sets match.
   SessionConfig ref;
   ref.design_ref(nl).scheme(s);
   const SessionResult podem = Session(ref).run();
@@ -233,26 +252,21 @@ TEST(SatAtpg, ProvesRedundantFaultUntestable) {
 }
 
 TEST(SatAtpg, BudgetExhaustionLeavesFaultAborted) {
-  const Netlist nl = hard_netlist(6);
-  SessionConfig base;
-  base.design_ref(nl)
-      .scheme(scheme_stuck_at_external(2))
-      .atpg(aborting_opts())
-      .engine(no_escalation());
-  // A absurdly small budget cannot prove anything UNSAT; faults whose
-  // miters need search stay aborted rather than getting misclassified.
-  SessionConfig cfg = base;
-  cfg.engine(no_escalation(true, 1));
-  const SessionResult r = Session(cfg).run();
+  const Netlist nl = hard_netlist(16);
+  // An absurdly small budget cannot finish a refutation the probe could
+  // not; faults whose miters need search stay aborted rather than
+  // getting misclassified.
+  const SessionResult r =
+      run_session(nl, {.sat_backend = true, .sat_conflict_budget = 1});
   const SatStats& st = r.atpg.sat;
   EXPECT_GT(st.faults_targeted, 0u);
+  EXPECT_GT(st.still_aborted, 0u);
   EXPECT_EQ(st.detected + st.proven_untestable + st.still_aborted,
             st.faults_targeted);
   // Whatever was proven with 1 conflict really is proven: re-solving
   // with no budget must agree.
-  SessionConfig full = base;
-  full.engine(no_escalation(true, 0));
-  const SessionResult rf = Session(full).run();
+  const SessionResult rf =
+      run_session(nl, {.sat_backend = true, .sat_conflict_budget = 0});
   for (size_t i = 0; i < r.atpg.faults.size(); ++i) {
     if (r.atpg.faults.status(i) == FaultStatus::kProvenUntestable) {
       EXPECT_EQ(rf.atpg.faults.status(i), FaultStatus::kProvenUntestable);

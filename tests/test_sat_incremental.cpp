@@ -1,8 +1,9 @@
 // Multi-shot solver and incremental-miter tests: micro-fuzz of
 // solve(assumptions) and add_clause-between-solves against fresh
 // one-shot solvers and a brute-force enumerator, gated fault lowering
-// vs the legacy per-fault lowering, and determinism of the escalating
-// deterministic stage across repeats and shards.
+// vs the legacy per-fault lowering, and the deterministic stage's abort
+// ladder: determinism across repeats and shards, and untestable verdicts
+// that agree with the unlimited-budget SAT verdict.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -282,10 +283,10 @@ TEST(SatIncremental, EscalationDeterministicAcrossShards) {
   EXPECT_EQ(a, det_fingerprint(run(8)));
 }
 
-TEST(SatIncremental, EscalationOnOffClassificationsAgree) {
-  // Escalation refines abort outcomes but may never contradict the
-  // plain engine: a fault both modes decide must be decided the same
-  // way (detected vs proven-untestable is a soundness bug, not drift).
+TEST(SatIncremental, LadderClassificationsMatchSatVerdict) {
+  // The SAT probe refines abort outcomes but may never contradict the
+  // complete search: every fault the abort ladder calls untestable or
+  // proven-untestable has no test under the capture model.
   for (uint64_t seed : {11u, 12u}) {
     SCOPED_TRACE(seed);
     Rng rng(seed);
@@ -297,85 +298,39 @@ TEST(SatIncremental, EscalationOnOffClassificationsAgree) {
     const Netlist nl = test::random_netlist(rng, p);
     AtpgOptions opts;
     opts.backtrack_limit = 4;
-    auto run = [&](bool escalation) {
-      SessionConfig cfg;
-      cfg.design_ref(nl)
-          .scheme(scheme_stuck_at_external(2))
-          .atpg(opts)
-          .engine({.atpg_escalation = escalation});
-      return Session(std::move(cfg)).run();
-    };
-    const SessionResult off = run(false);
-    const SessionResult on = run(true);
-    EXPECT_EQ(off.atpg.escalations, 0u);
-    EXPECT_EQ(off.atpg.sat_probe_wins, 0u);
-    ASSERT_EQ(on.atpg.faults.size(), off.atpg.faults.size());
-    for (size_t i = 0; i < on.atpg.faults.size(); ++i) {
-      const FaultStatus a = off.atpg.faults.status(i);
-      const FaultStatus b = on.atpg.faults.status(i);
-      const bool off_dead = a == FaultStatus::kUntestable ||
-                            a == FaultStatus::kProvenUntestable;
-      const bool on_dead = b == FaultStatus::kUntestable ||
-                           b == FaultStatus::kProvenUntestable;
-      SCOPED_TRACE(i);
-      if (off_dead) EXPECT_NE(b, FaultStatus::kDetected);
-      if (a == FaultStatus::kDetected) EXPECT_FALSE(on_dead);
-      if (on_dead) EXPECT_NE(a, FaultStatus::kDetected);
-      if (b == FaultStatus::kDetected) EXPECT_FALSE(off_dead);
-    }
-    // Escalation only ever helps: nothing decided off-mode regresses
-    // to an abort.
-    EXPECT_LE(on.atpg.faults.count(FaultStatus::kAborted),
-              off.atpg.faults.count(FaultStatus::kAborted));
+    SessionConfig cfg;
+    cfg.design_ref(nl).scheme(scheme_stuck_at_external(2)).atpg(opts);
+    const SessionResult r = Session(std::move(cfg)).run();
+    EXPECT_GT(r.atpg.escalations, 0u) << "workload never escalated";
+    EXPECT_GT(test::expect_untestable_verdicts_hold(r), 0u);
   }
 }
 
 TEST(SatIncremental, CorpusClassificationsAgreeAcrossModes) {
-  // circuits/ corpus: escalation-on, escalation-off and the SAT
-  // backend stage must never contradict each other on a fault both
-  // modes decide -- the escalation probe, the backend miter and PODEM
-  // answer the same satisfiability question.
+  // circuits/ corpus: the abort ladder with and without the SAT
+  // backend's final pass answers the same satisfiability question as
+  // the complete search -- the probe, the pass and PODEM may leave
+  // different faults aborted, but never call a testable fault
+  // untestable.
   const std::string path =
       std::string(OCC_CIRCUITS_DIR) + "/s344c.bench";
   const Netlist nl = read_bench_file(path);
   AtpgOptions starved;
   starved.backtrack_limit = 10;
   starved.abort_retry_factor = 1;
-  auto run = [&](bool escalation, bool sat_backend) {
+  auto run = [&](bool sat_backend) {
     SessionConfig cfg;
     cfg.design_ref(nl)
         .scheme(scheme_stuck_at_external(1))
         .atpg(starved)
-        .engine({.sat_backend = sat_backend,
-                 .atpg_escalation = escalation});
+        .engine({.sat_backend = sat_backend});
     return Session(std::move(cfg)).run();
   };
-  const SessionResult off = run(false, false);
-  const SessionResult on = run(true, false);
-  const SessionResult via_sat = run(false, true);
-  EXPECT_EQ(on.atpg.sat.relowered_faults, 0u);
-  EXPECT_EQ(via_sat.atpg.sat.relowered_faults, 0u);
-  const auto dead = [](FaultStatus s) {
-    return s == FaultStatus::kUntestable ||
-           s == FaultStatus::kProvenUntestable;
-  };
-  ASSERT_EQ(on.atpg.faults.size(), off.atpg.faults.size());
-  ASSERT_EQ(via_sat.atpg.faults.size(), off.atpg.faults.size());
-  for (size_t i = 0; i < off.atpg.faults.size(); ++i) {
-    SCOPED_TRACE(i);
-    const FaultStatus a = off.atpg.faults.status(i);
-    const FaultStatus b = on.atpg.faults.status(i);
-    const FaultStatus c = via_sat.atpg.faults.status(i);
-    if (dead(a)) {
-      EXPECT_NE(b, FaultStatus::kDetected);
-      EXPECT_NE(c, FaultStatus::kDetected);
-    }
-    if (a == FaultStatus::kDetected) {
-      EXPECT_FALSE(dead(b));
-      EXPECT_FALSE(dead(c));
-    }
-    if (dead(b)) EXPECT_NE(c, FaultStatus::kDetected);
-    if (b == FaultStatus::kDetected) EXPECT_FALSE(dead(c));
+  for (const bool sat_backend : {false, true}) {
+    SCOPED_TRACE(sat_backend);
+    const SessionResult r = run(sat_backend);
+    EXPECT_EQ(r.atpg.sat.relowered_faults, 0u);
+    EXPECT_GT(test::expect_untestable_verdicts_hold(r), 0u);
   }
 }
 

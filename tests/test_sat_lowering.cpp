@@ -148,28 +148,29 @@ TEST(SatLowering, IdenticalFaultsLowerToByteIdenticalDimacs) {
   const FaultList fl = FaultList::build(nl, s.model);
   ASSERT_GT(fl.size(), 0u);
 
-  auto dump = [&](CnfLowering& low, const UnrolledFault& uf) {
-    const CnfLowering::Mark m = low.mark();
+  // Each instance extends its own copy of a good-machine lowering (the
+  // copy IncrementalMiter's base constructor makes).
+  auto dump = [&](const CnfLowering& base, const UnrolledFault& uf) {
+    CnfLowering low = base;
     std::string out;
     if (low.add_fault(uf)) {  // false = no observation in the cone
       std::ostringstream os;
       low.cnf().write_dimacs(os);
       out = os.str();
     }
-    low.rollback(m);
     return out;
   };
 
-  CnfLowering low_a(um);
-  CnfLowering low_b(um);
+  const CnfLowering base_a(um);
+  const CnfLowering base_b(um);
   size_t checked = 0;
   for (size_t fi = 0; fi < fl.size() && checked < 10; ++fi) {
     const auto instances = um.translate(fl.fault(fi));
     if (instances.empty()) continue;
-    // Fresh lowering vs. reused-and-rolled-back lowering, twice over.
-    const std::string a = dump(low_a, instances[0]);
-    const std::string b = dump(low_b, instances[0]);
-    const std::string b2 = dump(low_b, instances[0]);
+    // Two fresh lowerings, and the second base extended twice over.
+    const std::string a = dump(base_a, instances[0]);
+    const std::string b = dump(base_b, instances[0]);
+    const std::string b2 = dump(base_b, instances[0]);
     EXPECT_EQ(a, b);
     EXPECT_EQ(a, b2);
     if (a.empty()) continue;
@@ -189,10 +190,10 @@ TEST(SatLowering, SatCubesDetectInScalarReference) {
     size_t sat_seen = 0;
     for (uint32_t nc = 0; nc < s.procedures.size() && sat_seen < 8; ++nc) {
       const UnrolledModel um(nl, s, nc, kNoGate);
-      CnfLowering low(um);
+      const CnfLowering base(um);
       for (size_t fi = 0; fi < fl.size() && sat_seen < 8; fi += 7) {
         for (const UnrolledFault& uf : um.translate(fl.fault(fi))) {
-          const CnfLowering::Mark m = low.mark();
+          CnfLowering low = base;
           if (!low.add_fault(uf)) continue;
           CdclSolver solver(low.cnf());
           const SatResult r = solver.solve();
@@ -204,10 +205,8 @@ TEST(SatLowering, SatCubesDetectInScalarReference) {
                                           fl.fault(fi)))
                 << "fault " << fi << " ncp " << nc;
             ++sat_seen;
-            low.rollback(m);
             break;  // next fault; one detecting instance is enough
           }
-          low.rollback(m);
         }
       }
     }

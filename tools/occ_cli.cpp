@@ -22,10 +22,12 @@
 //   occ sat-export --design circuits/s344c.bench --fault N [--scheme ncp]
 //           [--chains N] [--ncp N] [--instance N] [--out PATH]
 //
-// `--sat` runs the SAT backend (src/sat) on PODEM-aborted faults: each
-// gets a CNF miter decision -- a test cube, a redundancy proof
-// (proven-untestable, which leaves the test-coverage denominator), or
-// still-aborted when `--sat-budget` conflicts are exhausted.
+// `--sat` adds the abort ladder's final pass: after the deterministic
+// stage's SAT probes and deep PODEM retries, every fault still aborted
+// gets a CNF miter decision on the same incremental miters -- a test
+// cube, a redundancy proof (proven-untestable, which leaves the
+// test-coverage denominator), or still-aborted when `--sat-budget`
+// conflicts per solve are exhausted.
 //
 // `sat-export` dumps the DIMACS CNF of one fault's dual-rail miter, for
 // inspection or for feeding an external solver.
@@ -298,9 +300,10 @@ int cmd_run(const RunArgs& a) {
       meta.set("cache.evictions", cs.evictions);
       meta.set("cache.resident_bytes", cs.resident_bytes);
     }
-    // Escalation + incremental-SAT accounting. Emitted unconditionally:
-    // the deterministic stage's escalation probes do SAT work (and fold
-    // it into atpg.sat counters) even with the SAT backend stage off.
+    // Abort-ladder + incremental-SAT accounting. Emitted
+    // unconditionally: the deterministic stage's SAT probes do SAT work
+    // (and fold it into atpg.sat counters) even with the SAT backend's
+    // final pass off.
     meta.set("atpg.det.escalations", r.atpg.escalations);
     meta.set("atpg.det.sat_probe_wins", r.atpg.sat_probe_wins);
     {
@@ -316,7 +319,6 @@ int cmd_run(const RunArgs& a) {
       meta.set("sat.detected", st.detected);
       meta.set("sat.proven_untestable", st.proven_untestable);
       meta.set("sat.still_aborted", st.still_aborted);
-      metrics.set("atpg.sat.patterns", st.patterns);
       metrics.set("atpg.sat.solves", st.solves);
       metrics.set("atpg.sat.conflicts", st.conflicts);
       metrics.set("atpg.sat.decisions", st.decisions);
