@@ -97,7 +97,7 @@ int main() {
   double all_fc = 0, sum_delta = 0;
   for (size_t i = 0; i < rows.size(); ++i) {
     SessionConfig cfg;
-    cfg.design_ref(nl).scan_en(se).scheme(rows[i].scheme).atpg(opts);
+    cfg.design(nl).scan_en(se).scheme(rows[i].scheme).atpg(opts);
     const AtpgRunResult r = Session(std::move(cfg)).run().atpg;
     const double fc = r.fault_coverage() * 100;
     if (i == 0) ref_fc = fc;

@@ -22,7 +22,7 @@ int main() {
   prm.gates = 1600;
   prm.nonscan_fraction = 0.08;  // emphasize clock-sequential effects
   // One shared scan-inserted SOC; each pulse-count variant is one
-  // Session over it (design_ref avoids re-generating per run).
+  // Session over a copy of it (nothing is re-generated per run).
   Netlist nl = gen::generate_soc(prm);
   const ScanChains chains = insert_scan(nl, {.num_chains = 4});
   const size_t nd = nl.num_domains();
@@ -56,7 +56,7 @@ int main() {
       }
     }
     SessionConfig cfg;
-    cfg.design_ref(nl).chains(chains).scheme(s).atpg(opts)
+    cfg.design(nl).chains(chains).scheme(s).atpg(opts)
         .on_chip_clocking(true);
     const SessionResult sres = Session(std::move(cfg)).run();
     const AtpgRunResult& r = sres.atpg;

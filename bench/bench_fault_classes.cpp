@@ -29,7 +29,7 @@ int main() {
   opts.random_rounds = 12;
   opts.classify = true;
   SessionConfig cfg;
-  cfg.design([prm] { return gen::generate_soc(prm); })
+  cfg.design(gen::generate_soc(prm))
       .scan({.num_chains = 4})
       .scheme(scheme_cpf_basic(prm.domains))
       .atpg(opts)

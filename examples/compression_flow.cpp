@@ -27,7 +27,7 @@ int main() {
   edt.channels = 2;
   edt.ring_length = 64;
   SessionConfig cfg;
-  cfg.design([prm] { return gen::generate_soc(prm); })
+  cfg.design(gen::generate_soc(prm))
       .scan({.num_chains = 8})
       .scheme(scheme_cpf_basic(prm.domains))
       .atpg(opts)

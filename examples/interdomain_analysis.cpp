@@ -47,7 +47,7 @@ int main() {
 
   auto run_scheme = [&](ClockingScheme scheme) {
     SessionConfig cfg;
-    cfg.design_ref(nl).chains(chains).scheme(std::move(scheme)).atpg(opts)
+    cfg.design(nl).chains(chains).scheme(std::move(scheme)).atpg(opts)
         .on_chip_clocking(true);
     return Session(std::move(cfg)).run();
   };

@@ -76,7 +76,7 @@ int main() {
   extracted.scan_en_frozen = true;
   extracted.procedures.push_back(ncp);
   SessionConfig cfg;
-  cfg.design([] { return gen::make_counter(6); })
+  cfg.design(gen::make_counter(6))
       .scan({.num_chains = 1})
       .scheme(extracted)
       .on_chip_clocking(true);

@@ -17,14 +17,14 @@
 int main() {
   using namespace occ;
 
-  // 1. Configure the scenario: an 8-bit counter (or pass your own
-  //    netlist via design()/design_ref()), 2 scan chains, the stuck-at
-  //    external-clock scheme of paper experiment (a), and a short
-  //    random-pattern stage before deterministic PODEM.
+  // 1. Configure the scenario: an 8-bit counter (or your own netlist,
+  //    or a .bench file via design_file()), 2 scan chains, the
+  //    stuck-at external-clock scheme of paper experiment (a), and a
+  //    short random-pattern stage before deterministic PODEM.
   AtpgOptions opts;
   opts.random_rounds = 4;
   SessionConfig cfg;
-  cfg.design([] { return gen::make_counter(8); })
+  cfg.design(gen::make_counter(8))
       .scan({.num_chains = 2})
       .scheme(scheme_stuck_at_external(1))
       .atpg(opts);

@@ -38,7 +38,7 @@ int main() {
 
   auto run_scheme = [&](ClockingScheme scheme, bool with_ate) {
     SessionConfig cfg;
-    cfg.design_ref(nl).chains(chains).scheme(std::move(scheme)).atpg(opts)
+    cfg.design(nl).chains(chains).scheme(std::move(scheme)).atpg(opts)
         .on_chip_clocking(true);
     if (with_ate) cfg.sink(ate_sink);
     return Session(std::move(cfg)).run();

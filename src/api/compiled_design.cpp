@@ -1,9 +1,5 @@
 #include "api/compiled_design.h"
 
-#include <cinttypes>
-#include <cstdio>
-
-#include "netlist/hash.h"
 #include "sim/cone_program.h"
 #include "util/check.h"
 
@@ -89,16 +85,6 @@ uint64_t scheme_fingerprint(const ClockingScheme& scheme) {
   return f.h;
 }
 
-std::string compiled_design_key(uint64_t design_hash, uint64_t chains_fp,
-                                GateId scan_en, uint64_t scheme_fp) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf),
-                "d%016" PRIx64 "-c%016" PRIx64 "-e%08x-s%016" PRIx64,
-                design_hash, chains_fp, static_cast<unsigned>(scan_en),
-                scheme_fp);
-  return buf;
-}
-
 std::shared_ptr<CompiledDesign> CompiledDesign::build(
     std::shared_ptr<const Netlist> netlist, ScanChains chains,
     bool has_scan_chains, GateId scan_en, ClockingScheme scheme) {
@@ -115,11 +101,6 @@ std::shared_ptr<CompiledDesign> CompiledDesign::build(
   cd->has_scan_chains_ = has_scan_chains;
   cd->scan_en_ = scan_en;
   cd->scheme_ = std::move(scheme);
-  cd->design_hash_ = netlist_content_hash(*cd->netlist_);
-  cd->key_ = compiled_design_key(
-      cd->design_hash_,
-      cd->has_scan_chains_ ? chains_fingerprint(cd->chains_) : 0, scan_en,
-      scheme_fingerprint(cd->scheme_));
 
   const size_t n = cd->scheme_.procedures.size();
   cd->obs_.resize(n);
@@ -209,27 +190,17 @@ DesignCache::Stats DesignCache::stats() const {
 std::shared_ptr<const CompiledDesign> DesignCache::get_or_build(
     const std::string& key,
     const std::function<std::shared_ptr<const CompiledDesign>()>& build) {
-  std::promise<std::shared_ptr<const CompiledDesign>> prom;
-  std::shared_future<std::shared_ptr<const CompiledDesign>> fut;
-  bool builder = false;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      ++stats_.hits;
-      it->second.lru = ++tick_;
-      fut = it->second.fut;
-    } else {
-      ++stats_.misses;
-      fut = prom.get_future().share();
-      Entry e;
-      e.fut = fut;
-      e.lru = ++tick_;
-      entries_.emplace(key, std::move(e));
-      builder = true;
-    }
+  std::unique_lock<std::mutex> lk(mu_);
+  if (const auto it = entries_.find(key); it != entries_.end()) {
+    ++stats_.hits;
+    const auto fut = it->second;
+    lk.unlock();
+    return fut.get();
   }
-  if (!builder) return fut.get();
+  ++stats_.misses;
+  std::promise<std::shared_ptr<const CompiledDesign>> prom;
+  entries_.emplace(key, prom.get_future().share());
+  lk.unlock();
 
   // Build outside the lock: concurrent same-key requesters block on the
   // future; different keys build in parallel.
@@ -237,80 +208,17 @@ std::shared_ptr<const CompiledDesign> DesignCache::get_or_build(
   try {
     cd = build();
   } catch (...) {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      entries_.erase(key);
-    }
+    lk.lock();
+    entries_.erase(key);
+    lk.unlock();
     prom.set_exception(std::current_exception());
     throw;
   }
   prom.set_value(cd);
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      it->second.ready = true;
-      it->second.bytes = cd ? cd->approx_bytes() : 0;
-      stats_.resident_bytes += it->second.bytes;
-      evict_locked(key);
-    }
-  }
+  const size_t bytes = cd ? cd->approx_bytes() : 0;
+  lk.lock();
+  stats_.resident_bytes += bytes;
   return cd;
-}
-
-std::shared_ptr<const DesignCache::BaseDesign> DesignCache::base_get_or_build(
-    const std::string& key, const std::function<BaseDesign()>& build) {
-  std::promise<std::shared_ptr<const BaseDesign>> prom;
-  std::shared_future<std::shared_ptr<const BaseDesign>> fut;
-  bool builder = false;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    auto it = base_.find(key);
-    if (it != base_.end()) {
-      ++stats_.base_hits;
-      fut = it->second;
-    } else {
-      ++stats_.base_misses;
-      fut = prom.get_future().share();
-      base_.emplace(key, fut);
-      builder = true;
-    }
-  }
-  if (!builder) return fut.get();
-
-  std::shared_ptr<const BaseDesign> bd;
-  try {
-    bd = std::make_shared<const BaseDesign>(build());
-  } catch (...) {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      base_.erase(key);
-    }
-    prom.set_exception(std::current_exception());
-    throw;
-  }
-  prom.set_value(bd);
-  return bd;
-}
-
-void DesignCache::evict_locked(const std::string& protect) {
-  if (budget_ == 0) return;
-  while (stats_.resident_bytes > budget_) {
-    // Deterministic LRU: the ready entry with the oldest use tick, never
-    // the one just inserted (a cache that evicts its own insertion would
-    // thrash without ever holding anything).
-    auto victim = entries_.end();
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      if (!it->second.ready || it->first == protect) continue;
-      if (victim == entries_.end() || it->second.lru < victim->second.lru) {
-        victim = it;
-      }
-    }
-    if (victim == entries_.end()) return;
-    stats_.resident_bytes -= victim->second.bytes;
-    ++stats_.evictions;
-    entries_.erase(victim);
-  }
 }
 
 }  // namespace occ

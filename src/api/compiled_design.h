@@ -1,8 +1,8 @@
 /// \file
-/// occ::CompiledDesign -- the immutable, content-addressed bundle of
-/// everything derivable from (design source, scan configuration,
-/// clocking scheme) -- and occ::DesignCache, the thread-safe LRU that
-/// serves it to concurrent sessions.
+/// occ::CompiledDesign -- the immutable bundle of everything derivable
+/// from (design source, scan configuration, clocking scheme) -- and
+/// occ::DesignCache, the thread-safe map that serves it to concurrent
+/// sessions.
 ///
 /// A Session's pipeline consumes four families of derived artifacts:
 /// the finalized post-scan netlist (+ chain description), the per-NCP
@@ -44,16 +44,10 @@ namespace occ {
 
 /// Stable 64-bit fingerprint of a clocking scheme: name, fault model,
 /// scan_en freezing, and every capture procedure's cycle structure
-/// (pulse masks, PI-change / PO-strobe / at-speed flags). Part of the
-/// DesignCache key -- two schemes with equal fingerprints compile to
-/// identical per-NCP artifacts on the same netlist.
+/// (pulse masks, PI-change / PO-strobe / at-speed flags). Part of a
+/// session's DesignCache key -- two schemes with equal fingerprints
+/// compile to identical per-NCP artifacts on the same netlist.
 uint64_t scheme_fingerprint(const ClockingScheme& scheme);
-
-/// Composes the content-addressed DesignCache key of a compiled design:
-/// netlist content hash (netlist/hash.h) + chain fingerprint
-/// (dft/scan.h) + resolved scan-enable + scheme fingerprint.
-std::string compiled_design_key(uint64_t design_hash, uint64_t chains_fp,
-                                GateId scan_en, uint64_t scheme_fp);
 
 /// Immutable compiled-design artifact (see file comment). Create via
 /// build(); share via std::shared_ptr<const CompiledDesign>. All
@@ -64,8 +58,8 @@ class CompiledDesign : public ConeArtifactSource {
  public:
   /// Builds the artifact shell: takes ownership of the finalized
   /// post-scan netlist, the chain description, the resolved scan-enable
-  /// and the validated scheme, and computes the design hash. Per-NCP
-  /// artifacts are built lazily on first access (freeze() forces them).
+  /// and the validated scheme. Per-NCP artifacts are built lazily on
+  /// first access (freeze() forces them).
   static std::shared_ptr<CompiledDesign> build(
       std::shared_ptr<const Netlist> netlist, ScanChains chains,
       bool has_scan_chains, GateId scan_en, ClockingScheme scheme);
@@ -84,11 +78,6 @@ class CompiledDesign : public ConeArtifactSource {
   GateId scan_en() const { return scan_en_; }
   /// The validated clocking scheme the artifacts were compiled for.
   const ClockingScheme& scheme() const { return scheme_; }
-
-  /// Content hash of the finalized netlist (netlist/hash.h).
-  uint64_t design_hash() const { return design_hash_; }
-  /// This artifact's full content-addressed cache key.
-  const std::string& key() const { return key_; }
 
   /// Frozen observability masks of capture procedure `ncp_index`
   /// (ConeArtifactSource; byte-identical to a private build).
@@ -115,9 +104,9 @@ class CompiledDesign : public ConeArtifactSource {
   void freeze() const;
 
   /// Approximate resident bytes of the netlist plus every artifact
-  /// built so far (the DesignCache's LRU accounting unit, captured at
-  /// insertion time -- i.e. post-freeze, excluding the lazily-built CNF
-  /// bases). Deterministic for a given design and freeze state.
+  /// built so far (what DesignCache::Stats::resident_bytes sums, captured
+  /// at insertion time -- i.e. post-freeze, excluding the lazily-built
+  /// CNF bases). Deterministic for a given design and freeze state.
   size_t approx_bytes() const;
 
  private:
@@ -128,8 +117,6 @@ class CompiledDesign : public ConeArtifactSource {
   bool has_scan_chains_ = false;
   GateId scan_en_ = kNoGate;
   ClockingScheme scheme_;
-  uint64_t design_hash_ = 0;
-  std::string key_;
 
   // Lazily-built-once, then frozen, per-NCP slots. The once flags
   // serialize the first build; the atomic built flags let approx_bytes()
@@ -147,42 +134,21 @@ class CompiledDesign : public ConeArtifactSource {
   mutable std::unique_ptr<std::atomic<bool>[]> model_built_;
 };
 
-/// Thread-safe cache of compiled designs, keyed on content (design hash
-/// + chain fingerprint + scheme fingerprint), with a byte-budget LRU
-/// over the compiled artifacts and hit/miss/evict counters. One
-/// DesignCache serves any number of concurrent Sessions: the first
-/// session to request a key builds (other requesters for the same key
-/// block on the in-flight build rather than duplicating it), everyone
-/// else shares the frozen artifact.
-///
-/// The cache has two levels:
-///  * base level: parsed + scan-inserted netlists keyed on the design
-///    *source* identity (file path, text hash, or an explicit
-///    SessionConfig::design_key). A base hit skips parse and scan
-///    insertion across schemes; base misses count cold parses
-///    (bench_table1 asserts exactly one per configuration). Base
-///    entries are pinned (no eviction): compiled entries alias their
-///    netlists, and they are small relative to the compiled artifacts.
-///  * compiled level: full CompiledDesign artifacts under the LRU byte
-///    budget. Eviction drops the least-recently-used ready entry;
-///    in-flight builds and entries still referenced by running sessions
-///    survive (shared_ptr keeps the artifact alive until released).
+/// Thread-safe cache of compiled designs under caller-chosen keys
+/// (Session::prepare() keys on its configuration: design file or netlist
+/// content, scan setup, scan-enable and scheme fingerprint), with
+/// hit/miss counters. One DesignCache serves any number of concurrent
+/// Sessions: the first session to request a key builds (other
+/// requesters for the same key block on the in-flight build rather than
+/// duplicating it), everyone else shares the frozen artifact. Entries
+/// live as long as the cache.
 class DesignCache {
  public:
-  /// `byte_budget` bounds the compiled level's resident bytes
-  /// (approx_bytes at insertion); 0 = unlimited. Eviction is
-  /// deterministic: strictly least-recently-used first, never the entry
-  /// just inserted.
-  explicit DesignCache(size_t byte_budget = 0) : budget_(byte_budget) {}
-
-  /// Cache observability counters (all monotonic except resident_bytes).
+  /// Cache observability counters.
   struct Stats {
-    uint64_t hits = 0;        ///< compiled-level lookups served from cache
-    uint64_t misses = 0;      ///< compiled-level lookups that built
-    uint64_t evictions = 0;   ///< compiled entries dropped by the LRU
-    size_t resident_bytes = 0;  ///< compiled bytes currently resident
-    uint64_t base_hits = 0;     ///< base-level (parse+scan) cache hits
-    uint64_t base_misses = 0;   ///< base-level cold builds (= parses)
+    uint64_t hits = 0;          ///< lookups served from the cache
+    uint64_t misses = 0;        ///< lookups that built
+    size_t resident_bytes = 0;  ///< approx_bytes() summed over entries
   };
   /// Snapshot of the counters.
   Stats stats() const;
@@ -194,40 +160,12 @@ class DesignCache {
       const std::string& key,
       const std::function<std::shared_ptr<const CompiledDesign>()>& build);
 
-  /// One base-level entry: the parsed + scan-inserted design, shared
-  /// across every scheme compiled from it.
-  struct BaseDesign {
-    std::shared_ptr<const Netlist> netlist;  ///< owned finalized netlist
-    ScanChains chains;                       ///< inserted/adopted chains
-    bool has_scan_chains = false;  ///< true when `chains` is meaningful
-    GateId scan_en = kNoGate;      ///< resolved scan-enable input
-    uint64_t design_hash = 0;      ///< content hash of `netlist`
-  };
-  /// Returns the base design under `key`, invoking `build` exactly once
-  /// per key (same in-flight semantics as get_or_build).
-  std::shared_ptr<const BaseDesign> base_get_or_build(
-      const std::string& key, const std::function<BaseDesign()>& build);
-
  private:
-  struct Entry {
-    std::shared_future<std::shared_ptr<const CompiledDesign>> fut;
-    size_t bytes = 0;
-    uint64_t lru = 0;
-    bool ready = false;
-  };
-
-  /// Drops least-recently-used ready entries (never `protect`) until
-  /// the budget holds or nothing evictable remains. Caller holds mu_.
-  void evict_locked(const std::string& protect);
-
-  size_t budget_;
   mutable std::mutex mu_;
-  uint64_t tick_ = 0;
   Stats stats_;
-  std::unordered_map<std::string, Entry> entries_;
   std::unordered_map<std::string,
-                     std::shared_future<std::shared_ptr<const BaseDesign>>>
-      base_;
+                     std::shared_future<std::shared_ptr<const CompiledDesign>>>
+      entries_;
 };
 
 }  // namespace occ

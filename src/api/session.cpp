@@ -1,9 +1,8 @@
 #include "api/session.h"
 
 #include <chrono>
-#include <cinttypes>
-#include <cstdio>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "api/compiled_design.h"
@@ -15,22 +14,6 @@
 
 namespace occ {
 namespace {
-
-/// FNV-1a of a string, for deriving base-cache keys from .bench text.
-uint64_t fnv64(const std::string& s) {
-  uint64_t h = 14695981039346656037ull;
-  for (const char c : s) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::string hex64(uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-  return buf;
-}
 
 /// Stage scope guard: emits paired begin/end events around a stage.
 class StageScope {
@@ -49,36 +32,26 @@ class StageScope {
   std::string stage_;
 };
 
+/// The first gate named `name`, as Netlist::find() returns it, without
+/// building find()'s lazy name index: the configured design is shared
+/// by every session prepared from a copy of its config.
+GateId find_shared(const Netlist& nl, std::string_view name) {
+  for (GateId g = 0; g < nl.size(); ++g) {
+    if (nl.gate(g).name == name) return g;
+  }
+  return kNoGate;
+}
+
 }  // namespace
 
 // ---- SessionConfig -------------------------------------------------------
 
 SessionConfig& SessionConfig::design(Netlist nl) {
-  owned_design_ = std::move(nl);
-  return *this;
-}
-SessionConfig& SessionConfig::design(std::function<Netlist()> builder) {
-  design_builder_ = std::move(builder);
-  return *this;
-}
-SessionConfig& SessionConfig::design_ref(const Netlist& nl) {
-  design_ref_ = &nl;
+  design_ = std::make_shared<const Netlist>(std::move(nl));
   return *this;
 }
 SessionConfig& SessionConfig::design_file(std::string bench_path) {
   design_path_ = std::move(bench_path);
-  return *this;
-}
-SessionConfig& SessionConfig::design_bench(std::istream& is,
-                                           std::string name) {
-  // Slurp now so the config owns its source and the session stays
-  // re-runnable after the caller's stream is gone.
-  std::ostringstream text;
-  text << is.rdbuf();
-  OCC_CHECK(!is.bad(), "session: failed reading .bench stream '", name,
-            "'");
-  design_text_ = text.str();
-  design_text_name_ = std::move(name);
   return *this;
 }
 SessionConfig& SessionConfig::compiled(
@@ -88,10 +61,6 @@ SessionConfig& SessionConfig::compiled(
 }
 SessionConfig& SessionConfig::design_cache(std::shared_ptr<DesignCache> cache) {
   cache_ = std::move(cache);
-  return *this;
-}
-SessionConfig& SessionConfig::design_key(std::string key) {
-  design_key_ = std::move(key);
   return *this;
 }
 SessionConfig& SessionConfig::scan(ScanConfig cfg) {
@@ -172,141 +141,98 @@ std::string SessionResult::summary() const {
 
 std::shared_ptr<const CompiledDesign> Session::prepare() {
   if (prepared_) return prepared_;
+  const int sources = (cfg_.design_ ? 1 : 0) +
+                      (!cfg_.design_path_.empty() ? 1 : 0) +
+                      (cfg_.compiled_ ? 1 : 0);
   if (cfg_.compiled_) {
-    const int sources_set = (cfg_.owned_design_ ? 1 : 0) +
-                            (cfg_.design_builder_ ? 1 : 0) +
-                            (cfg_.design_ref_ != nullptr ? 1 : 0) +
-                            (!cfg_.design_path_.empty() ? 1 : 0) +
-                            (cfg_.design_text_ ? 1 : 0);
-    OCC_CHECK(sources_set == 0,
+    OCC_CHECK(sources == 1,
               "session: compiled() excludes every other design source");
-    OCC_CHECK(!cfg_.scheme_.has_value(),
-              "session: compiled() carries its own scheme; do not also"
-              " configure scheme()");
+    // The artifact fixes its scan setup and scheme and is never looked
+    // up in a cache, so each of these setters would be silently ignored.
+    const auto reject = [](bool set, const char* setter) {
+      OCC_CHECK(!set, "session: compiled() excludes ", setter,
+                "(); the artifact fixes its scan setup and scheme");
+    };
+    reject(cfg_.scheme_.has_value(), "scheme");
+    reject(cfg_.scan_.has_value(), "scan");
+    reject(cfg_.chains_.has_value(), "chains");
+    reject(cfg_.scan_en_.has_value(), "scan_en");
+    reject(cfg_.cache_ != nullptr, "design_cache");
     prepared_ = cfg_.compiled_;
     return prepared_;
   }
-  const ProgressObserver* obs = cfg_.observer_ ? &cfg_.observer_ : nullptr;
+  OCC_CHECK(sources == 1, "session: configure exactly one design source"
+            " (design/design_file/compiled), got ", sources);
   OCC_CHECK(cfg_.scheme_.has_value(), "session: no clocking scheme"
                                       " configured");
+  OCC_CHECK(!(cfg_.scan_ && cfg_.chains_),
+            "session: configure either scan insertion or existing"
+            " chains, not both");
+  const ProgressObserver* obs = cfg_.observer_ ? &cfg_.observer_ : nullptr;
 
-  // Cold path: materialize the design and its scan structure exactly as
-  // the classic single-phase run() did (same checks, same stage events).
-  const auto build_base = [&]() -> DesignCache::BaseDesign {
-    DesignCache::BaseDesign base;
+  // One build, with or without a cache: take or parse the design, insert
+  // scan into the session's own copy, then compile. A cached artifact is
+  // frozen before it is published, so a warm prepare() finds everything
+  // built; a private one keeps its slots lazy, so a plain run pays
+  // exactly the builds it uses.
+  const auto build = [&]() -> std::shared_ptr<const CompiledDesign> {
+    std::shared_ptr<const Netlist> nl = cfg_.design_;
+    std::shared_ptr<Netlist> own;  // set once the session owns `nl`
     {
       StageScope scope(obs, "build");
-      const int sources_set = (cfg_.owned_design_ ? 1 : 0) +
-                              (cfg_.design_builder_ ? 1 : 0) +
-                              (cfg_.design_ref_ != nullptr ? 1 : 0) +
-                              (!cfg_.design_path_.empty() ? 1 : 0) +
-                              (cfg_.design_text_ ? 1 : 0);
-      OCC_CHECK(sources_set == 1,
-                "session: configure exactly one design source (design/"
-                "design_ref/design_file/design_bench), got ", sources_set);
-      if (cfg_.design_builder_) {
-        base.netlist = std::make_shared<Netlist>(cfg_.design_builder_());
-      } else if (!cfg_.design_path_.empty()) {
-        base.netlist =
+      if (nl == nullptr) {
+        nl = own =
             std::make_shared<Netlist>(read_bench_file(cfg_.design_path_));
-      } else if (cfg_.design_text_) {
-        std::istringstream is(*cfg_.design_text_);
-        base.netlist = std::make_shared<Netlist>(
-            read_bench(is, cfg_.design_text_name_));
-      } else if (cfg_.owned_design_) {
-        // Copy so the session stays re-runnable (scan insertion mutates).
-        base.netlist = std::make_shared<Netlist>(*cfg_.owned_design_);
-      } else if (cfg_.scan_ || cfg_.cache_) {
-        // Borrowed design + scan insertion (or a cache that must own its
-        // entries): work on a private copy.
-        base.netlist = std::make_shared<Netlist>(*cfg_.design_ref_);
-      } else {
-        base.netlist = std::shared_ptr<const Netlist>(
-            cfg_.design_ref_, [](const Netlist*) {});
       }
-      OCC_CHECK(base.netlist->size() > 0, "session: netlist is empty");
-      OCC_CHECK(base.netlist->finalized(),
-                "session: netlist is not finalized");
+      OCC_CHECK(nl->size() > 0, "session: netlist is empty");
+      OCC_CHECK(nl->finalized(), "session: netlist is not finalized");
     }
+    ScanChains chains;
+    const bool has_chains = cfg_.scan_ || cfg_.chains_;
     if (cfg_.scan_) {
       StageScope scope(obs, "scan");
-      OCC_CHECK(!cfg_.chains_,
-                "session: configure either scan insertion or existing"
-                " chains, not both");
-      auto* mutable_nl =
-          const_cast<Netlist*>(base.netlist.get());  // owned by base
-      base.chains = insert_scan(*mutable_nl, *cfg_.scan_);
-      base.has_scan_chains = true;
+      if (own == nullptr) nl = own = std::make_shared<Netlist>(*nl);
+      chains = insert_scan(*own, *cfg_.scan_);
     } else if (cfg_.chains_) {
-      base.chains = *cfg_.chains_;
-      base.has_scan_chains = true;
+      chains = *cfg_.chains_;
     }
-    if (cfg_.scan_en_) {
-      base.scan_en = *cfg_.scan_en_;
-    } else if (base.has_scan_chains) {
-      base.scan_en = base.chains.scan_en;
-    } else {
-      base.scan_en = base.netlist->find("scan_en");
+    const GateId scan_en = cfg_.scan_en_ ? *cfg_.scan_en_
+                           : has_chains  ? chains.scan_en
+                                         : find_shared(*nl, "scan_en");
+    if (cfg_.cache_ == nullptr) {
+      return CompiledDesign::build(std::move(nl), std::move(chains),
+                                   has_chains, scan_en, *cfg_.scheme_);
     }
-    base.design_hash = netlist_content_hash(*base.netlist);
-    return base;
+    StageScope scope(obs, "compile");
+    auto cd = CompiledDesign::build(std::move(nl), std::move(chains),
+                                    has_chains, scan_en, *cfg_.scheme_);
+    cd->freeze();
+    return cd;
   };
-
-  // Base identity: who the design *source* is, before parsing. Explicit
-  // design_key() wins; file/text sources derive one; in-memory sources
-  // without a key skip the base level (the compiled level below still
-  // caches -- it keys on the built netlist's content).
-  std::string base_key;
-  if (!cfg_.design_key_.empty()) {
-    base_key = "key:" + cfg_.design_key_;
-  } else if (!cfg_.design_path_.empty()) {
-    base_key = "file:" + cfg_.design_path_;
-  } else if (cfg_.design_text_) {
-    base_key = "text:" + hex64(fnv64(*cfg_.design_text_)) + ":" +
-               cfg_.design_text_name_;
-  }
-  if (!base_key.empty()) {
-    if (cfg_.scan_) {
-      base_key += "|scan:" + std::to_string(cfg_.scan_->num_chains) + ":" +
-                  cfg_.scan_->scan_en_name;
-    } else if (cfg_.chains_) {
-      base_key += "|chains:" + hex64(chains_fingerprint(*cfg_.chains_));
-    }
-    if (cfg_.scan_en_) base_key += "|en:" + std::to_string(*cfg_.scan_en_);
-  }
-
-  DesignCache::BaseDesign base;
-  if (cfg_.cache_ && !base_key.empty()) {
-    base = *cfg_.cache_->base_get_or_build(base_key, build_base);
-  } else {
-    base = build_base();
-  }
-
-  ClockingScheme scheme = *cfg_.scheme_;
-  scheme.validate();
-
   if (cfg_.cache_ == nullptr) {
-    // No cache: the artifact is private to this session and its slots
-    // stay lazy, so a plain run pays exactly the builds it always did.
-    prepared_ = CompiledDesign::build(base.netlist, base.chains,
-                                      base.has_scan_chains, base.scan_en,
-                                      std::move(scheme));
+    prepared_ = build();
     return prepared_;
   }
-  const std::string key = compiled_design_key(
-      base.design_hash,
-      base.has_scan_chains ? chains_fingerprint(base.chains) : 0,
-      base.scan_en, scheme_fingerprint(scheme));
-  prepared_ = cfg_.cache_->get_or_build(key, [&] {
-    StageScope scope(obs, "compile");
-    auto cd = CompiledDesign::build(base.netlist, base.chains,
-                                    base.has_scan_chains, base.scan_en,
-                                    std::move(scheme));
-    // Freeze before publishing: a warm prepare() must find everything
-    // built, and the LRU accounts the artifact's full footprint.
-    cd->freeze();
-    return std::shared_ptr<const CompiledDesign>(std::move(cd));
-  });
+
+  // The key covers everything build() reads. A design file enters by its
+  // path, so a hit parses, scans, hashes and compiles nothing; an
+  // in-memory design enters by its content hash. The path comes last and
+  // the scan-enable name carries its length, so no two configurations
+  // share a key.
+  std::string key =
+      "scheme:" + std::to_string(scheme_fingerprint(*cfg_.scheme_));
+  if (cfg_.scan_en_) key += "|en:" + std::to_string(*cfg_.scan_en_);
+  if (cfg_.scan_) {
+    const std::string& en = cfg_.scan_->scan_en_name;
+    key += "|scan:" + std::to_string(cfg_.scan_->num_chains) + ":" +
+           std::to_string(en.size()) + ":" + en;
+  } else if (cfg_.chains_) {
+    key += "|chains:" + std::to_string(chains_fingerprint(*cfg_.chains_));
+  }
+  key += cfg_.design_ ? "|netlist:" + std::to_string(netlist_content_hash(
+                                          *cfg_.design_))
+                      : "|file:" + cfg_.design_path_;
+  prepared_ = cfg_.cache_->get_or_build(key, build);
   return prepared_;
 }
 

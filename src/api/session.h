@@ -17,7 +17,7 @@
 /// \code
 ///   auto result = occ::Session(
 ///       occ::SessionConfig()
-///           .design([] { return occ::gen::make_counter(8); })
+///           .design(occ::gen::make_counter(8))
 ///           .scan({.num_chains = 2})
 ///           .scheme(occ::scheme_stuck_at_external(1))
 ///           .engine({.fsim = {.shards = 4}}))
@@ -27,8 +27,6 @@
 #pragma once
 
 #include <chrono>
-#include <functional>
-#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <string>
@@ -65,9 +63,8 @@ struct CompressionStats {
 
 /// Aggregated outcome of one Session::run().
 struct SessionResult {
-  /// The design the pipeline ran on (owned by the result when the
-  /// session built or copied it; aliases the caller's netlist after
-  /// design_ref() without scan insertion).
+  /// The design the pipeline ran on (shared with the compiled artifact;
+  /// never the caller's own netlist object).
   std::shared_ptr<const Netlist> netlist;
   ClockingScheme scheme;  ///< the validated scheme the run used
   ScanChains chains;      ///< scan chains (inserted or adopted)
@@ -96,44 +93,34 @@ struct SessionResult {
 class SessionConfig {
  public:
   // ---- design source (exactly one) --------------------------------------
-  /// Takes ownership of a finalized netlist.
+  /// Takes a finalized netlist by value (`.design(nl)` copies, so the
+  /// caller keeps its own). The config holds it immutably and shares it
+  /// with every copy of the config; scan insertion works on the
+  /// session's own copy.
   SessionConfig& design(Netlist nl);
-  /// Defers construction to run() (keeps heavy generators off the
-  /// configuration path).
-  SessionConfig& design(std::function<Netlist()> builder);
-  /// Borrows the caller's netlist; it must outlive run(). If scan
-  /// insertion is requested the session copies it first.
-  SessionConfig& design_ref(const Netlist& nl);
   /// Parses an extended-dialect `.bench` file (see docs/BENCH_FORMAT.md)
-  /// during run(). Parse errors surface from run() as CheckError with
-  /// the offending line number.
+  /// during prepare(). Parse errors surface from run() as CheckError
+  /// with the offending line number.
   SessionConfig& design_file(std::string bench_path);
-  /// Reads `.bench` text from `is` immediately (the stream need not
-  /// outlive the call) and parses it during run(). `name` becomes the
-  /// netlist name reported in summaries and errors.
-  SessionConfig& design_bench(std::istream& is, std::string name = "bench");
   /// Injects a prebuilt compiled-design artifact (api/compiled_design.h):
   /// the session skips the build/scan/compile stages entirely and
   /// executes over the artifact's netlist, chains and scheme. No other
-  /// design source (or scheme) may be configured alongside; results are
+  /// design source, scheme(), scan(), chains(), scan_en() or
+  /// design_cache() may be configured alongside; results are
   /// bit-identical to a fresh build of the same configuration.
   SessionConfig& compiled(std::shared_ptr<const CompiledDesign> cd);
-  /// Attaches a shared DesignCache: prepare() serves the parsed base
-  /// design and the frozen compiled artifact from the cache when
-  /// present, and publishes cold builds into it. Any number of
-  /// concurrent sessions may share one cache; cached and fresh runs are
+  /// Attaches a shared DesignCache: prepare() fetches the frozen
+  /// compiled artifact under a key built from this configuration (the
+  /// design file path or the netlist's content hash, the scan setup or
+  /// adopted chains, an explicit scan_en() and the scheme fingerprint),
+  /// and publishes cold builds into it. Any number of concurrent
+  /// sessions may share one cache; cached and fresh runs are
   /// bit-identical.
   SessionConfig& design_cache(std::shared_ptr<DesignCache> cache);
-  /// Explicit source-identity key for the DesignCache's base (parse +
-  /// scan) level. File/text sources derive a key automatically;
-  /// design()/design_ref() sources are only base-cached when the caller
-  /// asserts their identity with this (the compiled level always works
-  /// -- it keys on the built netlist's content hash).
-  SessionConfig& design_key(std::string key);
 
   // ---- DFT ---------------------------------------------------------------
-  /// Insert scan during run(); with design_ref() the session copies the
-  /// borrowed netlist first, so the caller's design is never mutated.
+  /// Insert scan during prepare(), on the session's own copy of the
+  /// design; the netlist passed to design() is never mutated.
   SessionConfig& scan(ScanConfig cfg);
   /// Adopt chains from scan insertion already done by the caller.
   SessionConfig& chains(ScanChains ch);
@@ -181,15 +168,10 @@ class SessionConfig {
   friend class Session;
 
   // Design source variants (at most one set).
-  std::optional<Netlist> owned_design_;
-  std::function<Netlist()> design_builder_;
-  const Netlist* design_ref_ = nullptr;
-  std::string design_path_;                 // .bench file, parsed in run()
-  std::optional<std::string> design_text_;  // slurped .bench stream
-  std::string design_text_name_;
+  std::shared_ptr<const Netlist> design_;
+  std::string design_path_;  // .bench file, parsed in prepare()
   std::shared_ptr<const CompiledDesign> compiled_;  // prebuilt artifact
   std::shared_ptr<DesignCache> cache_;              // shared, may be null
-  std::string design_key_;  // explicit base-cache identity
 
   std::optional<ScanConfig> scan_;
   std::optional<ScanChains> chains_;
@@ -229,8 +211,8 @@ class Session {
   /// Materializes (or fetches from the configured DesignCache) the
   /// compiled design this session executes over, without running any
   /// patterns. Idempotent: later calls (and run()) reuse the artifact.
-  /// On a cache hit this skips parse, scan insertion, unrolling and
-  /// cone compilation entirely. Throws CheckError on configuration
+  /// On a cache hit this skips parse, scan insertion, hashing, unrolling
+  /// and cone compilation entirely. Throws CheckError on configuration
   /// errors (no design, empty netlist, invalid scheme).
   std::shared_ptr<const CompiledDesign> prepare();
 

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
-#include "api/compiled_design.h"
 #include "api/session.h"
 #include "netlist/bench_io.h"
-#include "netlist/hash.h"
 #include "netlist/stats.h"
 #include "util/check.h"
 
@@ -35,57 +33,11 @@ bool Table1Result::all_shapes_hold() const {
   return true;
 }
 
-namespace {
-
-/// Base-cache identity of a Table-1 configuration: the design source
-/// (bench path, or every SOC generator parameter) plus the chain count.
-/// Two configs with equal keys build identical scan-inserted netlists.
-std::string table1_design_key(const Table1Config& cfg) {
-  std::ostringstream k;
-  if (!cfg.design_bench_path.empty()) {
-    k << "table1:file:" << cfg.design_bench_path;
-  } else {
-    const gen::SocParams& p = cfg.soc;
-    k << "table1:soc:" << p.seed << ":" << p.domains << ":" << p.flops
-      << ":" << p.gates << ":" << p.pis << ":" << p.pos << ":"
-      << p.nonscan_fraction << ":" << p.cross_domain_fraction << ":"
-      << p.po_only_fraction << ":" << p.max_fanin;
-    for (const double s : p.domain_share) k << ":" << s;
-  }
-  k << "|chains:" << cfg.scan_chains;
-  return k.str();
-}
-
-}  // namespace
-
 Table1Result run_table1(const Table1Config& cfg) {
   Table1Result out;
-  if (cfg.cache != nullptr) {
-    // One cold build + scan insertion per configuration; repeats and
-    // concurrent harnesses sharing the cache reuse it (the base level's
-    // miss counter is the harness's parse count).
-    const auto base = cfg.cache->base_get_or_build(
-        table1_design_key(cfg), [&]() -> DesignCache::BaseDesign {
-          DesignCache::BaseDesign b;
-          auto nl = std::make_shared<Netlist>(
-              cfg.design_bench_path.empty()
-                  ? gen::generate_soc(cfg.soc)
-                  : read_bench_file(cfg.design_bench_path));
-          b.chains = insert_scan(*nl, {.num_chains = cfg.scan_chains});
-          b.has_scan_chains = true;
-          b.scan_en = b.chains.scan_en;
-          b.netlist = std::move(nl);
-          b.design_hash = netlist_content_hash(*b.netlist);
-          return b;
-        });
-    out.netlist = *base->netlist;
-    out.chains = base->chains;
-  } else {
-    out.netlist = cfg.design_bench_path.empty()
-                      ? gen::generate_soc(cfg.soc)
-                      : read_bench_file(cfg.design_bench_path);
-    out.chains = insert_scan(out.netlist, {.num_chains = cfg.scan_chains});
-  }
+  out.netlist = cfg.design_path.empty() ? gen::generate_soc(cfg.soc)
+                                        : read_bench_file(cfg.design_path);
+  out.chains = insert_scan(out.netlist, {.num_chains = cfg.scan_chains});
   const Netlist& nl = out.netlist;
   const size_t nd = nl.num_domains();
 
@@ -108,26 +60,17 @@ Table1Result run_table1(const Table1Config& cfg) {
                    scheme_external_constrained(nd, cfg.max_pulses)});
 
   // Each experiment is one Session over the shared scan-inserted SOC;
-  // the session also computes the ATE vector-memory cost.
+  // the session also computes the ATE vector-memory cost. The configs
+  // are copies of one base, so they share one immutable netlist.
+  SessionConfig base;
+  base.design(nl).chains(out.chains).engine(cfg.engine);
+  if (cfg.cache != nullptr) base.design_cache(cfg.cache);
   for (auto& spec : specs) {
     AtpgOptions opts = cfg.atpg;
     opts.classify = cfg.classify_leftovers &&
                     spec.scheme.model == FaultModel::kTransition;
-    SessionConfig scfg;
-    scfg.design_ref(nl)
-        .chains(out.chains)
-        .scheme(spec.scheme)
-        .atpg(opts)
-        .on_chip_clocking(spec.on_chip)
-        .engine(cfg.engine);
-    if (cfg.cache != nullptr) {
-      // Sessions share the harness cache: one frozen compiled artifact
-      // per scheme serves every repeat (the compiled level keys on the
-      // netlist's content hash, so the by-value copy above still hits;
-      // the base level stays the harness's own entry -- exactly one
-      // parse + scan insertion per configuration).
-      scfg.design_cache(cfg.cache);
-    }
+    SessionConfig scfg = base;
+    scfg.scheme(spec.scheme).atpg(opts).on_chip_clocking(spec.on_chip);
     SessionResult sres = Session(std::move(scfg)).run();
 
     ExperimentRow row;

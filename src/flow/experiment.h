@@ -23,19 +23,18 @@ struct Table1Config {
   /// When non-empty, the experiments run on this parsed extended-dialect
   /// `.bench` design instead of the generated SOC (`soc` is then
   /// ignored); scan insertion and the five schemes apply identically.
-  std::string design_bench_path;
+  std::string design_path;
   size_t scan_chains = 8;
   size_t max_pulses = 4;
   AtpgOptions atpg;
   bool classify_leftovers = true;
-  /// Engine selection forwarded to each experiment's Session (shards,
-  /// SAT backend, escalation); results are identical for every shard
-  /// count.
+  /// Engine selection forwarded to each experiment's Session (fsim and
+  /// PODEM shards, SAT backend and its conflict budget); results are
+  /// identical for every shard count.
   EngineOptions engine;
   /// Optional shared design cache (api/compiled_design.h). With one
-  /// attached, the harness builds + scan-inserts the design exactly once
-  /// per configuration (base cache level) and every experiment/repeat
-  /// reuses the frozen per-scheme compiled artifacts; results are
+  /// attached, every repeat of a configuration reuses the frozen
+  /// per-scheme compiled artifacts of the first; results are
   /// bit-identical with or without it.
   std::shared_ptr<DesignCache> cache;
 };

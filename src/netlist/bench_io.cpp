@@ -1,10 +1,12 @@
 #include "netlist/bench_io.h"
 
+#include <algorithm>
 #include <cctype>
 #include <fstream>
 #include <map>
 #include <ostream>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "util/check.h"
@@ -42,6 +44,39 @@ DomainId parse_domain(const std::string& value, int lineno) {
               "' out of range (0..31)");
   }
   return static_cast<DomainId>(v);
+}
+
+/// A gate on a combinational loop of `nl` (fanins resolved, not yet
+/// finalized), or kNoGate. Depth-first over fanin edges; sources and
+/// sequential cells end combinational paths, and a fanin still open on
+/// the current path closes a loop through it.
+GateId gate_on_loop(const Netlist& nl) {
+  enum : uint8_t { kNew, kOpen, kDone };
+  std::vector<uint8_t> state(nl.size(), kNew);
+  std::vector<std::pair<GateId, size_t>> path;  // gate, next fanin pin
+  for (GateId root = 0; root < nl.size(); ++root) {
+    if (state[root] != kNew) continue;
+    state[root] = kOpen;
+    path.push_back({root, 0});
+    while (!path.empty()) {
+      const auto [g, pin] = path.back();
+      const Gate& gate = nl.gate(g);
+      if (is_source(gate.type) || is_sequential(gate.type) ||
+          pin == gate.fanin.size()) {
+        state[g] = kDone;
+        path.pop_back();
+        continue;
+      }
+      ++path.back().second;
+      const GateId f = gate.fanin[pin];
+      if (state[f] == kOpen) return f;
+      if (state[f] == kNew) {
+        state[f] = kOpen;
+        path.push_back({f, 0});
+      }
+    }
+  }
+  return kNoGate;
 }
 
 }  // namespace
@@ -173,6 +208,8 @@ Netlist read_bench(std::istream& is, std::string netlist_name) {
     }
     PendingGate pg;
     pg.name = trim(s.substr(0, eq));
+    OCC_CHECK(!pg.name.empty(), "bench line ", lineno,
+              ": gate definition needs a name: ", s);
     pg.func = trim(s.substr(eq + 1, lp - eq - 1));
     pg.args = split_args();
     pg.line = lineno;
@@ -297,6 +334,14 @@ Netlist read_bench(std::istream& is, std::string netlist_name) {
     OCC_CHECK(it != net.end(), "bench line ", oline,
               ": OUTPUT references undefined net ", o);
     nl.add_output(it->second, "out_" + o);
+  }
+  // finalize() would report a loop by gate id; name its defining line.
+  if (const GateId g = gate_on_loop(nl); g != kNoGate) {
+    const auto u =
+        std::find_if(fixups.begin(), fixups.end(),
+                     [&](const Unresolved& f) { return f.gate == g; });
+    OCC_CHECK(false, "bench line ", u->line,
+              ": combinational loop through ", nl.gate(g).name);
   }
   nl.finalize();
   return nl;

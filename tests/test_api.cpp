@@ -33,7 +33,7 @@ ClockingScheme comb_sa_scheme() {
 
 TEST(Session, C17GoldenPath) {
   SessionConfig cfg;
-  cfg.design([] { return gen::make_c17(); }).scheme(comb_sa_scheme());
+  cfg.design(gen::make_c17()).scheme(comb_sa_scheme());
   const SessionResult r = Session(std::move(cfg)).run();
   EXPECT_DOUBLE_EQ(r.test_coverage(), 1.0);
   EXPECT_DOUBLE_EQ(r.fault_coverage(), 1.0);
@@ -50,7 +50,7 @@ TEST(Session, CounterWithScanGoldenPath) {
   AtpgOptions opts;
   opts.random_rounds = 4;
   SessionConfig cfg;
-  cfg.design([] { return gen::make_counter(8); })
+  cfg.design(gen::make_counter(8))
       .scan({.num_chains = 2})
       .scheme(scheme_stuck_at_external(1))
       .atpg(opts);
@@ -66,7 +66,7 @@ TEST(Session, CounterWithScanGoldenPath) {
 
 TEST(Session, RerunIsDeterministic) {
   SessionConfig cfg;
-  cfg.design([] { return gen::make_alu4(); })
+  cfg.design(gen::make_alu4())
       .scheme(comb_sa_scheme())
       .seed(777);
   Session s(std::move(cfg));
@@ -82,7 +82,7 @@ TEST(Session, RerunIsDeterministic) {
 TEST(Session, ObserverCallbackOrdering) {
   std::vector<ProgressEvent> events;
   SessionConfig cfg;
-  cfg.design([] { return gen::make_counter(6); })
+  cfg.design(gen::make_counter(6))
       .scan({.num_chains = 1})
       .scheme(scheme_stuck_at_external(1))
       .observer([&](const ProgressEvent& e) { events.push_back(e); });
@@ -126,7 +126,7 @@ TEST(Session, NoDesignThrows) {
 
 TEST(Session, EmptyNetlistThrows) {
   SessionConfig cfg;
-  cfg.design([] { return Netlist("empty"); }).scheme(comb_sa_scheme());
+  cfg.design(Netlist("empty")).scheme(comb_sa_scheme());
   EXPECT_THROW(Session(std::move(cfg)).run(), CheckError);
 }
 
@@ -134,19 +134,19 @@ TEST(Session, SchemeWithZeroProceduresThrows) {
   ClockingScheme s;
   s.name = "hollow";
   SessionConfig cfg;
-  cfg.design([] { return gen::make_c17(); }).scheme(s);
+  cfg.design(gen::make_c17()).scheme(s);
   EXPECT_THROW(Session(std::move(cfg)).run(), CheckError);
 }
 
 TEST(Session, MissingSchemeThrows) {
   SessionConfig cfg;
-  cfg.design([] { return gen::make_c17(); });
+  cfg.design(gen::make_c17());
   EXPECT_THROW(Session(std::move(cfg)).run(), CheckError);
 }
 
 TEST(Session, CompressionWithoutChainsThrows) {
   SessionConfig cfg;
-  cfg.design([] { return gen::make_c17(); })
+  cfg.design(gen::make_c17())
       .scheme(comb_sa_scheme())
       .compress(EdtConfig{});
   EXPECT_THROW(Session(std::move(cfg)).run(), CheckError);
@@ -206,7 +206,7 @@ TEST(ShardedFaultSim, TransitionSessionIdenticalAcrossShards) {
 
   auto run_with = [&](size_t shards) {
     SessionConfig cfg;
-    cfg.design_ref(nl).scan_en(se).scheme(scheme_cpf_enhanced(2, 3))
+    cfg.design(nl).scan_en(se).scheme(scheme_cpf_enhanced(2, 3))
         .atpg(opts).engine({.fsim = {.shards = shards}});
     return Session(std::move(cfg)).run();
   };
@@ -233,14 +233,14 @@ TEST(Session, ExternalCubeSourceGradesCubes) {
   AtpgOptions keep;
   keep.keep_cubes = true;
   SessionConfig produce;
-  produce.design_ref(nl).scan_en(se).scheme(scheme).atpg(keep);
+  produce.design(nl).scan_en(se).scheme(scheme).atpg(keep);
   const SessionResult first = Session(std::move(produce)).run();
   ASSERT_GT(first.atpg.cubes.size(), 0u);
 
   AtpgOptions nocompact;
   nocompact.reverse_compaction = false;
   SessionConfig regrade;
-  regrade.design_ref(nl).scan_en(se).scheme(scheme).atpg(nocompact)
+  regrade.design(nl).scan_en(se).scheme(scheme).atpg(nocompact)
       .source(std::make_shared<ExternalCubeSource>(first.atpg.cubes));
   const SessionResult second = Session(std::move(regrade)).run();
   EXPECT_EQ(second.atpg.external_patterns, first.atpg.cubes.size());
@@ -253,7 +253,7 @@ TEST(Session, ExternalCubeSourceGradesCubes) {
 TEST(Session, SinksReceiveFinishedResult) {
   std::ostringstream summary;
   SessionConfig cfg;
-  cfg.design([] { return gen::make_c17(); })
+  cfg.design(gen::make_c17())
       .scheme(comb_sa_scheme())
       .sink(std::make_shared<SummarySink>(summary));
   const SessionResult r = Session(std::move(cfg)).run();

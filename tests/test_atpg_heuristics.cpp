@@ -375,7 +375,7 @@ TEST(AtpgHeuristics, SessionSatClassificationsMatchSatVerdict) {
   for (const ClockingScheme& scheme : schemes) {
     SCOPED_TRACE(scheme.name);
     SessionConfig cfg;
-    cfg.design([prm] { return gen::generate_soc(prm); })
+    cfg.design(gen::generate_soc(prm))
         .scan({.num_chains = 2})
         .scheme(scheme);
     const SessionResult r = starved_sat_session(std::move(cfg));
@@ -448,7 +448,7 @@ TEST(AtpgHeuristics, CubeCacheDeterministicAcrossRepeatsAndShards) {
   prm.pos = 8;
   auto config = [&](size_t shards) {
     SessionConfig cfg;
-    cfg.design([prm] { return gen::generate_soc(prm); })
+    cfg.design(gen::generate_soc(prm))
         .scan({.num_chains = 4})
         .scheme(scheme_cpf_basic(2))
         .engine({.fsim = {.shards = 1}, .atpg_shards = shards});

@@ -75,7 +75,7 @@ gen::SocParams mini_soc(uint64_t seed, size_t domains) {
 SessionConfig soc_config(const gen::SocParams& prm,
                          const ClockingScheme& scheme) {
   SessionConfig cfg;
-  cfg.design([prm] { return gen::generate_soc(prm); })
+  cfg.design(gen::generate_soc(prm))
       .scan({.num_chains = 4})
       .scheme(scheme);
   AtpgOptions opts;

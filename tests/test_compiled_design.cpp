@@ -2,20 +2,24 @@
 // contract (a run over a cached artifact reproduces a fresh run's
 // patterns, fault statuses and deterministic work counters exactly, for
 // every scheme, ATPG engine mode and shard count), concurrent sessions over
-// one shared cache (run under TSan in CI), LRU eviction determinism,
-// and the cache observability counters.
+// one shared cache (run under TSan in CI), which configurations share a
+// cache entry, and the cache observability counters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <latch>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/compiled_design.h"
 #include "api/session.h"
 #include "core/clock_scheme.h"
 #include "gen/socgen.h"
-#include "netlist/hash.h"
+#include "netlist/bench_io.h"
 #include "test_helpers.h"
 #include "util/check.h"
 
@@ -106,15 +110,13 @@ SessionConfig make_config(const SchemeSpec& spec,
                           const std::shared_ptr<DesignCache>& cache,
                           EngineOptions engine = {}) {
   SessionConfig cfg;
-  cfg.design([] { return gen::generate_soc(soc_params()); })
+  cfg.design(gen::generate_soc(soc_params()))
       .scan({.num_chains = 2})
       .scheme(spec.scheme)
       .atpg(cheap_atpg())
       .on_chip_clocking(spec.on_chip)
       .engine(engine);
-  if (cache != nullptr) {
-    cfg.design_cache(cache).design_key("soc5");
-  }
+  if (cache != nullptr) cfg.design_cache(cache);
   return cfg;
 }
 
@@ -136,9 +138,6 @@ TEST(CompiledDesign, CachedVsFreshBitIdentityAcrossSchemes) {
   const DesignCache::Stats st = cache->stats();
   EXPECT_EQ(st.misses, specs.size());  // one cold build per scheme
   EXPECT_EQ(st.hits, specs.size());    // one warm fetch per scheme
-  EXPECT_EQ(st.base_misses, 1u);       // design built + scanned once
-  EXPECT_EQ(st.base_hits, 2 * specs.size() - 1);
-  EXPECT_EQ(st.evictions, 0u);  // unlimited budget
   EXPECT_GT(st.resident_bytes, 0u);
 }
 
@@ -215,8 +214,6 @@ TEST(CompiledDesign, PrepareOnceExecuteMany) {
   const std::shared_ptr<const CompiledDesign> cd = preparer.prepare();
   ASSERT_NE(cd, nullptr);
   EXPECT_TRUE(cd->has_scan_chains());
-  EXPECT_EQ(cd->design_hash(), netlist_content_hash(cd->netlist()));
-  EXPECT_FALSE(cd->key().empty());
 
   const SessionResult baseline = preparer.run();
   for (int i = 0; i < 2; ++i) {
@@ -236,9 +233,28 @@ TEST(CompiledDesign, InjectedArtifactRejectsConflictingSources) {
       {"stuck_at", false, scheme_stuck_at_external(soc_params().domains)},
       nullptr));
   const auto cd = preparer.prepare();
-  SessionConfig cfg;
-  cfg.compiled(cd).design([] { return gen::generate_soc(soc_params()); });
-  EXPECT_THROW(Session(std::move(cfg)).run(), CheckError);
+  // The artifact fixes its design, scan setup and scheme, and is never
+  // looked up in a cache: each setter alongside it is an error, not a
+  // silently ignored setting.
+  const std::vector<
+      std::pair<const char*, std::function<void(SessionConfig&)>>>
+      conflicts = {
+          {"design", [&](SessionConfig& c) { c.design(cd->netlist()); }},
+          {"scan", [](SessionConfig& c) { c.scan({.num_chains = 2}); }},
+          {"chains", [&](SessionConfig& c) { c.chains(cd->chains()); }},
+          {"scan_en", [&](SessionConfig& c) { c.scan_en(cd->scan_en()); }},
+          {"design_cache",
+           [](SessionConfig& c) {
+             c.design_cache(std::make_shared<DesignCache>());
+           }},
+      };
+  for (const auto& [setter, add] : conflicts) {
+    SCOPED_TRACE(setter);
+    SessionConfig cfg;
+    cfg.compiled(cd);
+    add(cfg);
+    EXPECT_THROW(Session(std::move(cfg)).run(), CheckError);
+  }
 }
 
 // ---- concurrent sessions over one shared cache (TSan-covered) -----------
@@ -263,104 +279,119 @@ TEST(CompiledDesign, ConcurrentSessionsShareOneBuild) {
     EXPECT_EQ(fps[0], fps[t]) << "thread " << t << " diverged";
   }
   const DesignCache::Stats st = cache->stats();
-  // In-flight build dedup: exactly one thread builds per level, the
-  // rest block on the shared future and then share the frozen artifact.
+  // In-flight build dedup: exactly one thread builds, the rest block on
+  // the shared future and then share the frozen artifact.
   EXPECT_EQ(st.misses, 1u);
   EXPECT_EQ(st.hits, kThreads - 1);
-  EXPECT_EQ(st.base_misses, 1u);
-  EXPECT_EQ(st.base_hits, kThreads - 1);
 }
 
-// ---- LRU eviction -------------------------------------------------------
-
-/// Builds + freezes one scheme's artifact through the cache, the way
-/// Session::prepare() does, without the (slow) ATPG stage behind it.
-std::shared_ptr<const CompiledDesign> cache_one(
-    DesignCache& cache, const std::shared_ptr<const Netlist>& nl,
-    const ScanChains& chains, const ClockingScheme& scheme) {
-  const std::string key = compiled_design_key(
-      netlist_content_hash(*nl), chains_fingerprint(chains),
-      chains.scan_en, scheme_fingerprint(scheme));
-  return cache.get_or_build(key, [&] {
-    auto cd = CompiledDesign::build(nl, chains, /*has_scan_chains=*/true,
-                                    chains.scan_en, scheme);
-    cd->freeze();
-    return cd;
-  });
-}
-
-/// Requests the five schemes in order through a budget-bound cache and
-/// returns the final stats (for the determinism comparison below).
-DesignCache::Stats run_scheme_sequence(
-    size_t byte_budget, const std::shared_ptr<const Netlist>& nl,
-    const ScanChains& chains) {
-  DesignCache cache(byte_budget);
-  for (const SchemeSpec& spec : five_schemes(soc_params().domains)) {
-    (void)cache_one(cache, nl, chains, spec.scheme);
+TEST(CompiledDesign, ConfigCopiesPrepareConcurrently) {
+  // Copies of one config share its immutable netlist: sessions
+  // preparing from them on several threads must not race (TSan job),
+  // and each artifact holds that one netlist. A freshly parsed netlist
+  // has not built Netlist::find()'s lazy name index yet.
+  SessionConfig base;
+  base.design(read_bench_file(std::string(OCC_CIRCUITS_DIR) + "/s344c.bench"))
+      .scheme(scheme_cpf_basic(1));
+  std::vector<std::shared_ptr<const CompiledDesign>> cds(4);
+  std::latch start(static_cast<std::ptrdiff_t>(cds.size()));
+  {
+    std::vector<std::thread> workers;
+    for (size_t t = 0; t < cds.size(); ++t) {
+      workers.emplace_back([&, t] {
+        Session session(base);
+        start.arrive_and_wait();  // prepare() calls overlap
+        cds[t] = session.prepare();
+      });
+    }
+    for (auto& w : workers) w.join();
   }
-  return cache.stats();
+  for (const auto& cd : cds) {
+    EXPECT_EQ(&cd->netlist(), &cds[0]->netlist());
+    EXPECT_EQ(cd->scan_en(), cds[0]->netlist().find("scan_en"));
+  }
 }
 
-TEST(CompiledDesign, LruEvictionIsDeterministicAndRebuilds) {
-  auto nl = std::make_shared<Netlist>(gen::generate_soc(soc_params()));
-  const ScanChains chains = insert_scan(*nl, {.num_chains = 2});
-  const std::shared_ptr<const Netlist> design = std::move(nl);
+// ---- cache keying -------------------------------------------------------
 
-  // Unlimited budget first, to learn the artifact footprint.
-  const DesignCache::Stats unlimited =
-      run_scheme_sequence(0, design, chains);
-  ASSERT_EQ(unlimited.evictions, 0u);
-  ASSERT_GT(unlimited.resident_bytes, 0u);
+TEST(CompiledDesign, CacheKeySeparatesConfigurations) {
+  // Every configuration goes through one cache; prepare() alone decides
+  // hit or miss, so no patterns run.
+  const auto cache = std::make_shared<DesignCache>();
+  std::vector<std::string> stages;  // stages begun by the last prepare()
+  const auto builds = [&](SessionConfig cfg) {
+    stages.clear();
+    cfg.design_cache(cache).observer([&](const ProgressEvent& e) {
+      if (e.kind == ProgressEvent::Kind::kStageBegin) {
+        stages.push_back(e.stage);
+      }
+    });
+    const uint64_t misses = cache->stats().misses;
+    Session(std::move(cfg)).prepare();
+    return cache->stats().misses > misses;
+  };
+  const auto file = [](const char* name, size_t chains, ClockingScheme s) {
+    SessionConfig cfg;
+    cfg.design_file(std::string(OCC_CIRCUITS_DIR) + "/" + name)
+        .scan({.num_chains = chains})
+        .scheme(std::move(s));
+    return cfg;
+  };
+  const std::vector<std::string> cold = {"build", "scan", "compile"};
 
-  // A budget below the five-scheme footprint forces evictions; the
-  // sequence is fixed, so the eviction order (strict LRU over ready
-  // entries) and every counter must reproduce exactly across runs.
-  const size_t budget = unlimited.resident_bytes / 2;
-  const DesignCache::Stats a = run_scheme_sequence(budget, design, chains);
-  const DesignCache::Stats b = run_scheme_sequence(budget, design, chains);
-  EXPECT_GT(a.evictions, 0u);
-  EXPECT_LT(a.resident_bytes, unlimited.resident_bytes);
-  EXPECT_EQ(a.evictions, b.evictions);
-  EXPECT_EQ(a.resident_bytes, b.resident_bytes);
-  EXPECT_EQ(a.hits, b.hits);
-  EXPECT_EQ(a.misses, b.misses);
+  EXPECT_TRUE(builds(file("s27.bench", 1, scheme_cpf_basic(1))));
+  EXPECT_EQ(stages, cold);
+  EXPECT_FALSE(builds(file("s27.bench", 1, scheme_cpf_basic(1))))
+      << "an identical configuration must hit";
+  EXPECT_TRUE(stages.empty()) << "a warm prepare() must build nothing";
+  EXPECT_TRUE(builds(file("s27.bench", 1, scheme_stuck_at_external(1))))
+      << "scheme";
+  EXPECT_EQ(stages, cold);
+  EXPECT_TRUE(builds(file("s27.bench", 2, scheme_cpf_basic(1))))
+      << "chain count";
+  EXPECT_TRUE(builds(file("s344c.bench", 1, scheme_cpf_basic(1))))
+      << "design file";
 
-  // An evicted entry rebuilds on re-request: same key, same content
-  // (deterministic construction), counted as a fresh miss.
-  DesignCache cache(budget);
-  const auto specs = five_schemes(soc_params().domains);
-  const auto first = cache_one(cache, design, chains, specs[0].scheme);
-  const size_t first_bytes = first->approx_bytes();
-  for (size_t i = 1; i < specs.size(); ++i) {
-    (void)cache_one(cache, design, chains, specs[i].scheme);
-  }
-  ASSERT_GT(cache.stats().evictions, 0u);
-  const uint64_t misses_before = cache.stats().misses;
-  const auto again = cache_one(cache, design, chains, specs[0].scheme);
-  EXPECT_EQ(cache.stats().misses, misses_before + 1)
-      << "evicted entry must rebuild, not hit";
-  EXPECT_NE(again.get(), first.get());
-  EXPECT_EQ(again->key(), first->key());
-  EXPECT_EQ(again->design_hash(), first->design_hash());
-  EXPECT_EQ(again->approx_bytes(), first_bytes);
+  // In-memory designs key on content: an equal copy hits; other adopted
+  // chains over the same netlist, or the same chains over a netlist with
+  // one gate changed, miss.
+  Netlist nl =
+      read_bench_file(std::string(OCC_CIRCUITS_DIR) + "/s27.bench");
+  const ScanChains chains = insert_scan(nl, {.num_chains = 2});
+  const auto memory = [](const Netlist& n, const ScanChains& ch) {
+    SessionConfig cfg;
+    cfg.design(n).chains(ch).scheme(scheme_cpf_basic(1));
+    return cfg;
+  };
+  EXPECT_TRUE(builds(memory(nl, chains)));
+  EXPECT_EQ(stages, (std::vector<std::string>{"build", "compile"}));
+  EXPECT_FALSE(builds(memory(nl, chains)))
+      << "an equal netlist must hit";
+  EXPECT_TRUE(stages.empty()) << "a warm prepare() must build nothing";
+  ScanChains reordered = chains;
+  ASSERT_EQ(reordered.chains.size(), 2u);
+  std::reverse(reordered.chains.begin(), reordered.chains.end());
+  EXPECT_TRUE(builds(memory(nl, reordered))) << "adopted chains";
+  Netlist changed = nl;
+  const auto gate = std::find_if(
+      changed.topo_order().begin(), changed.topo_order().end(),
+      [&](GateId g) { return changed.gate(g).type == GateType::kAnd; });
+  ASSERT_NE(gate, changed.topo_order().end());
+  changed.mutable_gate(*gate).type = GateType::kOr;
+  changed.finalize();
+  EXPECT_TRUE(builds(memory(changed, chains))) << "netlist content";
+
+  const DesignCache::Stats st = cache->stats();
+  EXPECT_EQ(st.misses, 7u);
+  EXPECT_EQ(st.hits, 2u);
 }
 
 // ---- key composition ----------------------------------------------------
 
 TEST(CompiledDesign, ContentKeySeparatesSchemesAndDesigns) {
   const Netlist soc = gen::generate_soc(soc_params());
-  const uint64_t h = netlist_content_hash(soc);
-  const uint64_t fp_basic =
-      scheme_fingerprint(scheme_cpf_basic(soc.num_domains()));
-  const uint64_t fp_enh =
-      scheme_fingerprint(scheme_cpf_enhanced(soc.num_domains(), 4));
-  EXPECT_NE(fp_basic, fp_enh);
-  EXPECT_NE(compiled_design_key(h, 1, 2, fp_basic),
-            compiled_design_key(h, 1, 2, fp_enh));
-  EXPECT_NE(compiled_design_key(h, 1, 2, fp_basic),
-            compiled_design_key(h + 1, 1, 2, fp_basic));
-  EXPECT_NE(compiled_design_key(h, 1, 2, fp_basic),
-            compiled_design_key(h, 3, 2, fp_basic));
+  EXPECT_NE(scheme_fingerprint(scheme_cpf_basic(soc.num_domains())),
+            scheme_fingerprint(scheme_cpf_enhanced(soc.num_domains(), 4)));
 
   // The fingerprint reads cycle structure, not just the name: adding a
   // capture cycle to an otherwise identical scheme must change it.

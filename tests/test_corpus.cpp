@@ -1,13 +1,12 @@
 // Tests: the committed external-design corpus (circuits/*.bench) as
 // first-class Session workloads -- parseability and expected shape of
-// every corpus circuit, the SessionConfig design_file()/design_bench()
+// every corpus circuit, the SessionConfig design_file()/design()
 // front doors, and the parity pins the pipeline promises on external
 // designs: sequential vs sharded fault simulation bit-identical, and
 // cone-limited fault propagation identical to exhaustive full-netlist
 // simulation.
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -118,19 +117,10 @@ TEST(Corpus, GeneratedCircuitsMatchCommittedShape) {
 }
 
 TEST(Corpus, DesignSourcesAreEquivalent) {
-  // The same circuit through all three external front doors (file,
-  // stream, pre-parsed in-memory netlist) must yield identical runs.
+  // The same circuit through both front doors (file, pre-parsed
+  // in-memory netlist) must yield identical runs.
   SessionResult from_file =
       Session(corpus_config("s27.bench", 2)).run();
-
-  std::ifstream is(corpus_path("s27.bench"));
-  ASSERT_TRUE(is.good());
-  SessionConfig stream_cfg;
-  stream_cfg.design_bench(is, "s27")
-      .scan({.num_chains = 2})
-      .scheme(scheme_cpf_basic(1))
-      .on_chip_clocking(true);
-  SessionResult from_stream = Session(std::move(stream_cfg)).run();
 
   SessionConfig mem_cfg;
   mem_cfg.design(read_bench_file(corpus_path("s27.bench")))
@@ -139,7 +129,6 @@ TEST(Corpus, DesignSourcesAreEquivalent) {
       .on_chip_clocking(true);
   SessionResult from_memory = Session(std::move(mem_cfg)).run();
 
-  EXPECT_EQ(fingerprint(from_file), fingerprint(from_stream));
   EXPECT_EQ(fingerprint(from_file), fingerprint(from_memory));
 }
 
@@ -150,7 +139,7 @@ TEST(Corpus, DesignSourceMisconfigurationRejected) {
 
   SessionConfig both;
   Netlist nl = read_bench_file(corpus_path("s27.bench"));
-  both.design_ref(nl)
+  both.design(nl)
       .design_file(corpus_path("s27.bench"))
       .scheme(scheme_cpf_basic(1));
   EXPECT_THROW(Session(std::move(both)).run(), CheckError);

@@ -148,7 +148,7 @@ inline AtpgRunResult session_atpg(const Netlist& nl,
                                   GateId scan_en,
                                   const AtpgOptions& opts = {}) {
   SessionConfig cfg;
-  cfg.design_ref(nl).scan_en(scan_en).scheme(scheme).atpg(opts);
+  cfg.design(nl).scan_en(scan_en).scheme(scheme).atpg(opts);
   return Session(std::move(cfg)).run().atpg;
 }
 

@@ -1,13 +1,19 @@
 // Unit tests: netlist graph, levelization, validation, bench I/O, stats.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "gen/circuits.h"
 #include "netlist/bench_io.h"
 #include "netlist/netlist.h"
 #include "netlist/stats.h"
 #include "util/check.h"
+#include "util/rng.h"
 
 namespace occ {
 namespace {
@@ -259,6 +265,77 @@ TEST(BenchIoErrors, DomainRoundTripAtDialectBound) {
       parse_error("INPUT(a)\nf = DFF(a, domain=32)\nOUTPUT(f)\n")
           .find("line 2"),
       std::string::npos);
+}
+
+TEST(BenchIoErrors, EmptyGateNameCarriesLineNumber) {
+  // A nameless gate would otherwise parse and be renamed on write.
+  const std::string msg = parse_error("INPUT(a)\n = BUF(a)\nOUTPUT(a)\n");
+  EXPECT_NE(msg.find("line 2"), std::string::npos) << msg;
+}
+
+TEST(BenchIoErrors, CombinationalLoopCarriesLineNumber) {
+  // b and c feed each other; the error names the line defining one of
+  // them, not a gate id.
+  const std::string msg = parse_error(
+      "INPUT(a)\nb = AND(a, c)\nc = NOT(b)\nOUTPUT(c)\n");
+  EXPECT_TRUE(msg.find("line 2") != std::string::npos ||
+              msg.find("line 3") != std::string::npos)
+      << msg;
+  EXPECT_NE(msg.find("loop"), std::string::npos) << msg;
+}
+
+TEST(BenchIoFuzz, CorpusMutantsParseOrNameALine) {
+  // Seeded mutations of every committed corpus file: truncations, bit
+  // flips and token insertions. Each mutant must either parse or fail
+  // with a CheckError naming a bench line; a crash, another exception
+  // type or an error without a line fails the test.
+  std::vector<std::string> corpus;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(OCC_CIRCUITS_DIR)) {
+    if (entry.path().extension() != ".bench") continue;
+    std::ifstream is(entry.path());
+    std::ostringstream text;
+    text << is.rdbuf();
+    corpus.push_back(text.str());
+  }
+  std::sort(corpus.begin(), corpus.end());  // directory order varies
+  ASSERT_GE(corpus.size(), 5u);
+  const std::vector<std::string> tokens = {
+      "=",   "(",     ")",      ",",       "#",       "\n",
+      " ",   "AND",   "DFF",    "INPUT(",  "OUTPUT(", "domain=",
+      "noscan", "G1", "x = BUF(x)\n", "= NOT(", "DFFC(", "MUX("};
+  Rng rng(20050307);
+  size_t parsed = 0, rejected = 0;
+  for (size_t i = 0; i < 3000; ++i) {
+    std::string text = corpus[i % corpus.size()];
+    switch (i % 3) {
+      case 0:
+        text.resize(rng.below(text.size() + 1));
+        break;
+      case 1:
+        for (uint64_t k = 0, n = 1 + rng.below(4); k < n; ++k) {
+          text[rng.below(text.size())] ^=
+              static_cast<char>(1u << rng.below(8));
+        }
+        break;
+      default:
+        text.insert(rng.below(text.size() + 1),
+                    tokens[rng.below(tokens.size())]);
+    }
+    std::istringstream is(text);
+    try {
+      read_bench(is, "mutant");
+      ++parsed;
+    } catch (const CheckError& e) {
+      ++rejected;
+      EXPECT_NE(std::string(e.what()).find("bench line "),
+                std::string::npos)
+          << "mutant " << i << ": " << e.what();
+    }
+  }
+  // Both outcomes must occur, or the sweep exercises nothing.
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(Stats, CountsMatchHandBuiltCircuit) {

@@ -313,7 +313,7 @@ TEST(Podem, AbortedFaultsReachSatBackendUnchanged) {
   insert_scan(nl, {.num_chains = 1});
   auto run = [&](bool sat_backend) {
     SessionConfig cfg;
-    cfg.design_ref(nl)
+    cfg.design(nl)
         .scheme(scheme_stuck_at_external(1))
         .engine({.fsim = {.shards = 1},
                  .atpg_shards = 1,

@@ -40,7 +40,7 @@ AtpgOptions aborting_opts() {
 SessionResult run_session(const Netlist& nl, EngineOptions engine,
                           const ProgressObserver& observer = {}) {
   SessionConfig cfg;
-  cfg.design_ref(nl)
+  cfg.design(nl)
       .scheme(scheme_stuck_at_external(1))
       .atpg(aborting_opts())
       .engine(engine)
@@ -215,7 +215,7 @@ TEST(SatAtpg, ProvesRedundantFaultUntestable) {
   starved.backtrack_limit = 0;
   starved.abort_retry_factor = 1;
   SessionConfig cfg;
-  cfg.design_ref(nl).scheme(s).atpg(starved).engine({.sat_backend = true});
+  cfg.design(nl).scheme(s).atpg(starved).engine({.sat_backend = true});
   const SessionResult r = Session(std::move(cfg)).run();
   const FaultList& fl = r.atpg.faults;
 
@@ -225,7 +225,7 @@ TEST(SatAtpg, ProvesRedundantFaultUntestable) {
   // Agreement with an unstarved PODEM run: its untestable set is
   // exactly the SAT-proven set, and the detected sets match.
   SessionConfig ref;
-  ref.design_ref(nl).scheme(s);
+  ref.design(nl).scheme(s);
   const SessionResult podem = Session(ref).run();
   ASSERT_EQ(podem.atpg.faults.count(FaultStatus::kAborted), 0u);
   ASSERT_EQ(podem.atpg.faults.size(), fl.size());

@@ -267,7 +267,7 @@ TEST(SatIncremental, EscalationDeterministicAcrossShards) {
   opts.abort_retry_factor = 2;
   auto run = [&](size_t atpg_shards) {
     SessionConfig cfg;
-    cfg.design_ref(nl)
+    cfg.design(nl)
         .scheme(scheme_cpf_basic(2))
         .atpg(opts)
         .engine({.atpg_shards = atpg_shards});
@@ -299,7 +299,7 @@ TEST(SatIncremental, LadderClassificationsMatchSatVerdict) {
     AtpgOptions opts;
     opts.backtrack_limit = 4;
     SessionConfig cfg;
-    cfg.design_ref(nl).scheme(scheme_stuck_at_external(2)).atpg(opts);
+    cfg.design(nl).scheme(scheme_stuck_at_external(2)).atpg(opts);
     const SessionResult r = Session(std::move(cfg)).run();
     EXPECT_GT(r.atpg.escalations, 0u) << "workload never escalated";
     EXPECT_GT(test::expect_untestable_verdicts_hold(r), 0u);
@@ -320,7 +320,7 @@ TEST(SatIncremental, CorpusClassificationsAgreeAcrossModes) {
   starved.abort_retry_factor = 1;
   auto run = [&](bool sat_backend) {
     SessionConfig cfg;
-    cfg.design_ref(nl)
+    cfg.design(nl)
         .scheme(scheme_stuck_at_external(1))
         .atpg(starved)
         .engine({.sat_backend = sat_backend});

@@ -297,7 +297,6 @@ int cmd_run(const RunArgs& a) {
       const DesignCache::Stats cs = cache->stats();
       meta.set("cache.hits", cs.hits);
       meta.set("cache.misses", cs.misses);
-      meta.set("cache.evictions", cs.evictions);
       meta.set("cache.resident_bytes", cs.resident_bytes);
     }
     // Abort-ladder + incremental-SAT accounting. Emitted
