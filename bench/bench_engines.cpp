@@ -10,8 +10,9 @@
 // window speedup (fsim_batch.per_pattern vs fsim_batch.window -- one
 // pattern per sweep against the window API's 64-lane sweeps on the same
 // 256 patterns; CI gates the wall ratio >= 10x), a SAT-backend workload
-// (starved PODEM, then the abort ladder's final SAT pass over the
-// faults still aborted; atpg.sat.wall_ms/conflicts are baseline-gated)
+// (starved PODEM on a redundant XOR miter, then the abort ladder's final
+// SAT pass over the faults still aborted; atpg.sat.wall_ms/conflicts
+// are baseline-gated)
 // and a parse->simulate run over the committed corpus circuit
 // circuits/s1423c.bench.
 //
@@ -51,6 +52,7 @@
 #include "dft/scan.h"
 #include "fsim/fsim.h"
 #include "fsim/sharded.h"
+#include "gen/circuits.h"
 #include "gen/socgen.h"
 #include "netlist/bench_io.h"
 #include "sim/cycle_sim.h"
@@ -500,22 +502,29 @@ int write_json_report(const std::string& path) {
   }
 
   // SAT backend workload: a separate session with a deliberately
-  // starved PODEM (tiny backtrack limit, no deep retry) so the abort
-  // pool is large. The deterministic stage's 2,000-conflict SAT probes
-  // settle most of it; the final pass then re-decides the faults still
-  // aborted on the same incremental miters, at a budget above the
-  // probe's, so the budget-exhausted instances resume from their
-  // learned clauses. The nested "sat" span wall is measured via
-  // progress events; conflicts/solves are deterministic and asserted
-  // identical across repeats. Nothing here touches the baseline-gated
-  // sessions above -- their counters stay bit-identical with the
-  // backend off.
+  // starved PODEM (tiny backtrack limit, no deep retry) over the
+  // scan-inserted skewed XOR miter (gen::make_xor_miter) under scheme
+  // (a). On the bench SOC the deterministic stage's 2,000-conflict SAT
+  // probes settle every fault a starved PODEM aborts, which would leave
+  // the final pass nothing to decide; the miter's redundant faults need
+  // real search, so some outlast the probes.
+  // The final pass re-decides the faults still aborted on the same
+  // incremental miters, at a budget above the probe's, so the
+  // budget-exhausted instances resume from their learned clauses. The
+  // nested "sat" span wall is measured via progress events;
+  // conflicts/solves are deterministic and asserted identical across
+  // repeats. Nothing here touches the baseline-gated sessions above --
+  // their counters stay bit-identical with the backend off.
   {
+    Netlist miter = gen::make_xor_miter(24, /*skewed=*/true);
+    insert_scan(miter, {.num_chains = 1});
     AtpgOptions starved;
     starved.backtrack_limit = 20;
     starved.abort_retry_factor = 1;
-    // 2,500 is the smallest budget above the probe's that settles a
-    // target here (measured); 20,000 settles two but costs ~47 s.
+    // Above the probe's 2,000, as in production. The pass leaves 4
+    // targets here and proves all 4 untestable with under 800 more
+    // conflicts in total (measured: a budget of 100 proves none, 500
+    // proves all).
     const EngineOptions sat_engine{.sat_backend = true,
                                    .sat_conflict_budget = 2500};
     std::vector<double> walls;
@@ -524,8 +533,8 @@ int write_json_report(const std::string& path) {
       double sat_ms = 0.0;
       std::chrono::steady_clock::time_point sat_t0;
       SessionConfig cfg;
-      cfg.design(nl)
-          .scheme(scheme_cpf_basic(nl.num_domains()))
+      cfg.design(miter)
+          .scheme(scheme_stuck_at_external(miter.num_domains()))
           .atpg(starved)
           .engine(sat_engine)
           .observer([&](const ProgressEvent& ev) {

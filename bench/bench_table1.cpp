@@ -10,12 +10,14 @@
 //                     [--atpg-shards N] [--repeat N]
 //                     [--sat] [--sat-budget CONFLICTS] [--json PATH]
 //                     [--allow-shape-fail]
-//   default : mid-size SOC (~3 minutes) -- same orderings as full scale
-//   --quick : small SOC (~20 minutes on a 4-vCPU Xeon container with
-//             --shards 4, 1,191-1,329 s measured; leader-serial SAT
-//             probes keep one core busy, so more shards barely help)
-//   --full  : paper-scale shape run (~15-20 minutes); the EXPERIMENTS.md
+//   default : mid-size SOC (~16 s) -- same orderings as full scale
+//   --quick : small SOC (~10 s)
+//   --full  : paper-scale shape run (~80 s); the EXPERIMENTS.md
 //             Table-1 numbers were produced at this scale
+//             (walls measured with --shards 4 on a 4-vCPU container;
+//             every SAT probe settles its instance at quick and default
+//             scale, so no fault stays aborted there, and full scale
+//             leaves 1 in (a) and 3 in (e) of 20,360)
 //   --design PATH : run the five experiments on an external
 //             extended-dialect .bench circuit instead of the generated
 //             SOC (size flags are then ignored; shape checks only claim

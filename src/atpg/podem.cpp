@@ -644,19 +644,55 @@ bool Podem::site_blocked_statically(GateId site) const {
   // input at its controlling baseline value therefore has a fixed,
   // equal output in both machines forever: no effect from `site` can
   // pass it, and every site->observation path must (it dominates).
+  // A MUX dominator is blocked the same way when an out-of-cone
+  // constant select picks an out-of-cone data input: its output is that
+  // input, equal in both machines.
   if (!reach_obs_[site]) return true;
   const int32_t vsink = static_cast<int32_t>(comb_->size());
   for (int32_t d = idom_[site]; d != vsink; d = idom_[d]) {
     const GateId dg = static_cast<GateId>(d);
+    const GateId* fi = fi_.data() + fi_off_[dg];
+    if (type_[dg] == GateType::kMux2) {
+      const uint32_t picked = picked_mux_pin(dg);
+      if (picked != 0 && !in_cone(fi[picked])) return true;
+      continue;
+    }
     const V3 cv = controlling_value(type_[dg]);
     if (cv == V3::kX) continue;
-    const uint32_t end = fi_off_[dg + 1];
-    for (uint32_t e = fi_off_[dg]; e != end; ++e) {
-      const GateId f = fi_[e];
-      if (baseline_[f] == cv && cone_mark_[f] != cone_epoch_) return true;
+    const uint32_t n = fi_off_[dg + 1] - fi_off_[dg];
+    for (uint32_t i = 0; i < n; ++i) {
+      if (baseline_[fi[i]] == cv && !in_cone(fi[i])) return true;
     }
   }
   return false;
+}
+
+bool Podem::pin_ignored_statically(GateId site, uint32_t pin) const {
+  // The site's own gate never looks at the faulted pin: a MUX whose
+  // out-of-cone constant select picks the other data input, or an
+  // AND/OR-family gate with an out-of-cone side input at the
+  // controlling constant (its output is then fixed in both machines).
+  // The gate output can still differ through another in-cone input,
+  // but only by an effect that starts at another site, which the early
+  // abort checks on its own.
+  const GateId* fi = fi_.data() + fi_off_[site];
+  if (type_[site] == GateType::kMux2) {
+    const uint32_t picked = picked_mux_pin(site);
+    return picked != 0 && pin != 0 && picked != pin;
+  }
+  const V3 cv = controlling_value(type_[site]);
+  if (cv == V3::kX) return false;
+  const uint32_t n = fi_off_[site + 1] - fi_off_[site];
+  for (uint32_t i = 0; i < n; ++i) {
+    if (i != pin && baseline_[fi[i]] == cv && !in_cone(fi[i])) return true;
+  }
+  return false;
+}
+
+uint32_t Podem::picked_mux_pin(GateId mux) const {
+  const GateId sel = fi_[fi_off_[mux]];
+  if (baseline_[sel] == V3::kX || in_cone(sel)) return 0;
+  return baseline_[sel] == V3::k1 ? 2 : 1;
 }
 
 bool Podem::site_dead_under_row(GateId site) const {
@@ -728,14 +764,16 @@ Podem::Outcome Podem::run(const UnrolledFault& fault,
   mark_cone(fault);
 
   // Dominator early abort: an instance is untestable outright when no
-  // site can both activate (baseline permits the non-forced value) and
-  // propagate (no dominator is blocked by an out-of-cone controlling
-  // baseline value; see site_blocked_statically).
+  // site can activate (baseline permits the non-forced value), pass its
+  // pin through its own gate (pin_ignored_statically) and propagate (no
+  // dominator is blocked by out-of-cone baseline constants; see
+  // site_blocked_statically).
   bool any_open = false;
   const V3 act = fault.forced_value ? V3::k0 : V3::k1;
   for (const auto& [site, pin] : fault.sites) {
     const GateId t = pin == kOutputPin ? site : fi_[fi_off_[site] + pin];
     if (baseline_[t] != V3::kX && baseline_[t] != act) continue;
+    if (pin != kOutputPin && pin_ignored_statically(site, pin)) continue;
     if (site_blocked_statically(site)) continue;
     any_open = true;
     break;

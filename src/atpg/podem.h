@@ -13,8 +13,8 @@
 // Search heuristics (docs/ARCHITECTURE.md "PODEM search heuristics"):
 //   * SCOAP observability-guided objective selection (atpg/scoap.h);
 //   * dominator-based early abort: an instance none of whose sites has
-//     an unblocked dominator chain to an observation is untestable
-//     before any search;
+//     an unblocked path through its own gate and its dominator chain to
+//     an observation is untestable before any search;
 //   * static implication learning (atpg/implications.h) consulted at
 //     decision time to refute doomed decision phases without paying
 //     the forward simulation;
@@ -154,6 +154,10 @@ class Podem {
   // Heuristics.
   void mark_cone(const UnrolledFault& fault);
   bool site_blocked_statically(GateId site) const;
+  bool pin_ignored_statically(GateId site, uint32_t pin) const;
+  // The data pin (1 or 2) an out-of-cone constant select of MUX `mux`
+  // picks, or 0 when the select is X or inside the fault cone.
+  uint32_t picked_mux_pin(GateId mux) const;
   bool site_dead_under_row(GateId site) const;
   bool literal_conflicts(uint32_t var, bool val);
 

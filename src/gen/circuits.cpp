@@ -1,6 +1,7 @@
 #include "gen/circuits.h"
 
 #include <string>
+#include <vector>
 
 #include "util/check.h"
 
@@ -171,6 +172,46 @@ Netlist make_shadow_register(size_t width) {
     const GateId obs = nl.add_dff(mix, 0, "obs" + s);
     nl.add_output(obs, "q" + s);
   }
+  nl.finalize();
+  return nl;
+}
+
+Netlist make_xor_miter(size_t width, bool skewed) {
+  Netlist nl("miter");
+  std::vector<GateId> pis;
+  for (size_t i = 0; i < width; ++i) {
+    pis.push_back(nl.add_input("p" + std::to_string(i)));
+  }
+  size_t k = 0;
+  auto tree = [&](const std::string& pfx) {
+    std::vector<GateId> lvl = pis;
+    while (lvl.size() > 1) {
+      std::vector<GateId> nxt;
+      for (size_t i = 0; i + 1 < lvl.size(); i += 2) {
+        nxt.push_back(nl.add_gate2(GateType::kXor, lvl[i], lvl[i + 1],
+                                   pfx + std::to_string(k++)));
+      }
+      if (lvl.size() % 2) nxt.push_back(lvl.back());
+      lvl = std::move(nxt);
+    }
+    return lvl[0];
+  };
+  const GateId t1 = tree("t1_");
+  GateId t2 = kNoGate;
+  if (skewed) {
+    t2 = pis.back();
+    for (size_t i = pis.size() - 1; i-- > 0;) {
+      t2 = nl.add_gate2(GateType::kXor, t2, pis[i], "c" + std::to_string(i));
+    }
+  } else {
+    t2 = tree("t2_");
+  }
+  const GateId m = nl.add_gate2(GateType::kXor, t1, t2, "m");
+  const GateId side = nl.add_input("side");
+  const GateId o = nl.add_gate2(GateType::kOr, m, side, "o");
+  nl.add_output(o, "po");
+  const GateId ff = nl.add_dff(kNoGate, 0, "ff0", kFlagScan);
+  nl.connect_dff_d(ff, o);
   nl.finalize();
   return nl;
 }

@@ -32,5 +32,19 @@ Netlist make_two_domain_link(size_t width);
 /// that must be initialized via clock-sequential patterns.
 Netlist make_shadow_register(size_t width);
 
+/// Two XOR trees over the same `width` PIs feeding a miter XOR `m`: m is
+/// constant 0 under every assignment, but no gate on the way has a
+/// controlling side value, so neither the dominator prune nor a single
+/// implication can shortcut the proof -- PODEM must exhaust the input
+/// space. A scan flop captures the OR(m, side) output so scan-observing
+/// schemes see the cone too. With `skewed` the second tree is a chain
+/// over the inputs in reverse order: the same parity, bracketed
+/// differently, which CDCL refutes only by real search. Under scheme
+/// (a) with a starved PODEM (1 or 30 backtracks, no deep retry), widths
+/// 24, 28 and 32 leave redundant faults that outlast the deterministic
+/// stage's 2,000-conflict SAT probe; widths 12 to 22 and 26 leave none
+/// (measured).
+Netlist make_xor_miter(size_t width, bool skewed = false);
+
 }  // namespace gen
 }  // namespace occ

@@ -71,6 +71,14 @@ void CnfLowering::emit_binary(Lit a, Lit b) {
   }
 }
 
+void CnfLowering::emit_ternary(Lit a, Lit b, Lit c) {
+  if (guard_ != kLitUndef) {
+    cnf_.add_clause({a, b, c, guard_});
+  } else {
+    cnf_.add_ternary(a, b, c);
+  }
+}
+
 void CnfLowering::add_iff_or_of_ands(
     Lit out, const std::vector<std::vector<Lit>>& terms) {
   // Forward: each fully-true term forces `out`.
@@ -228,11 +236,33 @@ bool CnfLowering::emit_fault(const UnrolledFault& uf, Lit* activation) {
       }
     }
   }
-  std::vector<GateId> obs;
+  // Live gates: cone gates that reach an observation inside the cone.
+  // Only they can carry a difference that matters, so only they get a
+  // difference variable. Reverse topological order finalizes every
+  // fanout before its driver.
+  std::vector<uint8_t> is_obs(n, 0);
+  std::vector<uint8_t> live(n, 0);
   for (GateId o : um_->observations()) {
-    if (in_cone[o]) obs.push_back(o);
+    is_obs[o] = 1;
+    live[o] = in_cone[o];
   }
-  if (obs.empty()) return false;  // no observation point in the cone
+  const auto& topo = nl.topo_order();
+  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
+    const GateId g = *it;
+    if (!in_cone[g] || live[g]) continue;
+    for (GateId f : nl.gate(g).fanout) {
+      if (live[f]) {
+        live[g] = 1;
+        break;
+      }
+    }
+  }
+  bool any_live_site = false;
+  for (const auto& [site, pin] : uf.sites) {
+    (void)pin;
+    any_live_site = any_live_site || live[site] != 0;
+  }
+  if (!any_live_site) return false;  // no observation point in the cone
 
   // Gated form: the activation variable is allocated first (before any
   // per-instance rail), and its negation rides along on every clause
@@ -255,11 +285,16 @@ bool CnfLowering::emit_fault(const UnrolledFault& uf, Lit* activation) {
     return -1;
   };
 
-  // Faulty rails first (ascending gate id), then clauses in the same
-  // order, so the numbering is a pure function of the instance.
+  // Faulty rails first, then difference variables (both by ascending
+  // gate id), then clauses in the same order, so the numbering is a
+  // pure function of the instance.
   std::vector<RailPair> frail(n, RailPair{kLitUndef, kLitUndef});
   for (GateId g = 0; g < n; ++g) {
     if (in_cone[g]) frail[g] = {mk_lit(cnf_.new_var()), mk_lit(cnf_.new_var())};
+  }
+  std::vector<Lit> diff(n, kLitUndef);
+  for (GateId g = 0; g < n; ++g) {
+    if (live[g]) diff[g] = mk_lit(cnf_.new_var());
   }
   const auto fan_rails = [&](GateId f) {
     return in_cone[f] ? frail[f] : good(f);
@@ -287,24 +322,40 @@ bool CnfLowering::emit_fault(const UnrolledFault& uf, Lit* activation) {
     emit_unit(val ? good(g).one : good(g).zero);
   }
 
-  // Detection: some observation differs definitely between the copies.
-  // One selector per direction (good 1 / faulty 0 and good 0 / faulty 1)
-  // keeps the requirement a small disjunction of implications.
-  std::vector<Lit> any;
-  any.reserve(2 * obs.size());
-  for (GateId o : obs) {
-    const RailPair gr = good(o);
-    const RailPair fr = frail[o];
-    const Lit sp = mk_lit(cnf_.new_var());
-    const Lit sn = mk_lit(cnf_.new_var());
-    emit_binary(lit_neg(sp), gr.one);
-    emit_binary(lit_neg(sp), fr.zero);
-    emit_binary(lit_neg(sn), gr.zero);
-    emit_binary(lit_neg(sn), fr.one);
-    any.push_back(sp);
-    any.push_back(sn);
+  // Detection as a D-chain (Larrabee's active clauses): d_g says gate g
+  // differs definitely, a live non-observation gate that differs passes
+  // the difference to some live fanout, and some site starts a chain.
+  // Every chain ends at an observation, so a model detects. Conversely
+  // a detection has such a chain: 3-valued evaluation is monotone, so a
+  // non-site gate that differs definitely has a fanin that does (see
+  // docs/ARCHITECTURE.md "The SAT backend").
+  for (GateId g = 0; g < n; ++g) {
+    if (!live[g]) continue;
+    const Lit d = diff[g];
+    const RailPair gr = good(g);
+    const RailPair fr = frail[g];
+    // d -> (good 1 and faulty 0) or (good 0 and faulty 1).
+    emit_ternary(lit_neg(d), gr.one, gr.zero);
+    emit_ternary(lit_neg(d), fr.one, fr.zero);
+    emit_ternary(lit_neg(d), gr.one, fr.one);
+    emit_ternary(lit_neg(d), gr.zero, fr.zero);
+    if (!is_obs[g]) {
+      std::vector<Lit> chain{lit_neg(d)};
+      for (GateId f : nl.gate(g).fanout) {
+        if (live[f]) chain.push_back(diff[f]);
+      }
+      // A gate feeding two pins of one fanout lists it twice.
+      std::sort(chain.begin() + 1, chain.end());
+      chain.erase(std::unique(chain.begin() + 1, chain.end()), chain.end());
+      emit_clause(std::move(chain));
+    }
   }
-  emit_clause(std::move(any));
+  std::vector<Lit> root;
+  for (const auto& [site, pin] : uf.sites) {
+    (void)pin;
+    if (live[site]) root.push_back(diff[site]);
+  }
+  emit_clause(std::move(root));
   guard_ = kLitUndef;
   return true;
 }

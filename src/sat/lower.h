@@ -14,9 +14,17 @@
 //
 // Variable numbering is a pure function of the comb model and the
 // fault-instance content (variable 0 is constant true; gate rails by
-// gate id; XOR-chain auxiliaries in gate order; faulty-cone rails in
-// ascending gate-id order), so identical faults lower to byte-identical
-// DIMACS.
+// gate id; XOR-chain auxiliaries in gate order; faulty-cone rails, then
+// difference variables, in ascending gate-id order), so identical
+// faults lower to byte-identical DIMACS.
+//
+// Detection is a D-chain (Larrabee's "active" clauses): each live cone
+// gate -- one reaching an observation inside the cone -- gets a
+// difference variable d_g that forces its good and faulty rails
+// definite and opposite; a live non-observation gate with d_g set
+// passes the difference to some live fanout, and some site starts a
+// chain. An instance blocked at a dominator is then refuted by unit
+// propagation instead of a proof that the two cone copies agree.
 #pragma once
 
 #include <cstdint>
@@ -49,10 +57,10 @@ class CnfLowering {
 
   /// Appends the faulty-cone miter for one fault instance: faulty rails
   /// for the fanout cone of the sites, stuck forcing at the sites,
-  /// launch constraints on the good machine, and the observation
-  /// requirement (some strobed output differs definitely between the
-  /// copies). Returns false -- adding nothing -- when no observation
-  /// lies in the fault cone (the instance is trivially undetectable).
+  /// launch constraints on the good machine, and the D-chain from a
+  /// site to an observation that differs definitely between the copies.
+  /// Returns false -- adding nothing -- when no observation lies in the
+  /// fault cone (the instance is trivially undetectable).
   bool add_fault(const UnrolledFault& uf);
 
   /// The incremental variant of add_fault(): allocates a fresh
@@ -79,6 +87,7 @@ class CnfLowering {
   void emit_clause(std::vector<Lit> c);
   void emit_unit(Lit a);
   void emit_binary(Lit a, Lit b);
+  void emit_ternary(Lit a, Lit b, Lit c);
   // Shared body of add_fault()/add_fault_gated(); `activation` selects
   // the gated form (allocated only once the cone is known observable).
   bool emit_fault(const UnrolledFault& uf, Lit* activation);

@@ -8,8 +8,10 @@
 //     (atpg/implications.h), and exhaustively over every variable
 //     completion;
 //   * dominator early abort never reclassifies a testable fault:
-//     a crafted guaranteed-prune circuit plus randomized agreement of
-//     full-budget PODEM with the unlimited-budget SAT verdict;
+//     crafted guaranteed-prune circuits (blocked dominators, blocked
+//     site pins, MUX dominators, every scan-in pin under a frozen
+//     scan_en) plus randomized agreement of full-budget PODEM with the
+//     unlimited-budget SAT verdict;
 //   * session-level soundness with the SAT backend on: every
 //     (proven-)untestable verdict agrees with the unlimited-budget SAT
 //     verdict on the session's own capture model;
@@ -30,6 +32,7 @@
 #include "atpg/scoap.h"
 #include "atpg/unroll.h"
 #include "core/clock_scheme.h"
+#include "dft/scan.h"
 #include "gen/socgen.h"
 #include "test_helpers.h"
 #include "util/rng.h"
@@ -301,6 +304,126 @@ TEST(AtpgHeuristics, DominatorAbortFiresOnlyOnBlockedCones) {
     ASSERT_EQ(open_targets.size(), 1u);
     EXPECT_EQ(podem.run(open_targets[0]), Podem::Outcome::kDetected);
     EXPECT_EQ(test::sat_verdict(um, open_targets[0]), Verdict::kSat);
+  }
+}
+
+TEST(AtpgHeuristics, DominatorAbortCoversBlockedPinsAndMuxDominators) {
+  // (a) A branch site whose own gate ignores the faulted pin: pin 0 of
+  // `masked` sits beside a tied controlling input. (b) A MUX dominator
+  // whose constant select picks an out-of-cone data input: every path
+  // from u2 runs through `pick_c`, which always passes c. `pick_u` picks
+  // its in-cone input instead and must stay open.
+  Netlist nl("blocked_pins");
+  const GateId a = nl.add_input("a");
+  const GateId b = nl.add_input("b");
+  const GateId c = nl.add_input("c");
+  const GateId t0 = nl.add_tie(false, "t0");
+  const GateId u1 = nl.add_gate2(GateType::kAnd, a, b, "u1");
+  const GateId masked = nl.add_gate2(GateType::kAnd, u1, t0, "masked");
+  nl.add_output(masked, "po1");
+  nl.add_output(u1, "po2");
+  const GateId u2 = nl.add_gate2(GateType::kOr, a, b, "u2");
+  const GateId pick_c = nl.add_mux2(t0, c, u2, "pick_c");
+  nl.add_output(pick_c, "po3");
+  const GateId u3 = nl.add_gate2(GateType::kXor, a, b, "u3");
+  const GateId pick_u = nl.add_mux2(t0, u3, c, "pick_u");
+  nl.add_output(pick_u, "po4");
+  nl.finalize();
+
+  const ClockingScheme s = comb_scheme();
+  const UnrolledModel um(nl, s, 0, kNoGate);
+  Podem podem(um, 4096);
+  using Verdict = sat::IncrementalMiter::Verdict;
+  const auto expect_pruned = [&](const Fault& f) {
+    const auto targets = um.translate(f);
+    ASSERT_EQ(targets.size(), 1u);
+    const Podem::Stats before = podem.stats();
+    EXPECT_EQ(podem.run(targets[0]), Podem::Outcome::kUntestable);
+    const Podem::Stats delta = podem.stats() - before;
+    EXPECT_EQ(delta.dominator_prunes, 1u);
+    EXPECT_EQ(delta.decisions, 0u) << "prune must precede any search";
+    EXPECT_NE(test::sat_verdict(um, targets[0]), Verdict::kSat);
+  };
+  const auto expect_open = [&](const Fault& f) {
+    const auto targets = um.translate(f);
+    ASSERT_EQ(targets.size(), 1u);
+    const Podem::Stats before = podem.stats();
+    EXPECT_EQ(podem.run(targets[0]), Podem::Outcome::kDetected);
+    EXPECT_EQ((podem.stats() - before).dominator_prunes, 0u);
+    EXPECT_EQ(test::sat_verdict(um, targets[0]), Verdict::kSat);
+  };
+  for (const FaultType t : {FaultType::kSa0, FaultType::kSa1}) {
+    SCOPED_TRACE(static_cast<int>(t));
+    expect_pruned({masked, 0, t});          // (a) AND side input at 0
+    expect_pruned({pick_c, 2, t});          // (a) MUX picks the other pin
+    expect_pruned({u2, kOutputPin, t});     // (b) MUX dominator
+    expect_open({u1, kOutputPin, t});       // observable at po2
+    expect_open({u3, kOutputPin, t});       // MUX picks the cone
+    expect_open({pick_u, 1, t});            // the picked pin itself
+  }
+}
+
+TEST(AtpgHeuristics, FrozenScanEnablePrunesEveryScanInPin) {
+  // Every capture frame ties scan_en to 0 under a scheme that freezes
+  // it, so no scan mux ever passes its scan-in pin (pin 2): each such
+  // instance is untestable with zero decisions. Under scheme (a) the
+  // select is a PI and the pin is testable, so nothing may be pruned.
+  gen::SocParams prm;
+  prm.seed = 8;
+  prm.flops = 10;
+  prm.gates = 100;
+  prm.pis = 8;
+  prm.pos = 8;
+  Netlist nl = gen::generate_soc(prm);
+  const GateId se = insert_scan(nl, {.num_chains = 2}).scan_en;
+  std::vector<GateId> muxes;
+  for (GateId g = 0; g < nl.size(); ++g) {
+    if (nl.gate(g).flags & kFlagScanMux) muxes.push_back(g);
+  }
+  ASSERT_FALSE(muxes.empty());
+  using Verdict = sat::IncrementalMiter::Verdict;
+
+  const size_t d = nl.num_domains();
+  size_t pruned = 0;
+  for (const ClockingScheme& s :
+       {scheme_external_full(d, 3), scheme_cpf_basic(d),
+        scheme_cpf_enhanced(d, 3), scheme_external_constrained(d, 3)}) {
+    SCOPED_TRACE(s.name);
+    ASSERT_TRUE(s.scan_en_frozen);
+    for (uint32_t nc = 0; nc < s.procedures.size(); ++nc) {
+      const UnrolledModel um(nl, s, nc, se);
+      Podem podem(um, 300);
+      for (GateId m : muxes) {
+        for (const FaultType t : {FaultType::kStr, FaultType::kStf}) {
+          for (const UnrolledFault& uf : um.translate({m, 2, t})) {
+            const Podem::Stats before = podem.stats();
+            EXPECT_EQ(podem.run(uf), Podem::Outcome::kUntestable);
+            const Podem::Stats delta = podem.stats() - before;
+            EXPECT_EQ(delta.decisions, 0u);
+            EXPECT_EQ(delta.dominator_prunes, 1u);
+            EXPECT_NE(test::sat_verdict(um, uf), Verdict::kSat);
+            ++pruned;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(pruned, 0u);
+
+  const ClockingScheme sa = scheme_stuck_at_external(d);
+  ASSERT_FALSE(sa.scan_en_frozen);
+  const UnrolledModel um(nl, sa, 0, se);
+  Podem podem(um, 20000);
+  for (GateId m : muxes) {
+    for (const FaultType t : {FaultType::kSa0, FaultType::kSa1}) {
+      for (const UnrolledFault& uf : um.translate({m, 2, t})) {
+        const Podem::Stats before = podem.stats();
+        const Podem::Outcome out = podem.run(uf);
+        EXPECT_EQ((podem.stats() - before).dominator_prunes, 0u);
+        EXPECT_EQ(out == Podem::Outcome::kDetected,
+                  test::sat_verdict(um, uf) == Verdict::kSat);
+      }
+    }
   }
 }
 

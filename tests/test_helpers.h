@@ -1,10 +1,9 @@
-// Shared test utilities: a random sequential-netlist generator, the
-// redundant XOR miter (xor_miter), two independent reference fault
-// simulators used as oracles against the packed PPSFP engine -- a
-// scalar one-pattern simulator (ref_detects) and a brute-force 64-lane
-// full simulator (RefFaultSim) -- the unlimited-budget SAT verdict
-// (sat_verdict) the ATPG engines' outcomes are checked against, and a
-// one-call minimal Session (session_atpg).
+// Shared test utilities: a random sequential-netlist generator, two
+// independent reference fault simulators used as oracles against the
+// packed PPSFP engine -- a scalar one-pattern simulator (ref_detects)
+// and a brute-force 64-lane full simulator (RefFaultSim) -- the
+// unlimited-budget SAT verdict (sat_verdict) the ATPG engines' outcomes
+// are checked against, and a one-call minimal Session (session_atpg).
 #pragma once
 
 #include <gtest/gtest.h>
@@ -89,55 +88,6 @@ inline size_t expect_untestable_verdicts_hold(const SessionResult& r) {
         << "has a test";
   }
   return checked;
-}
-
-/// Two XOR trees over the same PIs feeding a miter XOR `m`: m is
-/// constant 0 under every assignment, but no gate on the way has a
-/// controlling side value, so neither the dominator prune nor a single
-/// implication can shortcut the proof -- PODEM must exhaust the input
-/// space. A scan flop captures the OR(m, side) output so scan-observing
-/// schemes see the cone too. With `skewed` the second tree is a chain
-/// over the inputs in reverse order: the same parity, bracketed
-/// differently, which CDCL refutes only by real search (from width 16
-/// on, some instances outlast the deterministic stage's SAT probe).
-inline Netlist xor_miter(size_t width, bool skewed = false) {
-  Netlist nl("miter");
-  std::vector<GateId> pis;
-  for (size_t i = 0; i < width; ++i) {
-    pis.push_back(nl.add_input("p" + std::to_string(i)));
-  }
-  size_t k = 0;
-  auto tree = [&](const std::string& pfx) {
-    std::vector<GateId> lvl = pis;
-    while (lvl.size() > 1) {
-      std::vector<GateId> nxt;
-      for (size_t i = 0; i + 1 < lvl.size(); i += 2) {
-        nxt.push_back(nl.add_gate2(GateType::kXor, lvl[i], lvl[i + 1],
-                                   pfx + std::to_string(k++)));
-      }
-      if (lvl.size() % 2) nxt.push_back(lvl.back());
-      lvl = std::move(nxt);
-    }
-    return lvl[0];
-  };
-  const GateId t1 = tree("t1_");
-  GateId t2 = kNoGate;
-  if (skewed) {
-    t2 = pis.back();
-    for (size_t i = pis.size() - 1; i-- > 0;) {
-      t2 = nl.add_gate2(GateType::kXor, t2, pis[i], "c" + std::to_string(i));
-    }
-  } else {
-    t2 = tree("t2_");
-  }
-  const GateId m = nl.add_gate2(GateType::kXor, t1, t2, "m");
-  const GateId side = nl.add_input("side");
-  const GateId o = nl.add_gate2(GateType::kOr, m, side, "o");
-  nl.add_output(o, "po");
-  const GateId ff = nl.add_dff(kNoGate, 0, "ff0", kFlagScan);
-  nl.connect_dff_d(ff, o);
-  nl.finalize();
-  return nl;
 }
 
 /// The ATPG result of one minimal Session over the borrowed netlist `nl`

@@ -252,7 +252,7 @@ TEST(Podem, RedundantMiterExhaustsBacktrackLimitOnEveryScheme) {
   // backtrack limit (the first conflict aborts) must abort or be pruned
   // -- never be misclassified as detected -- and the unlimited-budget
   // SAT decision must prove every target undetectable.
-  const Netlist nl = test::xor_miter(4);
+  const Netlist nl = gen::make_xor_miter(4);
   const ClockingScheme schemes[] = {
       scheme_stuck_at_external(1),      scheme_external_full(1, 3),
       scheme_cpf_basic(1),              scheme_cpf_enhanced(1, 3),
@@ -284,7 +284,7 @@ TEST(Podem, RedundantMiterProvenUntestableUnderGenerousLimit) {
   // Same targets with room to exhaust: PODEM must settle on kUntestable
   // (never kDetected, never kAborted), as the unlimited-budget SAT
   // decision does.
-  const Netlist nl = test::xor_miter(4);
+  const Netlist nl = gen::make_xor_miter(4);
   const ClockingScheme schemes[] = {scheme_stuck_at_external(1),
                                     scheme_cpf_basic(1)};
   for (const ClockingScheme& s : schemes) {
@@ -305,11 +305,12 @@ TEST(Podem, AbortedFaultsReachSatBackendUnchanged) {
   // The faults the abort ladder (cheap PODEM, SAT probe) leaves aborted
   // are handed to the SAT backend's final pass verbatim: faults_targeted
   // equals the aborted tally of the same session without the backend.
-  // The skewed miter is sized so some probes run out of budget, and the
-  // only aborting faults are the redundant miter faults (testable faults
+  // The skewed miter is sized so some probes run out of budget (width
+  // 24 leaves 4 aborted faults; gen::make_xor_miter), and the only
+  // aborting faults are the redundant miter faults (testable faults
   // need far fewer than the budgeted backtracks), hence the pass emits
   // no cubes and nothing is collaterally re-classified.
-  Netlist nl = test::xor_miter(16, /*skewed=*/true);
+  Netlist nl = gen::make_xor_miter(24, /*skewed=*/true);
   insert_scan(nl, {.num_chains = 1});
   auto run = [&](bool sat_backend) {
     SessionConfig cfg;

@@ -14,17 +14,18 @@
 #include "api/session.h"
 #include "core/clock_scheme.h"
 #include "dft/scan.h"
+#include "gen/circuits.h"
 #include "test_helpers.h"
 
 namespace occ {
 namespace sat {
 namespace {
 
-/// A skewed XOR miter (test_helpers.h): some of its redundant faults
-/// outlast the deterministic stage's SAT probe, so they reach the
-/// final pass.
+/// A skewed XOR miter (gen::make_xor_miter): at widths 24 and 28 some
+/// of its redundant faults outlast the deterministic stage's SAT probe,
+/// so they reach the final pass.
 Netlist hard_netlist(size_t width) {
-  Netlist nl = test::xor_miter(width, /*skewed=*/true);
+  Netlist nl = gen::make_xor_miter(width, /*skewed=*/true);
   insert_scan(nl, {.num_chains = 1});
   return nl;
 }
@@ -94,7 +95,7 @@ size_t expect_pass_verdicts_hold(const SessionResult& ladder,
 }
 
 TEST(SatAtpg, ClassifiesEveryAbortedFault) {
-  for (size_t width : {16u, 20u}) {
+  for (size_t width : {24u, 28u}) {
     SCOPED_TRACE(width);
     const Netlist nl = hard_netlist(width);
     // First a reference run without the backend, to know aborts exist.
@@ -123,7 +124,7 @@ TEST(SatAtpg, ClassifiesEveryAbortedFault) {
 }
 
 TEST(SatAtpg, StageDispositionsAreRecorded) {
-  const Netlist nl = hard_netlist(16);
+  const Netlist nl = hard_netlist(24);
   std::vector<std::string> begins;
   const SessionResult r = run_session(
       nl, {.sat_backend = true}, [&](const ProgressEvent& e) {
@@ -160,7 +161,7 @@ TEST(SatAtpg, StageDispositionsAreRecorded) {
 }
 
 TEST(SatAtpg, OffMeansNoFinalPass) {
-  const Netlist nl = hard_netlist(16);
+  const Netlist nl = hard_netlist(24);
   bool sat_span = false;
   const SessionResult r =
       run_session(nl, {}, [&](const ProgressEvent& e) {
@@ -180,7 +181,7 @@ TEST(SatAtpg, OffMeansNoFinalPass) {
 }
 
 TEST(SatAtpg, DeterministicAcrossRepeatsAndShardSettings) {
-  const Netlist nl = hard_netlist(16);
+  const Netlist nl = hard_netlist(24);
   auto run = [&](size_t fsim_shards, size_t atpg_shards) {
     const SessionResult r =
         run_session(nl, {.fsim = {.shards = fsim_shards},
@@ -252,7 +253,7 @@ TEST(SatAtpg, ProvesRedundantFaultUntestable) {
 }
 
 TEST(SatAtpg, BudgetExhaustionLeavesFaultAborted) {
-  const Netlist nl = hard_netlist(16);
+  const Netlist nl = hard_netlist(24);
   // An absurdly small budget cannot finish a refutation the probe could
   // not; faults whose miters need search stay aborted rather than
   // getting misclassified.

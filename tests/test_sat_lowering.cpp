@@ -1,12 +1,14 @@
 // Tests: dual-rail CNF lowering of the unrolled model -- unit-propagation
 // parity with direct 3-valued simulation across all five clocking
 // schemes and the circuits/ corpus, stable (byte-identical) DIMACS
-// numbering, and validity of SAT-extracted test cubes against the
-// scalar reference simulator.
+// numbering, validity of SAT-extracted test cubes against the scalar
+// reference simulator, and every fault-miter verdict against an
+// exhaustive enumeration of the model variables.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "atpg/parallel.h"
@@ -37,16 +39,28 @@ void mark_all_scan(Netlist& nl) {
 
 /// Direct 3-valued evaluation of the comb model under a full assignment
 /// of the model variables: the simulation side of the parity check.
+/// With `uf`, the faulty machine of that instance: stem sites take the
+/// forced value, branch sites read it on their faulted pin.
 std::vector<V3> sim_comb(const UnrolledModel& um,
-                         const std::vector<V3>& var_values) {
+                         const std::vector<V3>& var_values,
+                         const UnrolledFault* uf = nullptr) {
   const Netlist& nl = um.comb();
   std::vector<V3> vals(nl.size(), V3::kX);
   std::vector<int32_t> var_of(nl.size(), -1);
   for (size_t i = 0; i < um.var_gates().size(); ++i) {
     var_of[um.var_gates()[i]] = static_cast<int32_t>(i);
   }
+  const V3 forced = uf != nullptr && uf->forced_value ? V3::k1 : V3::k0;
+  std::vector<int> site_pin(nl.size(), -1);
+  if (uf != nullptr) {
+    for (const auto& [site, pin] : uf->sites) site_pin[site] = pin;
+  }
   for (GateId g : nl.topo_order()) {
     const Gate& gate = nl.gate(g);
+    if (site_pin[g] == kOutputPin) {
+      vals[g] = forced;
+      continue;
+    }
     switch (gate.type) {
       case GateType::kInput:
         vals[g] = var_values[static_cast<size_t>(var_of[g])];
@@ -60,13 +74,12 @@ std::vector<V3> sim_comb(const UnrolledModel& um,
       case GateType::kXSource:
         vals[g] = V3::kX;
         break;
-      case GateType::kOutput:
-        vals[g] = vals[gate.fanin[0]];
-        break;
       default: {
         std::vector<V3> in;
         for (GateId f : gate.fanin) in.push_back(vals[f]);
-        vals[g] = eval_gate(gate.type, in);
+        if (site_pin[g] >= 0) in[static_cast<size_t>(site_pin[g])] = forced;
+        vals[g] = gate.type == GateType::kOutput ? in[0]
+                                                 : eval_gate(gate.type, in);
         break;
       }
     }
@@ -212,6 +225,95 @@ TEST(SatLowering, SatCubesDetectInScalarReference) {
     }
     EXPECT_GT(sat_seen, 0u);
   }
+}
+
+/// Every 0/1 assignment of the model variables, good and faulty machine
+/// simulated three-valued: does one meet the launch constraints and
+/// give a definite difference at an observation? An oracle that shares
+/// no code with the lowering or either search engine.
+bool brute_force_detects(const UnrolledModel& um, const UnrolledFault& uf) {
+  const size_t nv = um.var_gates().size();
+  std::vector<V3> vars(nv);
+  for (uint64_t a = 0; a < (uint64_t{1} << nv); ++a) {
+    for (size_t i = 0; i < nv; ++i) vars[i] = (a >> i) & 1 ? V3::k1 : V3::k0;
+    const std::vector<V3> good = sim_comb(um, vars);
+    bool launched = true;
+    for (const auto& [g, val] : uf.constraints) {
+      launched = launched && good[g] == (val ? V3::k1 : V3::k0);
+    }
+    if (!launched) continue;
+    const std::vector<V3> faulty = sim_comb(um, vars, &uf);
+    for (GateId o : um.observations()) {
+      if (good[o] != V3::kX && faulty[o] != V3::kX && good[o] != faulty[o]) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+/// Checks the unlimited-budget verdict of every instance of every fault
+/// under every procedure of `s` against brute_force_detects. Returns the
+/// number of (SAT, UNSAT) verdicts checked.
+std::pair<size_t, size_t> check_verdicts_by_enumeration(
+    const Netlist& nl, const ClockingScheme& s) {
+  size_t sat = 0, unsat = 0;
+  const FaultList fl = FaultList::build(nl, s.model);
+  for (uint32_t nc = 0; nc < s.procedures.size(); ++nc) {
+    const UnrolledModel um(nl, s, nc, kNoGate);
+    EXPECT_LE(um.var_gates().size(), 12u) << "ncp " << nc;
+    if (um.var_gates().size() > 12) continue;
+    for (size_t fi = 0; fi < fl.size(); ++fi) {
+      for (const UnrolledFault& uf : um.translate(fl.fault(fi))) {
+        const bool found = test::sat_verdict(um, uf) ==
+                           IncrementalMiter::Verdict::kSat;
+        EXPECT_EQ(found, brute_force_detects(um, uf))
+            << "ncp " << nc << " fault " << fault_to_string(nl, fl.fault(fi))
+            << " cycle " << uf.target_cycle;
+        ++(found ? sat : unsat);
+      }
+    }
+  }
+  return {sat, unsat};
+}
+
+TEST(SatLowering, VerdictsMatchEnumerationOnEveryScheme) {
+  Rng gen_rng(0xd0c4a1);
+  for (int round = 0; round < 2; ++round) {
+    const Netlist nl = test::random_netlist(
+        gen_rng, test::RandomNetlistParams{
+                     .pis = 2, .pos = 2, .flops = 3, .gates = 16, .domains = 2});
+    for (const ClockingScheme& s :
+         {scheme_stuck_at_external(2), scheme_external_full(2, 3),
+          scheme_cpf_basic(2), scheme_cpf_enhanced(2, 3),
+          scheme_external_constrained(2, 3)}) {
+      SCOPED_TRACE(s.name + " round " + std::to_string(round));
+      const auto [sat, unsat] = check_verdicts_by_enumeration(nl, s);
+      // Both verdicts must occur, or the check proves nothing.
+      EXPECT_GT(sat, 0u);
+      EXPECT_GT(unsat, 0u);
+    }
+  }
+}
+
+TEST(SatLowering, VerdictsMatchEnumerationOnS27) {
+  Netlist nl = read_bench_file(corpus_path("s27.bench"));
+  mark_all_scan(nl);
+  const size_t d = nl.num_domains();
+  // Bursts of at most 2 (b) keep every procedure within 12 variables.
+  size_t unsat_total = 0;
+  for (const ClockingScheme& s :
+       {scheme_stuck_at_external(d), scheme_external_full(d, 2),
+        scheme_cpf_basic(d), scheme_cpf_enhanced(d, 3),
+        scheme_external_constrained(d, 3)}) {
+    SCOPED_TRACE(s.name);
+    const auto [sat, unsat] = check_verdicts_by_enumeration(nl, s);
+    EXPECT_GT(sat, 0u);
+    unsat_total += unsat;
+  }
+  // s27 is fully testable under (a) and (b); the CPF procedures leave
+  // redundant instances.
+  EXPECT_GT(unsat_total, 0u);
 }
 
 }  // namespace
