@@ -8,16 +8,15 @@
 //
 // Usage: bench_table1 [--quick|--full] [--design PATH] [--shards N]
 //                     [--atpg-shards N] [--repeat N]
-//                     [--sat] [--sat-budget CONFLICTS] [--json PATH]
+//                     [--sat-budget CONFLICTS] [--json PATH]
 //                     [--allow-shape-fail]
 //   default : mid-size SOC (~16 s) -- same orderings as full scale
 //   --quick : small SOC (~10 s)
 //   --full  : paper-scale shape run (~80 s); the EXPERIMENTS.md
 //             Table-1 numbers were produced at this scale
 //             (walls measured with --shards 4 on a 4-vCPU container;
-//             every SAT probe settles its instance at quick and default
-//             scale, so no fault stays aborted there, and full scale
-//             leaves 1 in (a) and 3 in (e) of 20,360)
+//             at the default probe budget every SAT probe settles its
+//             instance at all three scales, so no fault stays aborted)
 //   --design PATH : run the five experiments on an external
 //             extended-dialect .bench circuit instead of the generated
 //             SOC (size flags are then ignored; shape checks only claim
@@ -29,13 +28,12 @@
 //   --atpg-shards N : deterministic-PODEM worker shards per Session
 //                (default and 0 = follow --shards; committed results
 //                are bit-identical for every value)
-//   --sat : add the abort ladder's final SAT pass in every experiment
-//                -- after the deterministic stage's SAT probes and deep
-//                retries, every fault still aborted gets a CNF miter
-//                decision (test cube, proven-untestable, or still
-//                aborted at --sat-budget conflicts per solve). The pass
-//                runs inside the podem stage, so its outcome shows in
-//                that stage's disposition.
+//   --sat-budget CONFLICTS : conflict budget of the abort ladder's
+//                SAT probe (default 100000, 0 = unlimited). Every fault
+//                cheap PODEM aborts gets one CNF miter decision (test
+//                cube, proven-untestable, or aborted when the budget
+//                runs out) inside the podem stage, so its outcome shows
+//                in that stage's disposition.
 //   --repeat N : run the experiment suite N times (default 1) and
 //                 report the median wall per experiment in the --json
 //                 report; work counters are asserted identical across
@@ -132,7 +130,7 @@ int write_json_report(const std::string& path,
 int main(int argc, char** argv) {
   using namespace occ;
   bool quick = false, full = false, allow_shape_fail = false;
-  EngineOptions engine;   // --shards/--atpg-shards/--sat*
+  EngineOptions engine;   // --shards/--atpg-shards/--sat-budget
   engine.fsim.shards = 0;  // default: hardware concurrency
   size_t repeat = 1;
   std::string json_path;

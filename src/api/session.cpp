@@ -278,7 +278,7 @@ SessionResult Session::execute(
     if (sources.empty()) {
       // Classic pipeline: the random stage reads rounds from opts (and
       // skips itself at random_rounds = 0), then deterministic PODEM
-      // (which also runs the SAT backend's final pass when enabled).
+      // (whose abort ladder ends in the SAT probe).
       sources.push_back(std::make_shared<RandomPatternSource>());
       sources.push_back(std::make_shared<PodemPatternSource>());
     }

@@ -148,9 +148,9 @@ class SessionConfig {
 
   // ---- engine selection --------------------------------------------------
   /// The whole engine-selection surface in one call (fsim/options.h):
-  /// fault-simulation shards, PODEM worker shards, SAT backend and its
+  /// fault-simulation shards, PODEM worker shards and the SAT probe's
   /// conflict budget. This is what the drivers parse their shared
-  /// `--shards/--atpg-shards/--sat/--sat-budget` flags into (see
+  /// `--shards/--atpg-shards/--sat-budget` flags into (see
   /// util/cli.h's parse_engine_flag). Results are bit-identical for
   /// every shard count.
   SessionConfig& engine(EngineOptions o);

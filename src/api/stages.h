@@ -68,14 +68,11 @@ struct PipelineContext {
   /// the deterministic stage runs over.
   const CompiledDesign& compiled;
 
-  /// Forwards one event to the observer, if any.
-  void emit(ProgressEvent::Kind kind, const std::string& stage,
-            size_t done = 0, size_t total = 0) const {
-    if (observer && *observer) (*observer)({kind, stage, done, total});
-  }
-  /// Emits a kProgress event for `stage`.
+  /// Forwards a kProgress event for `stage` to the observer, if any.
   void progress(const std::string& stage, size_t done, size_t total) const {
-    emit(ProgressEvent::Kind::kProgress, stage, done, total);
+    if (observer && *observer) {
+      (*observer)({ProgressEvent::Kind::kProgress, stage, done, total});
+    }
   }
 };
 
@@ -101,10 +98,10 @@ class RandomPatternSource : public PatternSource {
 };
 
 /// Deterministic PODEM stage: per-NCP unrolled models, capability
-/// pre-filtering, the abort ladder (SAT probe, deep retry and, with
-/// EngineOptions::sat_backend, a final SAT pass in a nested "sat"
-/// stage span), static cube merging and windowed
-/// flush-to-fault-simulation, all per the session's AtpgOptions.
+/// pre-filtering, the abort ladder (cheap PODEM, then one SAT probe per
+/// abort at EngineOptions::sat_conflict_budget), static cube merging
+/// and windowed flush-to-fault-simulation, all per the session's
+/// AtpgOptions.
 /// Runs on EngineOptions::atpg_shards worker threads (0 = follow the
 /// session's fault-simulation shard count) via the speculative-commit
 /// coordinator in atpg/parallel.h; committed results are bit-identical

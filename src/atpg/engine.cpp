@@ -15,6 +15,8 @@ std::string AtpgRunResult::summary() const {
   if (external_patterns > 0) os << ", ext=" << external_patterns;
   os << ")"
      << " untestable=" << faults.count(FaultStatus::kUntestable)
+     << " proven_untestable="
+     << faults.count(FaultStatus::kProvenUntestable)
      << " aborted=" << faults.count(FaultStatus::kAborted)
      << " t=" << seconds << "s";
   return os.str();

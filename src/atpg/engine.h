@@ -10,7 +10,8 @@
 //
 // Every Table-1 experiment of the paper is one Session with a different
 // ClockingScheme. AtpgOptions says what the flow computes; how the
-// engines run (shards, SAT backend) is EngineOptions (fsim/options.h).
+// engines run (shards, SAT conflict budget) is EngineOptions
+// (fsim/options.h).
 #pragma once
 
 #include <cstdint>
@@ -26,11 +27,9 @@ namespace occ {
 
 struct AtpgOptions {
   uint64_t seed = 0x0cc7e57;
+  /// Backtracks per cheap PODEM run; an abort is handed to the SAT
+  /// probe (EngineOptions::sat_conflict_budget).
   uint32_t backtrack_limit = 300;
-  /// Aborted faults get one retry with the limit multiplied by this
-  /// factor (0/1 disables). Keeps the abort rate near the paper's 0.3%
-  /// without paying the deep limit on every fault.
-  uint32_t abort_retry_factor = 8;
   /// Optional random pre-stage (OFF by default: commercial flows get the
   /// same effect from random fill of deterministic cubes): max 64-pattern
   /// rounds per capture procedure; a round yielding fewer than two new
@@ -48,20 +47,14 @@ struct AtpgOptions {
   bool keep_cubes = false;
 };
 
-/// Deterministic SAT work counters: the final pass's dispositions
-/// (EngineOptions::sat_backend) and the solver work of every probe and
-/// final-pass solve on the deterministic stage's miters.
+/// Deterministic SAT work counters: the solver work of every SAT probe
+/// on the deterministic stage's miters.
 struct SatStats {
-  size_t faults_targeted = 0;    ///< aborted faults the final pass decided
-  size_t detected = 0;           ///< classified testable (cube emitted)
-  size_t proven_untestable = 0;  ///< all miters UNSAT within budget
-  size_t still_aborted = 0;      ///< some solve hit the conflict budget
-  uint64_t solves = 0;           ///< CDCL solver invocations
+  uint64_t solves = 0;  ///< CDCL solver invocations
   uint64_t conflicts = 0;
   uint64_t decisions = 0;
   uint64_t propagations = 0;
   /// Incremental-core reuse counters (sat/incremental.h).
-  uint64_t relowered_faults = 0;   ///< instances lowered more than once (0)
   uint64_t assumption_solves = 0;  ///< solves under activation assumptions
   uint64_t learned_kept = 0;       ///< learned clauses retained at stage end
   uint64_t learned_reused = 0;     ///< propagations from earlier solves' clauses
@@ -104,7 +97,7 @@ struct AtpgRunResult {
   /// counts.
   size_t escalations = 0;    ///< cheap-PODEM aborts handed to the SAT probe
   size_t sat_probe_wins = 0; ///< probes that settled the fault (SAT or UNSAT)
-  /// SAT counters of the deterministic stage's probes and final pass.
+  /// SAT counters of the deterministic stage's probes.
   SatStats sat;
   /// Fault-status tallies after each pipeline source stage, in run
   /// order (filled by occ::Session).

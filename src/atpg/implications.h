@@ -15,9 +15,9 @@
 // simulation that would discover the same conflict one implication
 // later.
 //
-// Lifetime: one table per (UnrolledModel) -- i.e. per (netlist, scheme,
-// capture procedure) -- built once and shared by every PODEM engine on
-// that model (the shallow and deep-retry engines of one shard).
+// Lifetime: one table per PODEM engine, built from its UnrolledModel --
+// i.e. per (netlist, scheme, capture procedure) -- when the engine is
+// constructed.
 #pragma once
 
 #include <cstdint>

@@ -20,17 +20,6 @@ constexpr size_t kMergeWindow = 64;
 /// flush cadence is kMergeWindow cubes per procedure).
 constexpr size_t kWindowFaultsPerShard = 16;
 
-/// Per-probe conflict budget of the escalation SAT probe.
-constexpr uint64_t kEscalationConflictBudget = 2000;
-
-/// Names instance `ti` of fault `fi` within its procedure's miter: the
-/// probe and the final pass ask about the same key, so the pass resumes
-/// the probe's instance instead of lowering it again.
-uint64_t instance_key(size_t fi, size_t ti) {
-  OCC_DCHECK(ti < 256);
-  return (static_cast<uint64_t>(fi) << 8) | ti;
-}
-
 }  // namespace
 
 TestPattern cube_to_pattern(const UnrolledModel& um,
@@ -138,10 +127,7 @@ ParallelPodem::ParallelPodem(PipelineContext& ctx, size_t shards,
   }
 
   scratch_.resize(shards_);
-  for (ShardScratch& sc : scratch_) {
-    sc.podems.resize(num_ncps);
-    sc.podems_deep.resize(num_ncps);
-  }
+  for (ShardScratch& sc : scratch_) sc.podems.resize(num_ncps);
   open_cubes_.resize(num_ncps);
   miters_.resize(num_ncps);
   if (shards_ > 1) pool_ = std::make_unique<ThreadPool>(shards_);
@@ -174,22 +160,10 @@ Podem* ParallelPodem::podem_for(ShardScratch& sc, uint32_t nc) const {
   return sc.podems[nc].get();
 }
 
-Podem* ParallelPodem::deep_podem_for(ShardScratch& sc, uint32_t nc) const {
-  if (!sc.podems_deep[nc]) {
-    // Shares the shallow engine's implication table (same model).
-    sc.podems_deep[nc] = std::make_unique<Podem>(
-        ctx_.compiled.unrolled(nc),
-        ctx_.opts.backtrack_limit * ctx_.opts.abort_retry_factor,
-        podem_for(sc, nc)->implications());
-  }
-  return sc.podems_deep[nc].get();
-}
-
 Podem::Stats ParallelPodem::stats_sum(const ShardScratch& sc) const {
   Podem::Stats sum;
-  for (size_t nc = 0; nc < sc.podems.size(); ++nc) {
-    if (sc.podems[nc]) sum += sc.podems[nc]->stats();
-    if (sc.podems_deep[nc]) sum += sc.podems_deep[nc]->stats();
+  for (const auto& p : sc.podems) {
+    if (p) sum += p->stats();
   }
   return sum;
 }
@@ -248,9 +222,9 @@ void ParallelPodem::walk(ShardScratch& sc, size_t fi,
         }
         if (outc != Podem::Outcome::kAborted) continue;
         if (!leader) {
-          // Stop here: the rest of the ladder depends on the
-          // history-carrying incremental solver and must run on the
-          // leader at canonical commit order.
+          // Stop here: the SAT probe depends on the history-carrying
+          // incremental solver and must run on the leader at canonical
+          // commit order.
           a.pending = true;
           a.esc_nc = nc;
           a.esc_target = ti;
@@ -259,35 +233,23 @@ void ParallelPodem::walk(ShardScratch& sc, size_t fi,
         }
       }
 
-      // Bounded incremental-SAT probe of the aborted instance.
+      // The last rung: one incremental-SAT probe of the aborted
+      // instance at the session's conflict budget.
       ++ctx_.res.escalations;
       std::vector<V3> cube;
       const sat::IncrementalMiter::Verdict v = miter_for(nc)->decide(
-          instance_key(fi, ti), uf, kEscalationConflictBudget, &cube);
+          uf, ctx_.engine.sat_conflict_budget, &cube);
+      if (v == sat::IncrementalMiter::Verdict::kUnknown) {
+        a.aborted = true;
+        continue;
+      }
+      ++ctx_.res.sat_probe_wins;
       if (v == sat::IncrementalMiter::Verdict::kSat) {
-        ++ctx_.res.sat_probe_wins;
         take(model, nc, std::move(cube));
         break;
       }
-      if (v != sat::IncrementalMiter::Verdict::kUnknown) {
-        // kUnsat/kNoObservation: the instance is proven undetectable,
-        // no deep retry needed.
-        ++ctx_.res.sat_probe_wins;
-        a.sat_settled = true;
-        continue;
-      }
-      // Probe inconclusive: deep PODEM retry.
-      if (ctx_.opts.abort_retry_factor > 1) {
-        Podem* deep = deep_podem_for(sc, nc);
-        const Podem::Outcome outc = deep->run(uf);
-        if (outc == Podem::Outcome::kDetected) {
-          take(model, nc, deep->assignment());
-          break;
-        }
-        if (outc == Podem::Outcome::kAborted) a.aborted = true;
-      } else {
-        a.aborted = true;
-      }
+      // kUnsat/kNoObservation: the instance is proven undetectable.
+      a.sat_settled = true;
     }
   }
   a.stats += stats_sum(sc) - before;
@@ -451,57 +413,6 @@ void ParallelPodem::run_speculative() {
   }
 }
 
-void ParallelPodem::sat_pass() {
-  FaultList& fl = ctx_.faults;
-  SatStats& st = ctx_.res.sat;
-  // The target list is fixed up front; a flush may still drop a later
-  // target (aborted faults stay fault-simulated), hence the re-check.
-  std::vector<size_t> targets;
-  for (size_t fi = 0; fi < fl.size(); ++fi) {
-    if (fl.status(fi) == FaultStatus::kAborted) targets.push_back(fi);
-  }
-  const size_t num_ncps = ctx_.scheme.procedures.size();
-  for (size_t k = 0; k < targets.size(); ++k) {
-    ctx_.progress("sat", k, targets.size());
-    const size_t fi = targets[k];
-    if (fl.status(fi) != FaultStatus::kAborted) continue;
-    ++st.faults_targeted;
-    bool budget_out = false;
-    bool found = false;
-    for (uint32_t nc = 0; nc < num_ncps && !found; ++nc) {
-      if (!capable(fi, nc)) continue;
-      const UnrolledModel& model = ctx_.compiled.unrolled(nc);
-      const std::vector<UnrolledFault> ufs = model.translate(fl.fault(fi));
-      for (size_t ti = 0; ti < ufs.size(); ++ti) {
-        std::vector<V3> cube;
-        const sat::IncrementalMiter::Verdict v = miter_for(nc)->decide(
-            instance_key(fi, ti), ufs[ti], ctx_.engine.sat_conflict_budget,
-            &cube);
-        if (v == sat::IncrementalMiter::Verdict::kSat) {
-          // The model is a full detecting assignment; the flush
-          // re-derives the detection and drops collateral faults.
-          fl.set_status(fi, FaultStatus::kDetected);
-          ++st.detected;
-          merge_cube(nc, cube_to_pattern(model, cube, ctx_.nl, nc));
-          found = true;
-          break;
-        }
-        if (v == sat::IncrementalMiter::Verdict::kUnknown) budget_out = true;
-        // kUnsat / kNoObservation: instance undetectable, keep going.
-      }
-    }
-    if (found) continue;
-    if (budget_out) {
-      ++st.still_aborted;  // stays kAborted
-    } else {
-      fl.set_status(fi, FaultStatus::kProvenUntestable);
-      ++st.proven_untestable;
-    }
-  }
-  for (uint32_t nc = 0; nc < open_cubes_.size(); ++nc) flush(nc);
-  ctx_.progress("sat", targets.size(), targets.size());
-}
-
 void ParallelPodem::run() {
   if (shards_ == 1) {
     run_sequential();
@@ -509,11 +420,6 @@ void ParallelPodem::run() {
     run_speculative();
   }
   for (uint32_t nc = 0; nc < open_cubes_.size(); ++nc) flush(nc);
-  if (ctx_.engine.sat_backend) {
-    ctx_.emit(ProgressEvent::Kind::kStageBegin, "sat");
-    sat_pass();
-    ctx_.emit(ProgressEvent::Kind::kStageEnd, "sat");
-  }
   // Fold the miters' solver work into the session's SAT counters. Every
   // solve runs leader-side in canonical fault order, so these are
   // deterministic across repeats and shard counts.
@@ -528,7 +434,6 @@ void ParallelPodem::run() {
     agg.assumption_solves += st.assumption_solves;
     agg.learned_reused += st.learned_reused;
     agg.learned_kept += m->solver().learned_kept();
-    agg.relowered_faults += m->relowered_faults();
   }
   ctx_.progress(stage_, ctx_.faults.size(), ctx_.faults.size());
 }

@@ -25,9 +25,9 @@
 ///     reaches the committed counters.
 ///
 /// The stage is the only code that decides a PODEM abort (abort ladder,
-/// docs/ARCHITECTURE.md): SAT probe, deep retry if the probe is
-/// inconclusive, and with EngineOptions::sat_backend a final SAT pass
-/// over the faults still aborted, all on the leader's miters.
+/// docs/ARCHITECTURE.md): every cheap-PODEM abort gets one SAT probe on
+/// the leader's miters at EngineOptions::sat_conflict_budget, and an
+/// inconclusive probe commits the fault as aborted.
 ///
 /// A cheap PODEM attempt depends only on (netlist, scheme, fault) --
 /// never on fault statuses, the session RNG, or other attempts -- so the
@@ -100,7 +100,7 @@ class ParallelPodem {
   /// Outcome of one fault's instance walk.
   struct Attempt {
     bool detected = false;  ///< some target produced a cube
-    bool aborted = false;   ///< some target hit every rung of the ladder
+    bool aborted = false;   ///< some target outlasted the SAT probe
     uint32_t ncp = 0;       ///< capture procedure of `cube` when detected
     TestPattern cube;       ///< the care-bit cube when detected
     std::vector<V3> var_cube;  ///< var-space copy of the detecting cube
@@ -116,13 +116,12 @@ class ParallelPodem {
     size_t esc_target = 0;  ///< resume point: instance index within it
   };
 
-  /// Per-shard scratch: the PODEM engines (and the deep-retry engines)
-  /// per capture procedure, over the session's shared frozen models
-  /// (PipelineContext::compiled; read-only during the search). PODEM
-  /// search state is mutable and never shared across shards.
+  /// Per-shard scratch: the PODEM engines per capture procedure, over
+  /// the session's shared frozen models (PipelineContext::compiled;
+  /// read-only during the search). PODEM search state is mutable and
+  /// never shared across shards.
   struct ShardScratch {
     std::vector<std::unique_ptr<Podem>> podems;
-    std::vector<std::unique_ptr<Podem>> podems_deep;
   };
 
   static bool eligible(FaultStatus s) {
@@ -136,18 +135,16 @@ class ParallelPodem {
   /// True when procedure `nc` can capture an effect of fault `fi`.
   bool capable(size_t fi, uint32_t nc) const;
   Podem* podem_for(ShardScratch& sc, uint32_t nc) const;
-  Podem* deep_podem_for(ShardScratch& sc, uint32_t nc) const;
   Podem::Stats stats_sum(const ShardScratch& sc) const;
 
   /// The one walk over fault `fi`'s instances, procedure by procedure,
   /// until one yields a cube. `seed`: the cube-cache entry visible for
   /// this fault (null = none). A worker (`leader` false; touches only
   /// `sc` and `out`) stops at the first cheap-PODEM abort and records
-  /// the resume point (Attempt::pending). The leader escalates each
-  /// cheap abort in place -- SAT probe, then the deep retry if the
-  /// probe is inconclusive -- and, given a pending attempt, resumes it
-  /// at the recorded point. The leader runs on scratch_[0] and the
-  /// shared miters, in canonical fault order.
+  /// the resume point (Attempt::pending). The leader hands each cheap
+  /// abort to the SAT probe in place and, given a pending attempt,
+  /// resumes it at the recorded point. The leader runs on scratch_[0]
+  /// and the shared miters, in canonical fault order.
   void walk(ShardScratch& sc, size_t fi, const CubeCacheEntry* seed,
             bool leader, Attempt* out);
   /// The leader's shared incremental miter of capture procedure `nc`.
@@ -159,8 +156,6 @@ class ParallelPodem {
   void merge_cube(uint32_t nc, TestPattern cube);
   /// Random-fills and fault-simulates the open cubes of procedure `nc`.
   void flush(uint32_t nc);
-  /// The SAT backend's final pass over the faults still kAborted.
-  void sat_pass();
 
   void run_sequential();
   void run_speculative();
@@ -179,9 +174,8 @@ class ParallelPodem {
   std::unique_ptr<ThreadPool> pool_;   // null when shards_ == 1
   // Leader-owned incremental SAT miters, one per capture procedure,
   // lazily seeded from the session's frozen good-machine lowering.
-  // Learned clauses persist across every probed fault of the procedure
-  // and into the final pass; solver work is folded into ctx_.res.sat at
-  // stage end.
+  // Learned clauses persist across every probed fault of the procedure;
+  // solver work is folded into ctx_.res.sat at stage end.
   std::vector<std::unique_ptr<sat::IncrementalMiter>> miters_;
   // Open (unfilled) cube windows per NCP for static merging.
   std::vector<std::vector<TestPattern>> open_cubes_;

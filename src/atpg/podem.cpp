@@ -92,8 +92,7 @@ inline V3 eval_fast(GateType type, size_t n, GetVal&& val) {
 
 }  // namespace
 
-Podem::Podem(const UnrolledModel& model, uint32_t backtrack_limit,
-             std::shared_ptr<const ImplicationTable> impl)
+Podem::Podem(const UnrolledModel& model, uint32_t backtrack_limit)
     : model_(&model), comb_(&model.comb()), backtrack_limit_(backtrack_limit) {
   const size_t n = comb_->size();
   good_.assign(n, V3::kX);
@@ -219,8 +218,7 @@ Podem::Podem(const UnrolledModel& model, uint32_t backtrack_limit,
     idepth_[g] = idepth_[d] + 1;
   }
 
-  impl_ = impl ? std::move(impl)
-               : std::make_shared<const ImplicationTable>(model);
+  impl_ = ImplicationTable(model);
   row_stamp_.assign(n, 0);
   row_val_.assign(n, 0);
 }
@@ -727,7 +725,7 @@ bool Podem::literal_conflicts(uint32_t var, bool val) {
   // forces a pending launch constraint to the wrong value, or severs
   // every fault site's dominator chain, the whole subtree under the
   // decision is conflict-bound -- skip it without simulating.
-  const auto row = impl_->row(var, val);
+  const auto row = impl_.row(var, val);
   if (row.empty()) return false;
   ++consult_id_;
   for (uint32_t lit : row) {

@@ -28,7 +28,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "atpg/implications.h"
@@ -81,12 +80,8 @@ class Podem {
     }
   };
 
-  /// A run aborts after `backtrack_limit` backtracks. `impl` optionally
-  /// shares an implication table already built for the same model (the
-  /// deep-retry engine reuses its sibling's); when null, the table is
-  /// built here.
-  explicit Podem(const UnrolledModel& model, uint32_t backtrack_limit = 300,
-                 std::shared_ptr<const ImplicationTable> impl = nullptr);
+  /// A run aborts after `backtrack_limit` backtracks.
+  explicit Podem(const UnrolledModel& model, uint32_t backtrack_limit = 300);
 
   /// Attempts to detect one compiled fault. kUntestable is a proof; a
   /// search that hits the backtrack limit, or had to cut a subtree it
@@ -104,12 +99,6 @@ class Podem {
   const std::vector<V3>& assignment() const { return cube_; }
 
   const Stats& stats() const { return stats_; }
-
-  /// The shared implication table; pass to sibling engines on the same
-  /// model to skip the rebuild.
-  const std::shared_ptr<const ImplicationTable>& implications() const {
-    return impl_;
-  }
 
  private:
   struct TrailEntry {
@@ -202,7 +191,7 @@ class Podem {
   std::vector<uint32_t> idepth_;
 
   // Static implication table + row-consult scratch.
-  std::shared_ptr<const ImplicationTable> impl_;
+  ImplicationTable impl_;
   std::vector<uint32_t> row_stamp_;
   std::vector<uint8_t> row_val_;
   uint32_t consult_id_ = 0;

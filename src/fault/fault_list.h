@@ -17,7 +17,7 @@ enum class FaultStatus : uint8_t {
   kPossiblyDetected,  // differs only via X at an observation point
   kUntestable,        // proven untestable under the active constraints
   kAborted,           // ATPG gave up (backtrack limit)
-  kProvenUntestable,  // SAT backend proved no test exists (UNSAT miter)
+  kProvenUntestable,  // SAT probe proved no test exists (UNSAT miter)
 };
 
 std::string_view fault_status_name(FaultStatus s);

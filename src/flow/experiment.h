@@ -29,7 +29,7 @@ struct Table1Config {
   AtpgOptions atpg;
   bool classify_leftovers = true;
   /// Engine selection forwarded to each experiment's Session (fsim and
-  /// PODEM shards, SAT backend and its conflict budget); results are
+  /// PODEM shards, the SAT probe's conflict budget); results are
   /// identical for every shard count.
   EngineOptions engine;
   /// Optional shared design cache (api/compiled_design.h). With one

@@ -3,10 +3,10 @@
 ///
 /// FsimOptions holds the shard count of the ShardedFaultSim wrapper;
 /// EngineOptions adds the deterministic-PODEM worker shards and the SAT
-/// backend's final pass with its conflict budget. SessionConfig::engine()
-/// takes one EngineOptions and the session hands it to every stage
-/// through PipelineContext::engine; the drivers parse the shared
-/// `--shards/--atpg-shards/--sat/--sat-budget` flags into it via
+/// probe's conflict budget. SessionConfig::engine() takes one
+/// EngineOptions and the session hands it to every stage through
+/// PipelineContext::engine; the drivers parse the shared
+/// `--shards/--atpg-shards/--sat-budget` flags into it via
 /// occ::parse_engine_flag (util/cli.h).
 #pragma once
 
@@ -34,13 +34,12 @@ struct EngineOptions {
   /// value -- only wall clock and the wasted speculative work
   /// (AtpgRunResult::speculative_runs) vary.
   size_t atpg_shards = 0;
-  /// The SAT backend: the final rung of the deterministic stage's abort
-  /// ladder (atpg/parallel.h). After the last flush, every fault still
-  /// aborted gets a CNF miter decision on the stage's incremental
-  /// miters -- a test cube, a redundancy proof (kProvenUntestable), or
-  /// kUnknown within the conflict budget (stays aborted).
-  bool sat_backend = false;
-  /// Per-solve conflict budget of the SAT backend; 0 = unlimited.
+  /// Conflict budget of the SAT probe, the last rung of the
+  /// deterministic stage's abort ladder (atpg/parallel.h); 0 =
+  /// unlimited. Each cheap-PODEM abort gets one CNF miter decision on
+  /// the stage's incremental miters: a test cube, a redundancy proof
+  /// (kProvenUntestable), or an exhausted budget (the fault commits as
+  /// kAborted).
   uint64_t sat_conflict_budget = 100000;
 };
 

@@ -29,56 +29,29 @@ void IncrementalMiter::sync() {
   }
 }
 
-IncrementalMiter::Verdict IncrementalMiter::decide(uint64_t key,
-                                                   const UnrolledFault& uf,
+IncrementalMiter::Verdict IncrementalMiter::decide(const UnrolledFault& uf,
                                                    uint64_t conflict_budget,
                                                    std::vector<V3>* cube) {
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    Entry e;
-    if (!lowering_.add_fault_gated(uf, &e.activation)) {
-      e.no_observation = true;
-      e.retired = true;
-      e.decided = Verdict::kNoObservation;
-      entries_.emplace(key, e);
-      return Verdict::kNoObservation;
-    }
-    sync();
-    it = entries_.emplace(key, e).first;
-  } else if (it->second.retired) {
-    // A retired instance's clauses are permanently deactivated; its
-    // verdict is final.
-    return it->second.decided;
+  Lit activation = kLitUndef;
+  if (!lowering_.add_fault_gated(uf, &activation)) {
+    return Verdict::kNoObservation;
   }
-
-  Entry& e = it->second;
+  sync();
   solver_.set_conflict_budget(conflict_budget);
-  const SatResult r = solver_.solve({e.activation});
-  switch (r) {
-    case SatResult::kSat:
-      if (cube != nullptr) *cube = lowering_.extract_cube(solver_.model());
-      e.retired = true;
-      e.decided = Verdict::kSat;
-      solver_.add_clause({lit_neg(e.activation)});
-      return Verdict::kSat;
-    case SatResult::kUnsat:
-      // UNSAT under {activation}: with the activation retired the
-      // instance's clauses are all satisfied, so this can only mean the
-      // instance itself is undetectable (a level-0 UNSAT of the shared
-      // formula is impossible -- the good machine alone is satisfiable
-      // and every per-fault clause is guarded).
-      OCC_CHECK(solver_.ok(), "sat: shared incremental formula went UNSAT");
-      e.retired = true;
-      e.decided = Verdict::kUnsat;
-      solver_.add_clause({lit_neg(e.activation)});
-      return Verdict::kUnsat;
-    case SatResult::kUnknown:
-      // Stays active; a later decide() with a larger budget resumes
-      // from the learned state without re-lowering.
-      return Verdict::kUnknown;
+  const SatResult r = solver_.solve({activation});
+  if (r == SatResult::kSat && cube != nullptr) {
+    *cube = lowering_.extract_cube(solver_.model());
   }
-  OCC_CHECK(false, "sat: unreachable solver verdict");
-  return Verdict::kUnknown;
+  // UNSAT under {activation}: with every earlier activation retired the
+  // other instances' clauses are all satisfied, so this can only mean
+  // the instance itself is undetectable (a level-0 UNSAT of the shared
+  // formula is impossible -- the good machine alone is satisfiable and
+  // every per-fault clause is guarded).
+  OCC_CHECK(r != SatResult::kUnsat || solver_.ok(),
+            "sat: shared incremental formula went UNSAT");
+  solver_.add_clause({lit_neg(activation)});
+  if (r == SatResult::kSat) return Verdict::kSat;
+  return r == SatResult::kUnsat ? Verdict::kUnsat : Verdict::kUnknown;
 }
 
 }  // namespace sat

@@ -2,15 +2,15 @@
 // UnrolledModel), shared by every fault miter lowered against it.
 //
 // The good machine is lowered once at construction. Each fault instance
-// is lowered exactly once, gated behind a fresh activation literal
-// (CnfLowering::add_fault_gated), and decided by solving under the
-// assumption {activation} -- nothing is ever re-lowered, and
-// everything the solver learns while deciding one fault (clauses over
-// good-machine rails, saved phases, VSIDS activities) carries over to
-// every later fault in the same model. Decided instances are retired by
-// the permanent unit clause (NOT activation), which is sound for all
-// later solves because a retired activation is never assumed again, and
-// lets the watch lists go dead on the retired cone.
+// is lowered once, gated behind a fresh activation literal
+// (CnfLowering::add_fault_gated), decided once by solving under the
+// assumption {activation}, and then retired by the permanent unit
+// clause (NOT activation) whatever the verdict. Everything the solver
+// learns while deciding one fault (clauses over good-machine rails,
+// saved phases, VSIDS activities) carries over to every later fault in
+// the same model. Retiring is sound for all later solves because a
+// retired activation is never assumed again, and it lets the watch
+// lists go dead on the retired cone.
 //
 // Determinism: the miter inherits the solver's determinism contract --
 // a decide() sequence is a pure function of the (instance, budget) call
@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "sat/lower.h"
@@ -50,42 +49,25 @@ class IncrementalMiter {
     kNoObservation,  ///< no observation point in the fault cone
   };
 
-  /// Decides one fault instance under `conflict_budget` conflicts.
-  /// `key` identifies the instance across calls (callers use
-  /// fault_index * kMaxInstances + instance ordinal); the first call
-  /// for a key lowers the miter, later calls reuse it -- a kUnknown
-  /// instance may be re-asked with a larger budget without any
-  /// re-lowering, and a retired one answers from cache. On kSat, *cube
-  /// receives the detecting cube (one V3 per model variable).
-  Verdict decide(uint64_t key, const UnrolledFault& uf,
-                 uint64_t conflict_budget, std::vector<V3>* cube);
+  /// Lowers, decides and retires one fault instance under
+  /// `conflict_budget` conflicts (0 = unlimited). Every call lowers a
+  /// new miter, so each instance is asked once. On kSat, *cube receives
+  /// the detecting cube (one V3 per model variable).
+  Verdict decide(const UnrolledFault& uf, uint64_t conflict_budget,
+                 std::vector<V3>* cube);
 
   const UnrolledModel& model() const { return lowering_.model(); }
   const CdclSolver& solver() const { return solver_; }
-
-  /// Instances that had to be lowered more than once. The whole point
-  /// of the activation-literal scheme is that this stays 0; it is
-  /// reported (atpg.sat.relowered_faults) and asserted by tests.
-  uint64_t relowered_faults() const { return relowered_faults_; }
 
  private:
   /// Feeds variables/clauses the lowering appended since the last sync
   /// into the solver.
   void sync();
 
-  struct Entry {
-    Lit activation = kLitUndef;
-    Verdict decided = Verdict::kUnknown;  // meaningful when retired
-    bool retired = false;
-    bool no_observation = false;
-  };
-
   CnfLowering lowering_;
   CdclSolver solver_;
-  std::unordered_map<uint64_t, Entry> entries_;
   uint32_t next_var_ = 0;
   size_t next_clause_ = 0;
-  uint64_t relowered_faults_ = 0;
 };
 
 }  // namespace sat

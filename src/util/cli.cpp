@@ -60,10 +60,6 @@ int parse_engine_flag(const char* flag, const char* value,
   if (std::strcmp(flag, "--atpg-shards") == 0) {
     return parse_size_flag(flag, value, &out->atpg_shards) ? 2 : -1;
   }
-  if (std::strcmp(flag, "--sat") == 0) {
-    out->sat_backend = true;
-    return 1;
-  }
   if (std::strcmp(flag, "--sat-budget") == 0) {
     size_t v = 0;
     if (!parse_size_flag(flag, value, &v)) return -1;

@@ -25,14 +25,13 @@ bool parse_positive_flag(const char* flag, const char* value, size_t* out);
 /// The shared engine-flag vocabulary every driver speaks:
 ///   --shards N                             (FsimOptions::shards)
 ///   --atpg-shards N                        (EngineOptions::atpg_shards)
-///   --sat                                  (EngineOptions::sat_backend)
 ///   --sat-budget CONFLICTS                 (EngineOptions::sat_conflict_budget)
 ///
 /// `flag` is the current argv token, `value` the next one (or null at
 /// argv's end). Returns the number of argv tokens consumed: 0 when
-/// `flag` is not an engine flag (the driver handles it), 1 for a bare
-/// flag (--sat), 2 for a flag + value pair, and -1 on a malformed value
-/// (a usage message naming the flag was printed to stderr; exit 2).
+/// `flag` is not an engine flag (the driver handles it), 2 for a flag +
+/// value pair, and -1 on a malformed value (a usage message naming the
+/// flag was printed to stderr; exit 2).
 int parse_engine_flag(const char* flag, const char* value,
                       EngineOptions* out);
 

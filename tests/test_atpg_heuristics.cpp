@@ -459,7 +459,7 @@ TEST(AtpgHeuristics, PodemOutcomesMatchSatOnRandomNetlists) {
 }
 
 // ---------------------------------------------------------------------------
-// Session-level check against the complete search, SAT backend on.
+// Session-level check against the complete search, SAT probe budgeted.
 
 gen::SocParams diff_soc(uint64_t seed) {
   gen::SocParams prm;
@@ -473,17 +473,14 @@ gen::SocParams diff_soc(uint64_t seed) {
   return prm;
 }
 
-/// The session the two tests below check: tight backtrack budget, no
-/// deep retry, so plenty of faults abort and flow into the SAT probe and
-/// the SAT backend's final pass.
+/// The session the two tests below check: tight backtrack budget, so
+/// plenty of faults abort and flow into a 2,000-conflict SAT probe.
 SessionResult starved_sat_session(SessionConfig cfg) {
   cfg.engine({.fsim = {.shards = 1},
               .atpg_shards = 1,
-              .sat_backend = true,
               .sat_conflict_budget = 2000});
   AtpgOptions opts;
   opts.backtrack_limit = 25;
-  opts.abort_retry_factor = 1;
   cfg.atpg(opts);
   return Session(std::move(cfg)).run();
 }

@@ -46,7 +46,6 @@ gen::SocParams soc_params() {
 AtpgOptions cheap_atpg() {
   AtpgOptions o;
   o.backtrack_limit = 50;
-  o.abort_retry_factor = 1;
   return o;
 }
 
@@ -146,17 +145,19 @@ TEST(CompiledDesign, CachedVsFreshBitIdentityAcrossSchemes) {
 TEST(CompiledDesign, CachedVsFreshBitIdentityAcrossModesAndShards) {
   const SchemeSpec spec{"cpf_basic", true,
                         scheme_cpf_basic(soc_params().domains)};
-  // The ATPG engine modes: the abort ladder without (the default) and
-  // with the SAT backend's final pass.
-  for (const bool sat_backend : {false, true}) {
-    SCOPED_TRACE("sat_backend " + std::to_string(sat_backend));
+  // The abort ladder's two ends: a probe budget of one conflict (the
+  // probe gives up on every abort that needs search, which stays
+  // aborted) and the default budget.
+  for (const uint64_t budget :
+       {uint64_t{1}, EngineOptions{}.sat_conflict_budget}) {
+    SCOPED_TRACE("sat_conflict_budget " + std::to_string(budget));
     const auto config = [&](const std::shared_ptr<DesignCache>& cache,
                             size_t shards) {
       return make_config(spec, cache,
                          {.fsim = {.shards = shards},
-                          .sat_backend = sat_backend});
+                          .sat_conflict_budget = budget});
     };
-    // One cache per mode, shared across the shard sweep: shard count
+    // One cache per budget, shared across the shard sweep: shard count
     // must not change results OR require a rebuild (same content key).
     const auto cache = std::make_shared<DesignCache>();
     uint64_t first_fp = 0;
@@ -188,12 +189,11 @@ TEST(CompiledDesign, CachedVsFreshBitIdentityWithSatBackend) {
   // fresh lowering exactly.
   AtpgOptions starved;
   starved.backtrack_limit = 10;
-  starved.abort_retry_factor = 1;
   const SchemeSpec spec{"cpf_basic", true,
                         scheme_cpf_basic(soc_params().domains)};
   const auto cache = std::make_shared<DesignCache>();
   auto run_one = [&](const std::shared_ptr<DesignCache>& c) {
-    SessionConfig cfg = make_config(spec, c, {.sat_backend = true});
+    SessionConfig cfg = make_config(spec, c);
     cfg.atpg(starved);
     return Session(std::move(cfg)).run();
   };

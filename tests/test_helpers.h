@@ -38,7 +38,7 @@ inline sat::IncrementalMiter::Verdict sat_verdict(const UnrolledModel& um,
                                                    const UnrolledFault& uf) {
   sat::IncrementalMiter miter(um);
   std::vector<V3> cube;
-  return miter.decide(0, uf, 0, &cube);
+  return miter.decide(uf, 0, &cube);
 }
 
 /// The complete search over a finished session's own capture model:

@@ -302,41 +302,44 @@ TEST(Podem, RedundantMiterProvenUntestableUnderGenerousLimit) {
 }
 
 TEST(Podem, AbortedFaultsReachSatBackendUnchanged) {
-  // The faults the abort ladder (cheap PODEM, SAT probe) leaves aborted
-  // are handed to the SAT backend's final pass verbatim: faults_targeted
-  // equals the aborted tally of the same session without the backend.
-  // The skewed miter is sized so some probes run out of budget (width
-  // 24 leaves 4 aborted faults; gen::make_xor_miter), and the only
+  // Every cheap-PODEM abort reaches the SAT probe verbatim, whatever its
+  // conflict budget: the probe count is the same at 2,000 conflicts and
+  // at the default budget. The skewed miter is sized so some probes run
+  // out of 2,000 conflicts (width 24; gen::make_xor_miter), and the only
   // aborting faults are the redundant miter faults (testable faults
-  // need far fewer than the budgeted backtracks), hence the pass emits
-  // no cubes and nothing is collaterally re-classified.
+  // need far fewer than the budgeted backtracks), hence the larger
+  // budget emits no cubes and nothing is collaterally re-classified.
   Netlist nl = gen::make_xor_miter(24, /*skewed=*/true);
   insert_scan(nl, {.num_chains = 1});
-  auto run = [&](bool sat_backend) {
+  auto run = [&](uint64_t budget) {
     SessionConfig cfg;
     cfg.design(nl)
         .scheme(scheme_stuck_at_external(1))
         .engine({.fsim = {.shards = 1},
                  .atpg_shards = 1,
-                 .sat_backend = sat_backend});
+                 .sat_conflict_budget = budget});
     AtpgOptions opts;
     opts.backtrack_limit = 30;
-    opts.abort_retry_factor = 1;
     cfg.atpg(opts);
     return Session(std::move(cfg)).run();
   };
-  const SessionResult ladder = run(false);
-  const SessionResult r = run(true);
+  const SessionResult low = run(2000);
+  const SessionResult r = run(EngineOptions{}.sat_conflict_budget);
 
-  const size_t aborted = ladder.atpg.faults.count(FaultStatus::kAborted);
-  EXPECT_GT(aborted, 0u) << "miter faults must outlast the SAT probe";
-  EXPECT_GT(r.atpg.sat.faults_targeted, 0u);
-  EXPECT_EQ(r.atpg.sat.faults_targeted, aborted);
-  // Every aborted fault here is redundant: the final pass proves all of
-  // them untestable and detects none.
-  EXPECT_EQ(r.atpg.sat.detected, 0u);
-  EXPECT_EQ(r.atpg.sat.proven_untestable, r.atpg.sat.faults_targeted);
-  EXPECT_EQ(r.atpg.faults.count(FaultStatus::kAborted), 0u);
+  const FaultList& fl = r.atpg.faults;
+  EXPECT_GT(low.atpg.faults.count(FaultStatus::kAborted), 0u)
+      << "miter faults must outlast a 2,000-conflict probe";
+  EXPECT_EQ(r.atpg.escalations, low.atpg.escalations);
+  // Every fault aborted at the low budget is redundant: the default
+  // budget proves all of them untestable and detects none.
+  EXPECT_EQ(fl.count(FaultStatus::kAborted), 0u);
+  for (size_t i = 0; i < fl.size(); ++i) {
+    const FaultStatus was = low.atpg.faults.status(i);
+    EXPECT_EQ(fl.status(i), was == FaultStatus::kAborted
+                                ? FaultStatus::kProvenUntestable
+                                : was)
+        << "fault " << i;
+  }
 }
 
 TEST(Podem, StatsAccumulate) {

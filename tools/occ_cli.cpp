@@ -10,24 +10,23 @@
 //   occ run --design circuits/s344c.bench [--scheme ncp] [--chains N]
 //           [--shards N] [--atpg-shards N] [--seed N]
 //           [--random-rounds N] [--edt CHANNELS] [--repeat N]
-//           [--sat] [--sat-budget CONFLICTS] [--json PATH] [--quiet]
+//           [--sat-budget CONFLICTS] [--json PATH] [--quiet]
 //
-// The engine-selection flags (--shards/--atpg-shards/--sat/
-// --sat-budget) are the shared vocabulary of util/cli.h's
-// parse_engine_flag and map onto one occ::EngineOptions handed to
-// SessionConfig::engine(); bench_engines and bench_table1 parse the
-// identical set.
+// The engine-selection flags (--shards/--atpg-shards/--sat-budget) are
+// the shared vocabulary of util/cli.h's parse_engine_flag and map onto
+// one occ::EngineOptions handed to SessionConfig::engine();
+// bench_engines and bench_table1 parse the identical set.
 //   occ stats --design circuits/s344c.bench
 //   occ corpus [--dir circuits]
 //   occ sat-export --design circuits/s344c.bench --fault N [--scheme ncp]
 //           [--chains N] [--ncp N] [--instance N] [--out PATH]
 //
-// `--sat` adds the abort ladder's final pass: after the deterministic
-// stage's SAT probes and deep PODEM retries, every fault still aborted
-// gets a CNF miter decision on the same incremental miters -- a test
-// cube, a redundancy proof (proven-untestable, which leaves the
-// test-coverage denominator), or still-aborted when `--sat-budget`
-// conflicts per solve are exhausted.
+// `--sat-budget` (default 100000, 0 = unlimited) is the conflict budget
+// of the abort ladder's SAT probe: every fault cheap PODEM aborts gets
+// one CNF miter decision on the deterministic stage's incremental
+// miters -- a test cube, a redundancy proof (proven-untestable, which
+// leaves the test-coverage denominator), or aborted when the budget is
+// exhausted.
 //
 // `sat-export` dumps the DIMACS CNF of one fault's dual-rail miter, for
 // inspection or for feeding an external solver.
@@ -81,7 +80,7 @@ int usage(const char* argv0) {
       << "  " << argv0
       << " run --design PATH [--scheme NAME] [--chains N] [--shards N]\n"
       << "      [--atpg-shards N] [--seed N] [--random-rounds N]\n"
-      << "      [--edt CHANNELS] [--repeat N] [--sat]\n"
+      << "      [--edt CHANNELS] [--repeat N]\n"
       << "      [--sat-budget CONFLICTS] [--json PATH] [--quiet]\n"
       << "  " << argv0 << " stats --design PATH\n"
       << "  " << argv0 << " corpus [--dir DIR]\n"
@@ -130,7 +129,7 @@ struct RunArgs {
   std::string json_path;
   size_t chains = 2;
   size_t repeat = 1;
-  EngineOptions engine;  // --shards/--atpg-shards/--sat*
+  EngineOptions engine;  // --shards/--atpg-shards/--sat-budget
   std::optional<uint64_t> seed;
   size_t random_rounds = 0;
   size_t edt_channels = 0;
@@ -299,25 +298,15 @@ int cmd_run(const RunArgs& a) {
       meta.set("cache.misses", cs.misses);
       meta.set("cache.resident_bytes", cs.resident_bytes);
     }
-    // Abort-ladder + incremental-SAT accounting. Emitted
-    // unconditionally: the deterministic stage's SAT probes do SAT work
-    // (and fold it into atpg.sat counters) even with the SAT backend's
-    // final pass off.
+    // Abort-ladder + incremental-SAT accounting: every session runs
+    // the SAT probe on its cheap-PODEM aborts.
     meta.set("atpg.det.escalations", r.atpg.escalations);
     meta.set("atpg.det.sat_probe_wins", r.atpg.sat_probe_wins);
     {
       const SatStats& st = r.atpg.sat;
-      meta.set("atpg.sat.relowered_faults", st.relowered_faults);
       meta.set("atpg.sat.assumption_solves", st.assumption_solves);
       meta.set("atpg.sat.learned_kept", st.learned_kept);
       meta.set("atpg.sat.learned_reused", st.learned_reused);
-    }
-    if (a.engine.sat_backend) {
-      const SatStats& st = r.atpg.sat;
-      meta.set("sat.faults_targeted", st.faults_targeted);
-      meta.set("sat.detected", st.detected);
-      meta.set("sat.proven_untestable", st.proven_untestable);
-      meta.set("sat.still_aborted", st.still_aborted);
       metrics.set("atpg.sat.solves", st.solves);
       metrics.set("atpg.sat.conflicts", st.conflicts);
       metrics.set("atpg.sat.decisions", st.decisions);
