@@ -37,6 +37,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <fstream>
 #include <iostream>
 #include <thread>
@@ -262,6 +263,14 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+/// CPU time of the whole process (every thread), in ms.
+double process_cpu_ms() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e3 +
+         static_cast<double>(ts.tv_nsec) / 1e6;
+}
+
 /// One fault-sim measurement: grades a fresh fault list against the
 /// 64-pattern batch and reports deterministic work counters + the
 /// median wall time over --repeat runs. The engine persists across
@@ -437,18 +446,20 @@ int write_json_report(const std::string& path) {
   // wall measured inside the session via progress events, plus its
   // shard-independent deterministic pattern count. Wasted speculation
   // (speculative_runs/discarded_cubes) varies with the core count, so
-  // it goes to meta, not the gated metrics.
+  // it goes to meta, not the gated metrics; so does the process CPU time
+  // over the same span (atpg.det.cpu_ms), whose ratio to the wall shows
+  // how well the stage spreads over its shards.
   {
     const size_t det_shards = resolve_atpg_shards(
         g_engine.atpg_shards, ShardedFaultSim::resolve_shards(0));
-    std::vector<double> walls;
+    std::vector<double> walls, cpus;
     size_t det_patterns = 0;
     size_t speculative = 0, discarded = 0;
     size_t escalations = 0, sat_probe_wins = 0;
     SatStats det_sat;
     Podem::Stats det_stats;
     for (size_t r = 0; r < g_repeat; ++r) {
-      double det_ms = 0.0;
+      double det_ms = 0.0, det_cpu_ms = 0.0, det_cpu0 = 0.0;
       std::chrono::steady_clock::time_point det_t0;
       SessionConfig cfg;
       cfg.design(nl)
@@ -459,12 +470,15 @@ int write_json_report(const std::string& path) {
             if (ev.stage != "source:podem") return;
             if (ev.kind == ProgressEvent::Kind::kStageBegin) {
               det_t0 = std::chrono::steady_clock::now();
+              det_cpu0 = process_cpu_ms();
             } else if (ev.kind == ProgressEvent::Kind::kStageEnd) {
               det_ms = ms_since(det_t0);
+              det_cpu_ms = process_cpu_ms() - det_cpu0;
             }
           });
       const SessionResult res = Session(std::move(cfg)).run();
       walls.push_back(det_ms);
+      cpus.push_back(det_cpu_ms);
       if (r == 0) {
         det_patterns = res.atpg.deterministic_patterns;
       } else {
@@ -484,16 +498,14 @@ int write_json_report(const std::string& path) {
     // count, so they are gated alongside the pattern count.
     metrics.set("atpg.det.backtracks", det_stats.backtracks);
     metrics.set("atpg.det.implication_hits", det_stats.implication_hits);
+    meta.set("atpg.det.cpu_ms", repeat_median(std::move(cpus)));
     meta.set("atpg.det.decisions", det_stats.decisions);
     meta.set("atpg.det.dominator_prunes", det_stats.dominator_prunes);
-    meta.set("atpg.det.cache_tries", det_stats.cache_tries);
-    meta.set("atpg.det.cache_hits", det_stats.cache_hits);
     meta.set("atpg.det.shards", det_shards);
     meta.set("atpg.det.speculative_runs", speculative);
     meta.set("atpg.det.discarded_cubes", discarded);
-    // Abort-ladder accounting: aborted instances probed by the shared
-    // incremental SAT core, and the subset the probe settled. The
-    // probe's solver work lands in this session's atpg.sat counters.
+    // Abort-ladder accounting: aborted instances probed on the workers,
+    // and the subset the probe settled, with the probes' solver work.
     meta.set("atpg.det.escalations", escalations);
     meta.set("atpg.det.sat_probe_wins", sat_probe_wins);
     meta.set("atpg.det.sat_solves", det_sat.solves);
@@ -505,9 +517,9 @@ int write_json_report(const std::string& path) {
   // (gen::make_xor_miter) under scheme (a), at the default probe
   // budget. On the bench SOC every probe settles within a few hundred
   // conflicts; the miter's redundant faults need real search (a
-  // 2,000-conflict budget leaves 4 of them aborted, and so does 2,500),
-  // so this is where the probe's budget shows. atpg.sat.wall_ms is the
-  // source:podem span wall, measured via progress events;
+  // 2,000-conflict budget per probe leaves 6 of them aborted, 5,000
+  // none), so this is where the probe's budget shows. atpg.sat.wall_ms
+  // is the source:podem span wall, measured via progress events;
   // conflicts/solves are deterministic and asserted identical across
   // repeats.
   {
@@ -555,9 +567,7 @@ int write_json_report(const std::string& path) {
     metrics.set("atpg.sat.wall_ms", repeat_median(std::move(walls)));
     metrics.set("atpg.sat.conflicts", st.conflicts);
     meta.set("atpg.sat.solves", st.solves);
-    meta.set("atpg.sat.assumption_solves", st.assumption_solves);
     meta.set("atpg.sat.learned_kept", st.learned_kept);
-    meta.set("atpg.sat.learned_reused", st.learned_reused);
   }
 
   // Compiled-design cache workload: the corpus circuit prepared

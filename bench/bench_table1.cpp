@@ -10,9 +10,9 @@
 //                     [--atpg-shards N] [--repeat N]
 //                     [--sat-budget CONFLICTS] [--json PATH]
 //                     [--allow-shape-fail]
-//   default : mid-size SOC (~16 s) -- same orderings as full scale
-//   --quick : small SOC (~10 s)
-//   --full  : paper-scale shape run (~80 s); the EXPERIMENTS.md
+//   default : mid-size SOC (~6 s) -- same orderings as full scale
+//   --quick : small SOC (~4 s)
+//   --full  : paper-scale shape run (~25 s); the EXPERIMENTS.md
 //             Table-1 numbers were produced at this scale
 //             (walls measured with --shards 4 on a 4-vCPU container;
 //             at the default probe budget every SAT probe settles its
@@ -30,10 +30,10 @@
 //                are bit-identical for every value)
 //   --sat-budget CONFLICTS : conflict budget of the abort ladder's
 //                SAT probe (default 100000, 0 = unlimited). Every fault
-//                cheap PODEM aborts gets one CNF miter decision (test
-//                cube, proven-untestable, or aborted when the budget
-//                runs out) inside the podem stage, so its outcome shows
-//                in that stage's disposition.
+//                instance cheap PODEM aborts gets one solve of its own
+//                CNF miter (test cube, proven-untestable, or aborted
+//                when the budget runs out) inside the podem stage, so
+//                its outcome shows in that stage's disposition.
 //   --repeat N : run the experiment suite N times (default 1) and
 //                 report the median wall per experiment in the --json
 //                 report; work counters are asserted identical across

@@ -106,11 +106,9 @@ std::shared_ptr<CompiledDesign> CompiledDesign::build(
   cd->obs_.resize(n);
   cd->progs_.resize(n);
   cd->models_.resize(n);
-  cd->cnf_.resize(n);
   cd->obs_once_ = std::make_unique<std::once_flag[]>(n);
   cd->prog_once_ = std::make_unique<std::once_flag[]>(n);
   cd->model_once_ = std::make_unique<std::once_flag[]>(n);
-  cd->cnf_once_ = std::make_unique<std::once_flag[]>(n);
   cd->obs_built_ = std::make_unique<std::atomic<bool>[]>(n);
   cd->prog_built_ = std::make_unique<std::atomic<bool>[]>(n);
   cd->model_built_ = std::make_unique<std::atomic<bool>[]>(n);
@@ -147,15 +145,6 @@ const UnrolledModel& CompiledDesign::unrolled(size_t ncp_index) const {
     model_built_[ncp_index].store(true, std::memory_order_release);
   });
   return *models_[ncp_index];
-}
-
-const sat::CnfLowering& CompiledDesign::cnf_base(size_t ncp_index) const {
-  OCC_CHECK(ncp_index < cnf_.size(), "CompiledDesign: NCP out of range");
-  std::call_once(cnf_once_[ncp_index], [&] {
-    cnf_[ncp_index] =
-        std::make_unique<sat::CnfLowering>(unrolled(ncp_index));
-  });
-  return *cnf_[ncp_index];
 }
 
 void CompiledDesign::freeze() const {

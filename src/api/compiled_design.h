@@ -4,12 +4,11 @@
 /// occ::DesignCache, the thread-safe map that serves it to concurrent
 /// sessions.
 ///
-/// A Session's pipeline consumes four families of derived artifacts:
+/// A Session's pipeline consumes three families of derived artifacts:
 /// the finalized post-scan netlist (+ chain description), the per-NCP
 /// observability masks and the compiled cone replay programs
-/// (sim/cone_program.h), the per-NCP unrolled combinational models
-/// (atpg/unroll.h), and the good-machine CNF lowerings the abort
-/// ladder's SAT miters start from (sat/lower.h). All
+/// (sim/cone_program.h), and the per-NCP unrolled combinational models
+/// (atpg/unroll.h) that PODEM and the SAT probes search. All
 /// of them are pure functions of (netlist, scheme) and read-only during
 /// execution; only per-engine scratch is mutable. CompiledDesign owns
 /// exactly one copy of each, built lazily on first use and then frozen
@@ -20,8 +19,8 @@
 /// same patterns, fault statuses, detection slots and deterministic
 /// work counters as a fresh run, for every shard count -- the
 /// artifacts are byte-identical to what each engine would build
-/// privately, and everything order- or history-dependent (PODEM
-/// engines, CDCL solvers, fault-sim scratch, RNG streams) stays per-run.
+/// privately, and everything mutable (PODEM engines, SAT probe buffers,
+/// fault-sim scratch, RNG streams) stays per-run.
 /// tests/test_compiled_design.cpp pins this.
 #pragma once
 
@@ -38,7 +37,6 @@
 #include "atpg/unroll.h"
 #include "dft/scan.h"
 #include "fsim/fsim.h"
-#include "sat/lower.h"
 
 namespace occ {
 
@@ -85,28 +83,21 @@ class CompiledDesign : public ConeArtifactSource {
   /// Frozen compiled replay program of capture procedure `ncp_index`.
   const ConeProgram& shared_cone_program(size_t ncp_index) const override;
   /// Frozen unrolled combinational model of capture procedure
-  /// `ncp_index` (shared by PODEM shards and the SAT miters; the model
-  /// is read-only after construction, PODEM scratch stays per-shard).
+  /// `ncp_index` (shared by the PODEM shards and the SAT probes; the
+  /// model is read-only after construction, search scratch stays
+  /// per-shard).
   const UnrolledModel& unrolled(size_t ncp_index) const;
-  /// Frozen good-machine CNF lowering of capture procedure `ncp_index`.
-  /// Runs copy it into a fresh IncrementalMiter (solver state is
-  /// history-dependent and never shared), skipping the lowering
-  /// traversal; the clause stream is byte-identical to lowering from
-  /// scratch.
-  const sat::CnfLowering& cnf_base(size_t ncp_index) const;
 
-  /// Forces the fault-simulation and PODEM artifacts of every capture
-  /// procedure (observability masks, replay programs, unrolled models).
-  /// Called on the cold path of Session::prepare() so a warm prepare()
-  /// skips parse, scan insertion, unrolling and cone compilation
-  /// entirely. CNF bases stay lazy -- they freeze on the first run that
-  /// uses SAT, then every later run reuses them.
+  /// Forces every artifact of every capture procedure (observability
+  /// masks, replay programs, unrolled models). Called on the cold path
+  /// of Session::prepare() so a warm prepare() skips parse, scan
+  /// insertion, unrolling and cone compilation entirely.
   void freeze() const;
 
   /// Approximate resident bytes of the netlist plus every artifact
   /// built so far (what DesignCache::Stats::resident_bytes sums, captured
-  /// at insertion time -- i.e. post-freeze, excluding the lazily-built
-  /// CNF bases). Deterministic for a given design and freeze state.
+  /// at insertion time -- i.e. post-freeze). Deterministic for a given
+  /// design and freeze state.
   size_t approx_bytes() const;
 
  private:
@@ -124,11 +115,9 @@ class CompiledDesign : public ConeArtifactSource {
   mutable std::vector<FrameObs> obs_;
   mutable std::vector<ConeProgram> progs_;
   mutable std::vector<std::unique_ptr<UnrolledModel>> models_;
-  mutable std::vector<std::unique_ptr<sat::CnfLowering>> cnf_;
   mutable std::unique_ptr<std::once_flag[]> obs_once_;
   mutable std::unique_ptr<std::once_flag[]> prog_once_;
   mutable std::unique_ptr<std::once_flag[]> model_once_;
-  mutable std::unique_ptr<std::once_flag[]> cnf_once_;
   mutable std::unique_ptr<std::atomic<bool>[]> obs_built_;
   mutable std::unique_ptr<std::atomic<bool>[]> prog_built_;
   mutable std::unique_ptr<std::atomic<bool>[]> model_built_;

@@ -47,17 +47,29 @@ struct AtpgOptions {
   bool keep_cubes = false;
 };
 
-/// Deterministic SAT work counters: the solver work of every SAT probe
-/// on the deterministic stage's miters.
+/// Deterministic SAT work counters: the solver work of every committed
+/// SAT probe of the deterministic stage (sat/probe.h).
 struct SatStats {
-  uint64_t solves = 0;  ///< CDCL solver invocations
+  uint64_t solves = 0;  ///< CDCL solver invocations (one per probe)
   uint64_t conflicts = 0;
   uint64_t decisions = 0;
   uint64_t propagations = 0;
-  /// Incremental-core reuse counters (sat/incremental.h).
-  uint64_t assumption_solves = 0;  ///< solves under activation assumptions
-  uint64_t learned_kept = 0;       ///< learned clauses retained at stage end
-  uint64_t learned_reused = 0;     ///< propagations from earlier solves' clauses
+  /// Learned clauses each probe's solver held when it ended, summed
+  /// over the probes.
+  uint64_t learned_kept = 0;
+  /// Always 0: probes share no learned clauses. Kept because the
+  /// occbench driver reports it.
+  uint64_t learned_reused = 0;
+
+  SatStats& operator+=(const SatStats& o) {
+    solves += o.solves;
+    conflicts += o.conflicts;
+    decisions += o.decisions;
+    propagations += o.propagations;
+    learned_kept += o.learned_kept;
+    learned_reused += o.learned_reused;
+    return *this;
+  }
 };
 
 /// Fault-status tallies after one pipeline stage, for auditable

@@ -1,6 +1,7 @@
 #include "atpg/parallel.h"
 
 #include <algorithm>
+#include <atomic>
 #include <utility>
 
 #include "api/compiled_design.h"
@@ -129,7 +130,6 @@ ParallelPodem::ParallelPodem(PipelineContext& ctx, size_t shards,
   scratch_.resize(shards_);
   for (ShardScratch& sc : scratch_) sc.podems.resize(num_ncps);
   open_cubes_.resize(num_ncps);
-  miters_.resize(num_ncps);
   if (shards_ > 1) pool_ = std::make_unique<ThreadPool>(shards_);
 }
 
@@ -168,84 +168,45 @@ Podem::Stats ParallelPodem::stats_sum(const ShardScratch& sc) const {
   return sum;
 }
 
-sat::IncrementalMiter* ParallelPodem::miter_for(uint32_t nc) {
-  if (!miters_[nc]) {
-    // Seeded from the artifact's frozen good-machine lowering (copied;
-    // the clause stream is byte-identical to lowering here).
-    miters_[nc] = std::make_unique<sat::IncrementalMiter>(
-        ctx_.compiled.cnf_base(nc), sat::SolverOptions{});
-  }
-  return miters_[nc].get();
-}
-
-void ParallelPodem::walk(ShardScratch& sc, size_t fi,
-                         const CubeCacheEntry* seed, bool leader,
-                         Attempt* out) {
+void ParallelPodem::walk(ShardScratch& sc, size_t fi, Attempt* out) const {
   Attempt& a = *out;
   const Fault& f = ctx_.faults.fault(fi);
   const Podem::Stats before = stats_sum(sc);
-  // Resuming a worker's walk: its cheap PODEM run of the instance at
-  // (esc_nc, esc_target) already aborted.
-  const bool resuming = a.pending;
-  OCC_DCHECK(leader || !resuming);
-  a.pending = false;
-
-  const auto take = [&](const UnrolledModel& model, uint32_t nc,
-                        std::vector<V3> cube) {
-    a.cube = cube_to_pattern(model, cube, ctx_.nl, nc);
-    a.var_cube = std::move(cube);
-    a.ncp = nc;
-    a.detected = true;
-  };
-
   const size_t num_ncps = ctx_.scheme.procedures.size();
-  for (uint32_t nc = resuming ? a.esc_nc : 0; nc < num_ncps && !a.detected;
-       ++nc) {
-    const bool resume_nc = resuming && nc == a.esc_nc;
+  for (uint32_t nc = 0; nc < num_ncps && !a.detected; ++nc) {
     // Capability pre-filter: the fault's effects must be capturable.
-    if (!resume_nc && !capable(fi, nc)) continue;
+    if (!capable(fi, nc)) continue;
     const UnrolledModel& model = ctx_.compiled.unrolled(nc);
     Podem* podem = podem_for(sc, nc);
-    // A sibling's cube only seeds the matching capture procedure (var
-    // spaces differ across procedures).
-    const std::vector<V3>* seed_cube =
-        seed != nullptr && seed->ncp == nc ? &seed->var_cube : nullptr;
-    const std::vector<UnrolledFault> targets = model.translate(f);
-    for (size_t ti = resume_nc ? a.esc_target : 0; ti < targets.size();
-         ++ti) {
-      const UnrolledFault& uf = targets[ti];
-      if (!(resume_nc && ti == a.esc_target)) {
-        const Podem::Outcome outc = podem->run(uf, seed_cube);
-        if (outc == Podem::Outcome::kDetected) {
-          take(model, nc, podem->assignment());
-          break;
-        }
-        if (outc != Podem::Outcome::kAborted) continue;
-        if (!leader) {
-          // Stop here: the SAT probe depends on the history-carrying
-          // incremental solver and must run on the leader at canonical
-          // commit order.
-          a.pending = true;
-          a.esc_nc = nc;
-          a.esc_target = ti;
-          a.stats += stats_sum(sc) - before;
-          return;
-        }
+    for (const UnrolledFault& uf : model.translate(f)) {
+      const Podem::Outcome outc = podem->run(uf);
+      if (outc == Podem::Outcome::kDetected) {
+        a.cube = cube_to_pattern(model, podem->assignment(), ctx_.nl, nc);
+        a.ncp = nc;
+        a.detected = true;
+        break;
       }
+      if (outc != Podem::Outcome::kAborted) continue;
 
-      // The last rung: one incremental-SAT probe of the aborted
-      // instance at the session's conflict budget.
-      ++ctx_.res.escalations;
-      std::vector<V3> cube;
-      const sat::IncrementalMiter::Verdict v = miter_for(nc)->decide(
-          uf, ctx_.engine.sat_conflict_budget, &cube);
-      if (v == sat::IncrementalMiter::Verdict::kUnknown) {
+      // The last rung: one SAT probe of the aborted instance at the
+      // session's conflict budget.
+      ++a.escalations;
+      const sat::ProbeResult pr = sat::probe(
+          model, uf, ctx_.engine.sat_conflict_budget, &sc.probe);
+      a.sat.solves += pr.work.solves;
+      a.sat.conflicts += pr.work.conflicts;
+      a.sat.decisions += pr.work.decisions;
+      a.sat.propagations += pr.work.propagations;
+      a.sat.learned_kept += pr.learned_kept;
+      if (pr.verdict == sat::Verdict::kUnknown) {
         a.aborted = true;
         continue;
       }
-      ++ctx_.res.sat_probe_wins;
-      if (v == sat::IncrementalMiter::Verdict::kSat) {
-        take(model, nc, std::move(cube));
+      ++a.sat_probe_wins;
+      if (pr.verdict == sat::Verdict::kSat) {
+        a.cube = cube_to_pattern(model, pr.cube, ctx_.nl, nc);
+        a.ncp = nc;
+        a.detected = true;
         break;
       }
       // kUnsat/kNoObservation: the instance is proven undetectable.
@@ -303,16 +264,10 @@ void ParallelPodem::commit_fault(size_t fi, Attempt& att) {
     ctx_.res.discarded_cubes += att.detected ? 1 : 0;
     return;
   }
-  // A stopped walk resumes here -- after the eligibility re-check, in
-  // canonical fault order -- so the incremental solver sees the same
-  // probe sequence for every shard count.
-  if (att.pending) walk(scratch_[0], fi, seed_for(fi).get(), true, &att);
   if (att.detected) {
     merge_cube(att.ncp, std::move(att.cube));
     // The generated cube provably detects fi even before fsim.
     fl.set_status(fi, FaultStatus::kDetected);
-    cube_cache_[fl.fault(fi).gate] = std::make_shared<CubeCacheEntry>(
-        CubeCacheEntry{att.ncp, std::move(att.var_cube)});
   } else if (att.aborted) {
     fl.set_status(fi, FaultStatus::kAborted);
   } else if (att.sat_settled) {
@@ -326,6 +281,9 @@ void ParallelPodem::commit_fault(size_t fi, Attempt& att) {
     fl.set_status(fi, FaultStatus::kUntestable);
   }
   ctx_.res.podem += att.stats;
+  ctx_.res.escalations += att.escalations;
+  ctx_.res.sat_probe_wins += att.sat_probe_wins;
+  ctx_.res.sat += att.sat;
 }
 
 void ParallelPodem::run_sequential() {
@@ -335,15 +293,9 @@ void ParallelPodem::run_sequential() {
     if ((fi & 0x3ff) == 0) ctx_.progress(stage_, fi, total);
     if (!eligible(fl.status(fi))) continue;
     Attempt att;
-    walk(scratch_[0], fi, seed_for(fi).get(), true, &att);
+    walk(scratch_[0], fi, &att);
     commit_fault(fi, att);
   }
-}
-
-ParallelPodem::CubeCacheRef ParallelPodem::seed_for(size_t fi) const {
-  if (cube_cache_.empty()) return nullptr;  // no hits yet
-  const auto it = cube_cache_.find(ctx_.faults.fault(fi).gate);
-  return it == cube_cache_.end() ? nullptr : it->second;
 }
 
 void ParallelPodem::run_speculative() {
@@ -352,62 +304,44 @@ void ParallelPodem::run_speculative() {
   const size_t window = shards_ * kWindowFaultsPerShard;
   std::vector<size_t> cand;
   cand.reserve(window);
-  std::vector<CubeCacheRef> seeds;
   std::vector<Attempt> attempts;
   size_t next = 0;
   while (next < total) {
     // Leader: collect the next window of still-eligible faults. A fault
     // ineligible here can never become eligible again (statuses only
     // move toward detected/untestable/aborted), so skipping now is
-    // exactly the sequential skip. Each candidate's cube-cache entry is
-    // snapshotted here; a commit inside this window can move it, which
-    // the commit loop detects and repairs (see below).
+    // exactly the sequential skip.
     const size_t win_start = next;
     cand.clear();
-    seeds.clear();
     while (next < total && cand.size() < window) {
-      if (eligible(fl.status(next))) {
-        cand.push_back(next);
-        seeds.push_back(seed_for(next));
-      }
+      if (eligible(fl.status(next))) cand.push_back(next);
       ++next;
     }
     const size_t win_end = next;
 
-    // Workers: speculative PODEM attempts, interleaved over the shards.
-    // Shards touch only their own scratch and their disjoint slots of
-    // `attempts`; the fault list and the seed snapshot are read-only
-    // here (set_status and cache updates happen only on the leader,
-    // between dispatches).
+    // Workers: every shard takes the window's next unwalked fault from
+    // a shared cursor until none is left, so one expensive walk delays
+    // only its own shard. Shards touch only their own scratch and the
+    // slots of `attempts` they claimed; the fault list is read-only
+    // here (set_status happens only on the leader, between dispatches).
+    // Walks are pure, so the assignment cannot change any outcome.
     attempts.assign(cand.size(), Attempt{});
     if (!cand.empty()) {
+      std::atomic<size_t> cursor{0};
       pool_->run([&](size_t s) {
-        for (size_t k = s; k < cand.size(); k += shards_) {
-          walk(scratch_[s], cand[k], seeds[k].get(), false, &attempts[k]);
+        for (size_t k = cursor++; k < cand.size(); k = cursor++) {
+          walk(scratch_[s], cand[k], &attempts[k]);
         }
       });
     }
 
     // Leader: commit in canonical fault order, emitting the same
-    // progress events the sequential walk does. If an earlier commit of
-    // this window refreshed the candidate's cube-cache entry, the
-    // worker ran with a stale seed: discard its attempt (counted as
-    // wasted speculation) and re-run on the leader with the canonical
-    // entry, exactly as the sequential loop would have.
+    // progress events the sequential walk does.
     size_t k = 0;
     for (size_t fi = win_start; fi < win_end; ++fi) {
       if ((fi & 0x3ff) == 0) ctx_.progress(stage_, fi, total);
       if (k >= cand.size() || cand[k] != fi) continue;
-      Attempt& att = attempts[k];
-      const CubeCacheRef canonical =
-          eligible(fl.status(fi)) ? seed_for(fi) : seeds[k];
-      if (canonical != seeds[k]) {
-        ctx_.res.speculative_runs += att.stats.runs;
-        ctx_.res.discarded_cubes += att.detected ? 1 : 0;
-        att = Attempt{};
-        walk(scratch_[0], fi, canonical.get(), true, &att);
-      }
-      commit_fault(fi, att);
+      commit_fault(fi, attempts[k]);
       ++k;
     }
   }
@@ -420,21 +354,6 @@ void ParallelPodem::run() {
     run_speculative();
   }
   for (uint32_t nc = 0; nc < open_cubes_.size(); ++nc) flush(nc);
-  // Fold the miters' solver work into the session's SAT counters. Every
-  // solve runs leader-side in canonical fault order, so these are
-  // deterministic across repeats and shard counts.
-  for (const auto& m : miters_) {
-    if (!m) continue;
-    const sat::SolverStats& st = m->solver().stats();
-    SatStats& agg = ctx_.res.sat;
-    agg.solves += st.solves;
-    agg.conflicts += st.conflicts;
-    agg.decisions += st.decisions;
-    agg.propagations += st.propagations;
-    agg.assumption_solves += st.assumption_solves;
-    agg.learned_reused += st.learned_reused;
-    agg.learned_kept += m->solver().learned_kept();
-  }
   ctx_.progress(stage_, ctx_.faults.size(), ctx_.faults.size());
 }
 

@@ -745,8 +745,7 @@ bool Podem::literal_conflicts(uint32_t var, bool val) {
   return true;
 }
 
-Podem::Outcome Podem::run(const UnrolledFault& fault,
-                          const std::vector<V3>* seed) {
+Podem::Outcome Podem::run(const UnrolledFault& fault) {
   ++stats_.runs;
   ++run_id_;
   fault_ = &fault;
@@ -819,34 +818,6 @@ Podem::Outcome Podem::run(const UnrolledFault& fault,
     }
     fault_ = nullptr;
   };
-
-  // Cube-cache seed: apply a sibling cube's care bits in one batch; if
-  // they already detect, skip the search entirely (the cube_ holds the
-  // seed bits). Otherwise undo and search from scratch.
-  if (seed != nullptr) {
-    ++stats_.cache_tries;
-    const size_t seed_mark = trail_.size();
-    for (size_t v = 0; v < seed->size(); ++v) {
-      const V3 sv = (*seed)[v];
-      if (sv == V3::kX) continue;
-      const GateId g = model_->var_gates()[v];
-      if (good_[g] != V3::kX) continue;
-      const V3 fv = stem_force_[g] >= 0
-                        ? (stem_force_[g] ? V3::k1 : V3::k0)
-                        : sv;
-      set_value(g, sv, fv);
-      cube_[v] = sv;
-      enqueue_fanouts(g);
-    }
-    imply();
-    if (detected()) {
-      ++stats_.cache_hits;
-      cleanup();
-      return Outcome::kDetected;
-    }
-    undo_to(seed_mark);
-    std::fill(cube_.begin(), cube_.end(), V3::kX);
-  }
 
   uint32_t backtracks = 0;
   // A failed backtrace cuts its subtree without refuting it (another

@@ -18,9 +18,7 @@
 //   * static implication learning (atpg/implications.h) consulted at
 //     decision time to refute doomed decision phases without paying
 //     the forward simulation;
-//   * fault-cone-restricted X-path checks;
-//   * seeded runs (run() with a seed cube) backing the per-cone cube
-//     cache of the parallel stage.
+//   * fault-cone-restricted X-path checks.
 //
 // Outcomes: detected (assignment() holds the test cube), untestable
 // (search space exhausted -- untestable *under this capture procedure*),
@@ -51,7 +49,8 @@ class Podem {
     /// Instances classified untestable by the dominator early abort
     /// before any search.
     uint64_t dominator_prunes = 0;
-    /// Seeded runs attempted / detected straight from the seed cube.
+    /// Always 0: no run is seeded from a cached cube any more. Kept
+    /// because the occbench driver reports them.
     uint64_t cache_tries = 0;
     uint64_t cache_hits = 0;
 
@@ -86,13 +85,9 @@ class Podem {
   /// Attempts to detect one compiled fault. kUntestable is a proof; a
   /// search that hits the backtrack limit, or had to cut a subtree it
   /// could not refute (a failed backtrace), returns kAborted. The engine
-  /// may call run() repeatedly; internal state resets automatically. A
-  /// non-null `seed` (a sibling cube from the per-cone cache, aligned
-  /// with model.var_gates()) is tried first: its care bits are applied
-  /// in one batch and, if they detect, the run returns without
-  /// searching.
-  Outcome run(const UnrolledFault& fault,
-              const std::vector<V3>* seed = nullptr);
+  /// may call run() repeatedly; internal state resets automatically, so
+  /// an outcome depends only on the model and the fault.
+  Outcome run(const UnrolledFault& fault);
 
   /// Test cube after a kDetected outcome: value per model variable
   /// (aligned with model.var_gates()); X = unassigned (free for fill).

@@ -36,8 +36,8 @@ struct EngineOptions {
   size_t atpg_shards = 0;
   /// Conflict budget of the SAT probe, the last rung of the
   /// deterministic stage's abort ladder (atpg/parallel.h); 0 =
-  /// unlimited. Each cheap-PODEM abort gets one CNF miter decision on
-  /// the stage's incremental miters: a test cube, a redundancy proof
+  /// unlimited. Each cheap-PODEM abort gets one solve of its own CNF
+  /// miter (sat/probe.h): a test cube, a redundancy proof
   /// (kProvenUntestable), or an exhausted budget (the fault commits as
   /// kAborted).
   uint64_t sat_conflict_budget = 100000;

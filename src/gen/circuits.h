@@ -40,9 +40,9 @@ Netlist make_shadow_register(size_t width);
 /// schemes see the cone too. With `skewed` the second tree is a chain
 /// over the inputs in reverse order: the same parity, bracketed
 /// differently, which CDCL refutes only by real search. Under scheme
-/// (a) with a starved PODEM (1 or 30 backtracks), widths 24, 28 and 32
-/// leave redundant faults that outlast a 2,000-conflict SAT probe;
-/// widths 12 to 22 and 26 leave none (measured).
+/// (a) with a starved PODEM (1 or 30 backtracks), widths 16 and 20 to 32
+/// leave redundant faults that outlast a 2,000-conflict SAT probe (24
+/// leaves 6, 28 leaves 8); widths 12, 14 and 18 leave none (measured).
 Netlist make_xor_miter(size_t width, bool skewed = false);
 
 }  // namespace gen

@@ -5,18 +5,12 @@
 namespace occ {
 namespace sat {
 
-size_t Cnf::literal_count() const {
-  size_t n = 0;
-  for (const auto& c : clauses) n += c.size();
-  return n;
-}
-
 void Cnf::write_dimacs(std::ostream& os,
                        const std::vector<std::string>& comments) const {
   for (const std::string& c : comments) os << "c " << c << "\n";
-  os << "p cnf " << num_vars << " " << clauses.size() << "\n";
-  for (const auto& clause : clauses) {
-    for (Lit l : clause) {
+  os << "p cnf " << num_vars << " " << num_clauses() << "\n";
+  for (size_t i = 0; i < num_clauses(); ++i) {
+    for (Lit l : clause(i)) {
       const int64_t v = static_cast<int64_t>(lit_var(l)) + 1;
       os << (lit_sign(l) ? -v : v) << " ";
     }

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,25 +35,60 @@ inline constexpr bool lit_sign(Lit l) { return (l & 1) != 0; }
 /// The opposite-polarity literal.
 inline constexpr Lit lit_neg(Lit l) { return l ^ 1; }
 
-/// A CNF formula under construction: a variable counter plus a clause
-/// list. Clause order and variable numbering are part of the lowering's
-/// determinism contract (identical faults must produce byte-identical
-/// DIMACS), so nothing here reorders or simplifies.
+/// A CNF formula under construction: a variable counter plus a flat
+/// clause store (every clause's literals back to back, with one end
+/// offset per clause), so building a formula allocates per buffer
+/// growth, never per clause. Clause order and variable numbering are
+/// part of the lowering's determinism contract (identical faults must
+/// produce byte-identical DIMACS), so nothing here reorders or
+/// simplifies.
 struct Cnf {
   uint32_t num_vars = 0;
-  std::vector<std::vector<Lit>> clauses;
+  std::vector<Lit> lits;         ///< all clauses' literals, in order
+  std::vector<uint32_t> ends;    ///< clause i is lits[ends[i-1], ends[i])
 
   /// Allocates a fresh variable.
   Var new_var() { return num_vars++; }
 
+  size_t num_clauses() const { return ends.size(); }
+  std::span<const Lit> clause(size_t i) const {
+    const uint32_t begin = i == 0 ? 0 : ends[i - 1];
+    return {lits.data() + begin, ends[i] - begin};
+  }
+
   /// Appends one clause (no sorting, no duplicate removal).
-  void add_clause(std::vector<Lit> c) { clauses.push_back(std::move(c)); }
-  void add_unit(Lit a) { clauses.push_back({a}); }
-  void add_binary(Lit a, Lit b) { clauses.push_back({a, b}); }
-  void add_ternary(Lit a, Lit b, Lit c) { clauses.push_back({a, b, c}); }
+  void add_clause(std::span<const Lit> c) {
+    lits.insert(lits.end(), c.begin(), c.end());
+    end_clause();
+  }
+  void add_unit(Lit a) {
+    lits.push_back(a);
+    end_clause();
+  }
+  void add_binary(Lit a, Lit b) {
+    lits.push_back(a);
+    lits.push_back(b);
+    end_clause();
+  }
+  void add_ternary(Lit a, Lit b, Lit c) {
+    lits.push_back(a);
+    lits.push_back(b);
+    lits.push_back(c);
+    end_clause();
+  }
+  /// Closes the clause made of the literals pushed onto `lits` since
+  /// the previous clause ended.
+  void end_clause() { ends.push_back(static_cast<uint32_t>(lits.size())); }
+
+  /// Empties the formula, keeping the buffers' capacity.
+  void clear() {
+    num_vars = 0;
+    lits.clear();
+    ends.clear();
+  }
 
   /// Total literal occurrences (for reporting).
-  size_t literal_count() const;
+  size_t literal_count() const { return lits.size(); }
 
   /// Writes the formula in DIMACS CNF format, preceded by `c` comment
   /// lines (one per entry, without the leading "c ").

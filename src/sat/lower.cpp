@@ -8,20 +8,35 @@
 namespace occ {
 namespace sat {
 
-CnfLowering::CnfLowering(const UnrolledModel& um) : um_(&um) {
-  const Netlist& nl = um.comb();
-  const size_t n = nl.size();
-  cnf_.num_vars = static_cast<uint32_t>(1 + 2 * n);
+void CnfLowering::begin(const UnrolledModel& um) {
+  um_ = &um;
+  const size_t n = um.comb().size();
+  cnf_.clear();
+  slot_.assign(n, kNotLowered);
+  lower_.assign(n, 0);
+  lowered_.clear();
+}
+
+void CnfLowering::lower_good_machine(const UnrolledModel& um) {
+  begin(um);
+  std::fill(lower_.begin(), lower_.end(), 1);
+  emit_good_machine();
+}
+
+void CnfLowering::emit_good_machine() {
+  const Netlist& nl = um_->comb();
+  for (GateId g = 0; g < nl.size(); ++g) {
+    if (!lower_[g]) continue;
+    slot_[g] = static_cast<uint32_t>(lowered_.size());
+    lowered_.push_back(g);
+  }
+  cnf_.num_vars = static_cast<uint32_t>(1 + 2 * lowered_.size());
   cnf_.add_unit(mk_lit(0));  // the constant-true anchor variable
-  is_model_var_.assign(n, 0);
-  for (GateId v : um.var_gates()) is_model_var_[v] = 1;
-  for (GateId g = 0; g < n; ++g) {
+  for (const GateId g : lowered_) {
     const Gate& gate = nl.gate(g);
     const RailPair out = good(g);
     switch (gate.type) {
       case GateType::kInput:
-        OCC_CHECK(is_model_var_[g],
-                  "unrolled model input is not a PODEM variable");
         // Model variables take a definite value: exactly one rail true.
         cnf_.add_binary(out.one, out.zero);
         cnf_.add_binary(lit_neg(out.one), lit_neg(out.zero));
@@ -39,76 +54,61 @@ CnfLowering::CnfLowering(const UnrolledModel& um) : um_(&um) {
         cnf_.add_unit(lit_neg(out.one));
         cnf_.add_unit(lit_neg(out.zero));
         break;
-      default: {
-        std::vector<RailPair> in;
-        in.reserve(gate.fanin.size());
-        for (GateId f : gate.fanin) in.push_back(good(f));
-        emit_gate(gate.type, out, in);
+      default:
+        in_.clear();
+        for (GateId f : gate.fanin) {
+          OCC_DCHECK(lowered(f));
+          in_.push_back(good(f));
+        }
+        emit_gate(gate.type, out, in_);
         break;
-      }
     }
   }
 }
 
-void CnfLowering::emit_clause(std::vector<Lit> c) {
-  if (guard_ != kLitUndef) c.push_back(guard_);
-  cnf_.add_clause(std::move(c));
+void CnfLowering::add_term(std::initializer_list<Lit> t) {
+  term_lits_.insert(term_lits_.end(), t.begin(), t.end());
+  term_ends_.push_back(static_cast<uint32_t>(term_lits_.size()));
 }
 
-void CnfLowering::emit_unit(Lit a) {
-  if (guard_ != kLitUndef) {
-    cnf_.add_binary(a, guard_);
-  } else {
-    cnf_.add_unit(a);
-  }
-}
-
-void CnfLowering::emit_binary(Lit a, Lit b) {
-  if (guard_ != kLitUndef) {
-    cnf_.add_ternary(a, b, guard_);
-  } else {
-    cnf_.add_binary(a, b);
-  }
-}
-
-void CnfLowering::emit_ternary(Lit a, Lit b, Lit c) {
-  if (guard_ != kLitUndef) {
-    cnf_.add_clause({a, b, c, guard_});
-  } else {
-    cnf_.add_ternary(a, b, c);
-  }
-}
-
-void CnfLowering::add_iff_or_of_ands(
-    Lit out, const std::vector<std::vector<Lit>>& terms) {
+void CnfLowering::emit_iff_or_of_ands(Lit out) {
+  const size_t nt = term_ends_.size();
+  const auto term_begin = [&](size_t t) {
+    return t == 0 ? uint32_t{0} : term_ends_[t - 1];
+  };
   // Forward: each fully-true term forces `out`.
-  for (const auto& t : terms) {
-    std::vector<Lit> c;
-    c.reserve(t.size() + 1);
-    c.push_back(out);
-    for (Lit l : t) c.push_back(lit_neg(l));
-    emit_clause(std::move(c));
+  for (size_t t = 0; t < nt; ++t) {
+    cnf_.lits.push_back(out);
+    for (uint32_t i = term_begin(t); i < term_ends_[t]; ++i) {
+      cnf_.lits.push_back(lit_neg(term_lits_[i]));
+    }
+    cnf_.end_clause();
   }
   // Backward: `out` forces some term; expand the cartesian product that
   // picks one literal per term. Duplicate picks (shared literals across
   // terms, e.g. the MUX consensus term) collapse; complementary picks
   // cannot arise because rails of one signal are distinct variables.
-  std::vector<size_t> idx(terms.size(), 0);
+  pick_.assign(nt, 0);
   for (;;) {
-    std::vector<Lit> c;
-    c.reserve(terms.size() + 1);
-    c.push_back(lit_neg(out));
-    for (size_t i = 0; i < terms.size(); ++i) c.push_back(terms[i][idx[i]]);
-    std::sort(c.begin() + 1, c.end());
-    c.erase(std::unique(c.begin() + 1, c.end()), c.end());
-    emit_clause(std::move(c));
-    size_t i = 0;
-    while (i < terms.size() && ++idx[i] == terms[i].size()) {
-      idx[i] = 0;
-      ++i;
+    const size_t start = cnf_.lits.size();
+    cnf_.lits.push_back(lit_neg(out));
+    for (size_t t = 0; t < nt; ++t) {
+      cnf_.lits.push_back(term_lits_[term_begin(t) + pick_[t]]);
     }
-    if (i == terms.size()) break;
+    const auto tail =
+        cnf_.lits.begin() + static_cast<std::ptrdiff_t>(start + 1);
+    std::sort(tail, cnf_.lits.end());
+    cnf_.lits.erase(std::unique(tail, cnf_.lits.end()), cnf_.lits.end());
+    cnf_.end_clause();
+    size_t t = 0;
+    while (t < nt && ++pick_[t] == term_ends_[t] - term_begin(t)) {
+      pick_[t] = 0;
+      ++t;
+    }
+    if (t == nt) break;
   }
+  term_lits_.clear();
+  term_ends_.clear();
 }
 
 void CnfLowering::emit_gate(GateType type, RailPair out,
@@ -135,35 +135,30 @@ void CnfLowering::emit_gate(GateType type, RailPair out,
   // Rail exclusion. Implied by the two-sided templates plus input
   // exclusion, but stating it per gate lets the solver propagate it
   // without a cone-wide derivation.
-  emit_binary(lit_neg(out.one), lit_neg(out.zero));
+  cnf_.add_binary(lit_neg(out.one), lit_neg(out.zero));
   switch (type) {
     case GateType::kBuf:
     case GateType::kOutput:
-      add_iff_or_of_ands(out.one, {{in[0].one}});
-      add_iff_or_of_ands(out.zero, {{in[0].zero}});
+      add_term({in[0].one});
+      emit_iff_or_of_ands(out.one);
+      add_term({in[0].zero});
+      emit_iff_or_of_ands(out.zero);
       break;
-    case GateType::kAnd: {
-      std::vector<Lit> all_one;
-      std::vector<std::vector<Lit>> any_zero;
-      for (const RailPair& p : in) {
-        all_one.push_back(p.one);
-        any_zero.push_back({p.zero});
-      }
-      add_iff_or_of_ands(out.one, {all_one});
-      add_iff_or_of_ands(out.zero, any_zero);
+    case GateType::kAnd:
+      // One all-ones term; one single-literal term per zero input.
+      for (const RailPair& p : in) term_lits_.push_back(p.one);
+      term_ends_.push_back(static_cast<uint32_t>(term_lits_.size()));
+      emit_iff_or_of_ands(out.one);
+      for (const RailPair& p : in) add_term({p.zero});
+      emit_iff_or_of_ands(out.zero);
       break;
-    }
-    case GateType::kOr: {
-      std::vector<std::vector<Lit>> any_one;
-      std::vector<Lit> all_zero;
-      for (const RailPair& p : in) {
-        any_one.push_back({p.one});
-        all_zero.push_back(p.zero);
-      }
-      add_iff_or_of_ands(out.one, any_one);
-      add_iff_or_of_ands(out.zero, {all_zero});
+    case GateType::kOr:
+      for (const RailPair& p : in) add_term({p.one});
+      emit_iff_or_of_ands(out.one);
+      for (const RailPair& p : in) term_lits_.push_back(p.zero);
+      term_ends_.push_back(static_cast<uint32_t>(term_lits_.size()));
+      emit_iff_or_of_ands(out.zero);
       break;
-    }
     case GateType::kXor: {
       // N-ary XOR as a left fold of binary steps; intermediate results
       // get fresh auxiliary rail pairs.
@@ -174,12 +169,14 @@ void CnfLowering::emit_gate(GateType type, RailPair out,
           nxt = out;
         } else {
           nxt = {mk_lit(cnf_.new_var()), mk_lit(cnf_.new_var())};
-          emit_binary(lit_neg(nxt.one), lit_neg(nxt.zero));
+          cnf_.add_binary(lit_neg(nxt.one), lit_neg(nxt.zero));
         }
-        add_iff_or_of_ands(
-            nxt.one, {{acc.one, in[i].zero}, {acc.zero, in[i].one}});
-        add_iff_or_of_ands(
-            nxt.zero, {{acc.one, in[i].one}, {acc.zero, in[i].zero}});
+        add_term({acc.one, in[i].zero});
+        add_term({acc.zero, in[i].one});
+        emit_iff_or_of_ands(nxt.one);
+        add_term({acc.one, in[i].one});
+        add_term({acc.zero, in[i].zero});
+        emit_iff_or_of_ands(nxt.zero);
         acc = nxt;
       }
       break;
@@ -189,12 +186,14 @@ void CnfLowering::emit_gate(GateType type, RailPair out,
       // the select is definite, or when both data inputs agree on a
       // definite value under an X select.
       const RailPair s = in[0], d0 = in[1], d1 = in[2];
-      add_iff_or_of_ands(out.one, {{s.zero, d0.one},
-                                   {s.one, d1.one},
-                                   {d0.one, d1.one}});
-      add_iff_or_of_ands(out.zero, {{s.zero, d0.zero},
-                                    {s.one, d1.zero},
-                                    {d0.zero, d1.zero}});
+      add_term({s.zero, d0.one});
+      add_term({s.one, d1.one});
+      add_term({d0.one, d1.one});
+      emit_iff_or_of_ands(out.one);
+      add_term({s.zero, d0.zero});
+      add_term({s.one, d1.zero});
+      add_term({d0.zero, d1.zero});
+      emit_iff_or_of_ands(out.zero);
       break;
     }
     default:
@@ -202,57 +201,52 @@ void CnfLowering::emit_gate(GateType type, RailPair out,
   }
 }
 
-bool CnfLowering::add_fault(const UnrolledFault& uf) {
-  return emit_fault(uf, nullptr);
-}
-
-bool CnfLowering::add_fault_gated(const UnrolledFault& uf, Lit* activation) {
-  *activation = kLitUndef;
-  return emit_fault(uf, activation);
-}
-
-bool CnfLowering::emit_fault(const UnrolledFault& uf, Lit* activation) {
-  const Netlist& nl = um_->comb();
+bool CnfLowering::lower_fault(const UnrolledModel& um,
+                              const UnrolledFault& uf) {
+  begin(um);
+  const Netlist& nl = um.comb();
   const size_t n = nl.size();
 
-  // Transitive fanout cone of the fault sites: only these gates need a
-  // faulty copy; everything else aliases the good machine.
-  std::vector<uint8_t> in_cone(n, 0);
-  std::vector<GateId> stack;
+  // Transitive fanout cone of the fault sites: only these gates can
+  // differ between the two machines.
+  in_cone_.assign(n, 0);
+  stack_.clear();
   for (const auto& [site, pin] : uf.sites) {
     (void)pin;
-    if (!in_cone[site]) {
-      in_cone[site] = 1;
-      stack.push_back(site);
+    if (!in_cone_[site]) {
+      in_cone_[site] = 1;
+      stack_.push_back(site);
     }
   }
-  while (!stack.empty()) {
-    const GateId g = stack.back();
-    stack.pop_back();
+  while (!stack_.empty()) {
+    const GateId g = stack_.back();
+    stack_.pop_back();
     for (GateId f : nl.gate(g).fanout) {
-      if (!in_cone[f]) {
-        in_cone[f] = 1;
-        stack.push_back(f);
+      if (!in_cone_[f]) {
+        in_cone_[f] = 1;
+        stack_.push_back(f);
       }
     }
   }
   // Live gates: cone gates that reach an observation inside the cone.
   // Only they can carry a difference that matters, so only they get a
-  // difference variable. Reverse topological order finalizes every
-  // fanout before its driver.
-  std::vector<uint8_t> is_obs(n, 0);
-  std::vector<uint8_t> live(n, 0);
-  for (GateId o : um_->observations()) {
-    is_obs[o] = 1;
-    live[o] = in_cone[o];
+  // faulty copy and a difference variable. Reverse topological order
+  // finalizes every fanout before its driver. A live gate's cone fanins
+  // are live too (it is their live fanout), so the faulty copy never
+  // reads a gate outside the live cone.
+  is_obs_.assign(n, 0);
+  live_.assign(n, 0);
+  for (GateId o : um.observations()) {
+    is_obs_[o] = 1;
+    live_[o] = in_cone_[o];
   }
   const auto& topo = nl.topo_order();
   for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
     const GateId g = *it;
-    if (!in_cone[g] || live[g]) continue;
+    if (!in_cone_[g] || live_[g]) continue;
     for (GateId f : nl.gate(g).fanout) {
-      if (live[f]) {
-        live[g] = 1;
+      if (live_[f]) {
+        live_[g] = 1;
         break;
       }
     }
@@ -260,17 +254,36 @@ bool CnfLowering::emit_fault(const UnrolledFault& uf, Lit* activation) {
   bool any_live_site = false;
   for (const auto& [site, pin] : uf.sites) {
     (void)pin;
-    any_live_site = any_live_site || live[site] != 0;
+    any_live_site = any_live_site || live_[site] != 0;
   }
   if (!any_live_site) return false;  // no observation point in the cone
 
-  // Gated form: the activation variable is allocated first (before any
-  // per-instance rail), and its negation rides along on every clause
-  // emitted below.
-  if (activation != nullptr) {
-    *activation = mk_lit(cnf_.new_var());
-    guard_ = lit_neg(*activation);
+  // The support's good machine: the transitive fanin of the live cone
+  // and of the launch-constraint gates.
+  for (GateId g = 0; g < n; ++g) {
+    if (live_[g]) {
+      lower_[g] = 1;
+      stack_.push_back(g);
+    }
   }
+  for (const auto& [g, val] : uf.constraints) {
+    (void)val;
+    if (!lower_[g]) {
+      lower_[g] = 1;
+      stack_.push_back(g);
+    }
+  }
+  while (!stack_.empty()) {
+    const GateId g = stack_.back();
+    stack_.pop_back();
+    for (GateId f : nl.gate(g).fanin) {
+      if (!lower_[f]) {
+        lower_[f] = 1;
+        stack_.push_back(f);
+      }
+    }
+  }
+  emit_good_machine();
 
   const auto stem_forced = [&](GateId g) {
     for (const auto& [site, pin] : uf.sites) {
@@ -287,39 +300,40 @@ bool CnfLowering::emit_fault(const UnrolledFault& uf, Lit* activation) {
 
   // Faulty rails first, then difference variables (both by ascending
   // gate id), then clauses in the same order, so the numbering is a
-  // pure function of the instance.
-  std::vector<RailPair> frail(n, RailPair{kLitUndef, kLitUndef});
+  // pure function of the instance. frail_/diff_ entries are written for
+  // every live gate before any is read, so stale entries of earlier
+  // lowerings are never seen.
+  frail_.resize(n);
+  diff_.resize(n);
   for (GateId g = 0; g < n; ++g) {
-    if (in_cone[g]) frail[g] = {mk_lit(cnf_.new_var()), mk_lit(cnf_.new_var())};
+    if (live_[g]) frail_[g] = {mk_lit(cnf_.new_var()), mk_lit(cnf_.new_var())};
   }
-  std::vector<Lit> diff(n, kLitUndef);
   for (GateId g = 0; g < n; ++g) {
-    if (live[g]) diff[g] = mk_lit(cnf_.new_var());
+    if (live_[g]) diff_[g] = mk_lit(cnf_.new_var());
   }
-  const auto fan_rails = [&](GateId f) {
-    return in_cone[f] ? frail[f] : good(f);
-  };
   for (GateId g = 0; g < n; ++g) {
-    if (!in_cone[g]) continue;
-    const RailPair out = frail[g];
+    if (!live_[g]) continue;
+    const RailPair out = frail_[g];
     if (stem_forced(g)) {
       // Output stem stuck at the forced value in the faulty machine.
-      emit_unit(uf.forced_value ? out.one : out.zero);
-      emit_unit(lit_neg(uf.forced_value ? out.zero : out.one));
+      cnf_.add_unit(uf.forced_value ? out.one : out.zero);
+      cnf_.add_unit(lit_neg(uf.forced_value ? out.zero : out.one));
       continue;
     }
     const Gate& gate = nl.gate(g);
-    std::vector<RailPair> in;
-    in.reserve(gate.fanin.size());
-    for (GateId f : gate.fanin) in.push_back(fan_rails(f));
+    in_.clear();
+    for (GateId f : gate.fanin) {
+      OCC_DCHECK(!in_cone_[f] || live_[f]);
+      in_.push_back(live_[f] ? frail_[f] : good(f));
+    }
     const int bp = branch_pin(g);
-    if (bp >= 0) in[static_cast<size_t>(bp)] = const_rails(uf.forced_value);
-    emit_gate(gate.type, out, in);
+    if (bp >= 0) in_[static_cast<size_t>(bp)] = const_rails(uf.forced_value);
+    emit_gate(gate.type, out, in_);
   }
 
   // Launch constraints bind the good machine to a definite value.
   for (const auto& [g, val] : uf.constraints) {
-    emit_unit(val ? good(g).one : good(g).zero);
+    cnf_.add_unit(val ? good(g).one : good(g).zero);
   }
 
   // Detection as a D-chain (Larrabee's active clauses): d_g says gate g
@@ -330,33 +344,34 @@ bool CnfLowering::emit_fault(const UnrolledFault& uf, Lit* activation) {
   // non-site gate that differs definitely has a fanin that does (see
   // docs/ARCHITECTURE.md "The SAT backend").
   for (GateId g = 0; g < n; ++g) {
-    if (!live[g]) continue;
-    const Lit d = diff[g];
+    if (!live_[g]) continue;
+    const Lit d = diff_[g];
     const RailPair gr = good(g);
-    const RailPair fr = frail[g];
+    const RailPair fr = frail_[g];
     // d -> (good 1 and faulty 0) or (good 0 and faulty 1).
-    emit_ternary(lit_neg(d), gr.one, gr.zero);
-    emit_ternary(lit_neg(d), fr.one, fr.zero);
-    emit_ternary(lit_neg(d), gr.one, fr.one);
-    emit_ternary(lit_neg(d), gr.zero, fr.zero);
-    if (!is_obs[g]) {
-      std::vector<Lit> chain{lit_neg(d)};
+    cnf_.add_ternary(lit_neg(d), gr.one, gr.zero);
+    cnf_.add_ternary(lit_neg(d), fr.one, fr.zero);
+    cnf_.add_ternary(lit_neg(d), gr.one, fr.one);
+    cnf_.add_ternary(lit_neg(d), gr.zero, fr.zero);
+    if (!is_obs_[g]) {
+      const size_t start = cnf_.lits.size();
+      cnf_.lits.push_back(lit_neg(d));
       for (GateId f : nl.gate(g).fanout) {
-        if (live[f]) chain.push_back(diff[f]);
+        if (live_[f]) cnf_.lits.push_back(diff_[f]);
       }
       // A gate feeding two pins of one fanout lists it twice.
-      std::sort(chain.begin() + 1, chain.end());
-      chain.erase(std::unique(chain.begin() + 1, chain.end()), chain.end());
-      emit_clause(std::move(chain));
+      const auto tail =
+          cnf_.lits.begin() + static_cast<std::ptrdiff_t>(start + 1);
+      std::sort(tail, cnf_.lits.end());
+      cnf_.lits.erase(std::unique(tail, cnf_.lits.end()), cnf_.lits.end());
+      cnf_.end_clause();
     }
   }
-  std::vector<Lit> root;
   for (const auto& [site, pin] : uf.sites) {
     (void)pin;
-    if (live[site]) root.push_back(diff[site]);
+    if (live_[site]) cnf_.lits.push_back(diff_[site]);
   }
-  emit_clause(std::move(root));
-  guard_ = kLitUndef;
+  cnf_.end_clause();
   return true;
 }
 
@@ -366,9 +381,11 @@ std::vector<V3> CnfLowering::extract_cube(
   std::vector<V3> cube(vars.size(), V3::kX);
   for (size_t i = 0; i < vars.size(); ++i) {
     const GateId g = vars[i];
-    const bool one = model[1 + 2 * g] != 0;
-    const bool zero = model[2 + 2 * g] != 0;
-    cube[i] = one ? V3::k1 : zero ? V3::k0 : V3::kX;
+    if (!lowered(g)) continue;
+    const RailPair r = good(g);
+    cube[i] = model[lit_var(r.one)] != 0    ? V3::k1
+              : model[lit_var(r.zero)] != 0 ? V3::k0
+                                            : V3::kX;
   }
   return cube;
 }

@@ -27,84 +27,103 @@ uint64_t luby(uint64_t i) {
 
 }  // namespace
 
-CdclSolver::CdclSolver(const Cnf& cnf, SolverOptions opts)
-    : opts_(opts), learned_ceiling_(opts.learned_limit) {
-  const size_t n = cnf.num_vars;
-  watches_.assign(2 * n, {});
+CdclSolver::CdclSolver(const Cnf& cnf, SolverOptions opts) {
+  reset(cnf, opts);
+}
+
+void CdclSolver::reset(const Cnf& cnf, SolverOptions opts) {
+  opts_ = opts;
+  const uint32_t n = cnf.num_vars;
+  num_vars_ = n;
+  if (watches_.size() < 2 * size_t{n}) watches_.resize(2 * size_t{n});
+  for (size_t l = 0; l < 2 * size_t{n}; ++l) watches_[l].clear();
   assigns_.assign(n, -1);
   level_.assign(n, 0);
   reason_.assign(n, kNoReason);
   activity_.assign(n, 0.0);
   phase_.assign(n, 0);
   seen_.assign(n, 0);
-  heap_index_.assign(n, -1);
-  heap_.reserve(n);
-  for (Var v = 0; v < n; ++v) heap_insert(v);
+  // All activities are equal, so the heap in index order is already a
+  // valid heap (ties break toward the smaller index).
+  heap_.resize(n);
+  heap_index_.resize(n);
+  for (Var v = 0; v < n; ++v) {
+    heap_[v] = v;
+    heap_index_[v] = static_cast<int32_t>(v);
+  }
+  trail_.clear();
+  trail_lim_.clear();
+  qhead_ = 0;
+  var_inc_ = 1.0;
+  cla_inc_ = 1.0;
+  ok_ = true;
+  solved_ = false;
+  learned_count_ = 0;
+  learned_nonbinary_ = 0;
+  learned_ceiling_ = opts.learned_limit;
+  model_.clear();
+  stats_ = {};
 
-  clauses_.reserve(cnf.clauses.size());
-  for (const auto& orig : cnf.clauses) add_clause(orig);
+  arena_.clear();
+  arena_.reserve(cnf.literal_count());
+  clauses_.clear();
+  clauses_.reserve(cnf.num_clauses());
+  for (size_t i = 0; i < cnf.num_clauses() && ok_; ++i) {
+    add_problem_clause(cnf.clause(i));
+  }
 }
 
-Var CdclSolver::new_var() {
-  const Var v = static_cast<Var>(assigns_.size());
-  watches_.emplace_back();
-  watches_.emplace_back();
-  assigns_.push_back(-1);
-  level_.push_back(0);
-  reason_.push_back(kNoReason);
-  activity_.push_back(0.0);
-  phase_.push_back(0);
-  seen_.push_back(0);
-  heap_index_.push_back(-1);
-  heap_insert(v);
-  return v;
-}
-
-bool CdclSolver::add_clause(std::vector<Lit> c) {
-  OCC_CHECK(trail_lim_.empty(),
-            "sat: add_clause is only legal at decision level 0");
-  if (!ok_) return false;
-  // Normalize: sort, drop duplicate literals, skip tautologies and
-  // literals already false at level 0, skip clauses already true at
-  // level 0. The lowering never emits tautologies, but fuzzed inputs
-  // may. (Level-0 facts enqueued by earlier add_clause calls may still
-  // be unpropagated; they are facts regardless, so filtering against
-  // them is sound.)
-  std::sort(c.begin(), c.end());
-  c.erase(std::unique(c.begin(), c.end()), c.end());
-  for (size_t i = 0; i + 1 < c.size(); ++i) {
-    if (lit_var(c[i]) == lit_var(c[i + 1])) return true;  // tautology
+void CdclSolver::add_problem_clause(std::span<const Lit> orig) {
+  // Normalize in place at the arena's tail: sort, drop duplicate
+  // literals, skip tautologies and literals already false at level 0,
+  // skip clauses already true at level 0. The lowering never emits
+  // tautologies, but fuzzed inputs may. (Level-0 facts enqueued by
+  // earlier clauses may still be unpropagated; they are facts
+  // regardless, so filtering against them is sound.)
+  const size_t start = arena_.size();
+  arena_.insert(arena_.end(), orig.begin(), orig.end());
+  const auto c = arena_.begin() + static_cast<std::ptrdiff_t>(start);
+  std::sort(c, arena_.end());
+  arena_.erase(std::unique(c, arena_.end()), arena_.end());
+  const size_t len = arena_.size() - start;
+  bool drop = false;
+  for (size_t i = 0; i + 1 < len && !drop; ++i) {
+    drop = lit_var(c[i]) == lit_var(c[i + 1]);  // tautology
   }
-  size_t j = 0;
-  for (const Lit l : c) {
-    OCC_CHECK(lit_var(l) < assigns_.size(),
-              "sat: literal references variable ", lit_var(l),
-              " but the solver declares ", assigns_.size());
-    if (lit_true(l)) return true;  // satisfied at level 0
-    if (!lit_false(l)) c[j++] = l;
+  size_t j = start;
+  for (size_t i = start; i < arena_.size() && !drop; ++i) {
+    const Lit l = arena_[i];
+    OCC_CHECK(lit_var(l) < num_vars_, "sat: literal references variable ",
+              lit_var(l), " but the formula declares ", num_vars_);
+    if (lit_true(l)) drop = true;  // satisfied at level 0
+    if (!lit_false(l)) arena_[j++] = l;
   }
-  c.resize(j);
-
-  if (c.empty()) {
+  if (drop) {
+    arena_.resize(start);
+    return;
+  }
+  arena_.resize(j);
+  const size_t size = j - start;
+  if (size == 0) {
     ok_ = false;
-    return false;
+    return;
   }
-  if (c.size() == 1) {
-    // Level-0 fact; propagation is deferred to the next solve so a
-    // batch of adds behaves like one formula extension.
-    enqueue(c[0], kNoReason);
-    return true;
+  if (size == 1) {
+    // Level-0 fact; propagated when the solve starts.
+    enqueue(arena_[start], kNoReason);
+    arena_.resize(start);
+    return;
   }
   const ClauseRef cr = static_cast<ClauseRef>(clauses_.size());
-  clauses_.push_back(Clause{std::move(c), 0.0, 0, false});
+  clauses_.push_back(Clause{static_cast<uint32_t>(start),
+                            static_cast<uint32_t>(size), 0.0, false});
   attach_clause(cr);
-  return true;
 }
 
 void CdclSolver::attach_clause(ClauseRef cr) {
-  const auto& c = clauses_[cr].lits;
-  watches_[c[0]].push_back(cr);
-  watches_[c[1]].push_back(cr);
+  const Lit* c = lits(cr);
+  watches_[c[0]].push_back({cr, c[1]});
+  watches_[c[1]].push_back({cr, c[0]});
 }
 
 void CdclSolver::enqueue(Lit l, ClauseRef reason) {
@@ -114,10 +133,6 @@ void CdclSolver::enqueue(Lit l, ClauseRef reason) {
   phase_[v] = assigns_[v] != 0;
   level_[v] = static_cast<uint32_t>(trail_lim_.size());
   reason_[v] = reason;
-  if (reason != kNoReason) {
-    const Clause& rc = clauses_[reason];
-    if (rc.learned && rc.birth != cur_solve_) ++stats_.learned_reused;
-  }
   trail_.push_back(l);
 }
 
@@ -125,37 +140,43 @@ CdclSolver::ClauseRef CdclSolver::propagate() {
   while (qhead_ < trail_.size()) {
     const Lit p = trail_[qhead_++];  // p just became true
     ++stats_.propagations;
-    auto& ws = watches_[lit_neg(p)];
+    const Lit false_lit = lit_neg(p);
+    auto& ws = watches_[false_lit];
     size_t i = 0, j = 0;
     while (i < ws.size()) {
-      const ClauseRef cr = ws[i++];
-      auto& c = clauses_[cr].lits;
-      const Lit false_lit = lit_neg(p);
+      const Watcher w = ws[i++];
+      if (lit_true(w.blocker)) {  // satisfied, clause untouched
+        ws[j++] = w;
+        continue;
+      }
+      Lit* c = lits(w.cr);
+      const uint32_t size = clauses_[w.cr].size;
       if (c[0] == false_lit) std::swap(c[0], c[1]);
       OCC_DCHECK(c[1] == false_lit);
-      if (lit_true(c[0])) {  // already satisfied
-        ws[j++] = cr;
+      const Watcher kept{w.cr, c[0]};
+      if (c[0] != w.blocker && lit_true(c[0])) {  // already satisfied
+        ws[j++] = kept;
         continue;
       }
       bool rewatched = false;
-      for (size_t k = 2; k < c.size(); ++k) {
+      for (uint32_t k = 2; k < size; ++k) {
         if (!lit_false(c[k])) {
           std::swap(c[1], c[k]);
-          watches_[c[1]].push_back(cr);
+          watches_[c[1]].push_back(kept);
           rewatched = true;
           break;
         }
       }
       if (rewatched) continue;
       // All but c[0] false: unit or conflict.
-      ws[j++] = cr;
+      ws[j++] = kept;
       if (lit_false(c[0])) {
         while (i < ws.size()) ws[j++] = ws[i++];
         ws.resize(j);
         qhead_ = trail_.size();
-        return cr;
+        return w.cr;
       }
-      enqueue(c[0], cr);
+      enqueue(c[0], w.cr);
     }
     ws.resize(j);
   }
@@ -174,9 +195,10 @@ void CdclSolver::analyze(ClauseRef confl, std::vector<Lit>* learnt,
   do {
     OCC_DCHECK(confl != kNoReason);
     cla_bump(confl);
-    const auto& c = clauses_[confl].lits;
+    const Lit* c = lits(confl);
+    const uint32_t size = clauses_[confl].size;
     // For reason clauses c[0] is the implied literal (== p), skip it.
-    for (size_t k = (p == kLitUndef ? 0 : 1); k < c.size(); ++k) {
+    for (uint32_t k = (p == kLitUndef ? 0 : 1); k < size; ++k) {
       const Var v = lit_var(c[k]);
       if (seen_[v] || level_[v] == 0) continue;
       seen_[v] = 1;
@@ -184,12 +206,7 @@ void CdclSolver::analyze(ClauseRef confl, std::vector<Lit>* learnt,
       if (level_[v] >= cur_level) {
         ++path;
       } else {
-        // Literals on lower decision levels join the learnt tail. An
-        // assumption-level decision literal lands here too (its reason
-        // is kNoReason, but the walk below only dereferences reasons of
-        // current-level literals), which keeps the learnt clause a
-        // consequence of the clause database alone.
-        learnt->push_back(c[k]);
+        learnt->push_back(c[k]);  // lower decision levels: the tail
       }
     }
     while (!seen_[lit_var(trail_[--index])]) {
@@ -200,6 +217,28 @@ void CdclSolver::analyze(ClauseRef confl, std::vector<Lit>* learnt,
     --path;
   } while (path > 0);
   (*learnt)[0] = lit_neg(p);
+
+  // Local minimization (MiniSat's basic rule): a tail literal whose
+  // reason's other literals are all in the clause (seen_) or fixed at
+  // level 0 is implied by the rest of the clause, so dropping it keeps
+  // the clause a consequence of the formula. A decision literal (no
+  // reason) always stays.
+  analyze_clear_.assign(learnt->begin() + 1, learnt->end());
+  size_t kept = 1;
+  for (size_t i = 1; i < learnt->size(); ++i) {
+    const ClauseRef r = reason_[lit_var((*learnt)[i])];
+    bool keep = r == kNoReason;
+    if (!keep) {
+      const Lit* rc = lits(r);
+      for (uint32_t k = 1; k < clauses_[r].size && !keep; ++k) {
+        const Var u = lit_var(rc[k]);
+        keep = !seen_[u] && level_[u] > 0;
+      }
+    }
+    if (keep) (*learnt)[kept++] = (*learnt)[i];
+  }
+  stats_.minimized_literals += learnt->size() - kept;
+  learnt->resize(kept);
 
   // Backtrack level: highest level among the tail literals; swap that
   // literal into slot 1 so it is watched.
@@ -214,9 +253,7 @@ void CdclSolver::analyze(ClauseRef confl, std::vector<Lit>* learnt,
   }
   if (learnt->size() > 1) std::swap((*learnt)[1], (*learnt)[max_i]);
   *out_btlevel = bt;
-  for (size_t i = 1; i < learnt->size(); ++i) {
-    seen_[lit_var((*learnt)[i])] = 0;
-  }
+  for (const Lit l : analyze_clear_) seen_[lit_var(l)] = 0;
 }
 
 void CdclSolver::cancel_until(uint32_t level) {
@@ -273,12 +310,10 @@ void CdclSolver::reduce_db() {
   // Candidates: learned non-binary clauses, ordered by (activity
   // ascending, insertion index descending) so the least useful and, on
   // ties, the youngest go first. Drop half.
-  std::vector<ClauseRef> cand;
-  cand.reserve(learned_nonbinary_);
+  std::vector<ClauseRef>& cand = reduce_cand_;
+  cand.clear();
   for (ClauseRef cr = 0; cr < clauses_.size(); ++cr) {
-    if (clauses_[cr].learned && clauses_[cr].lits.size() > 2) {
-      cand.push_back(cr);
-    }
+    if (clauses_[cr].learned && clauses_[cr].size > 2) cand.push_back(cr);
   }
   std::sort(cand.begin(), cand.end(), [this](ClauseRef a, ClauseRef b) {
     if (clauses_[a].act != clauses_[b].act) {
@@ -288,19 +323,25 @@ void CdclSolver::reduce_db() {
   });
   const size_t drop = cand.size() / 2;
   if (drop == 0) return;
-  std::vector<uint8_t> remove(clauses_.size(), 0);
-  for (size_t i = 0; i < drop; ++i) remove[cand[i]] = 1;
-
-  // Compact the clause vector and rebuild every watch list; watch-list
-  // order after compaction is a function of clause insertion order
-  // only, so this stays deterministic.
-  std::vector<Clause> kept;
-  kept.reserve(clauses_.size() - drop);
+  // Mark the dropped clauses (size 0), then compact headers and arena
+  // in place: clauses keep their insertion order and start offsets only
+  // decrease, so every move goes downward.
+  for (size_t i = 0; i < drop; ++i) clauses_[cand[i]].size = 0;
+  size_t out = 0, top = 0;
   for (ClauseRef cr = 0; cr < clauses_.size(); ++cr) {
-    if (!remove[cr]) kept.push_back(std::move(clauses_[cr]));
+    Clause h = clauses_[cr];
+    if (h.size == 0) continue;
+    std::copy(arena_.begin() + h.start, arena_.begin() + h.start + h.size,
+              arena_.begin() + static_cast<std::ptrdiff_t>(top));
+    h.start = static_cast<uint32_t>(top);
+    top += h.size;
+    clauses_[out++] = h;
   }
-  clauses_ = std::move(kept);
-  for (auto& ws : watches_) ws.clear();
+  clauses_.resize(out);
+  arena_.resize(top);
+  // Watch-list order after compaction is a function of clause
+  // insertion order only, so this stays deterministic.
+  for (size_t l = 0; l < 2 * size_t{num_vars_}; ++l) watches_[l].clear();
   for (ClauseRef cr = 0; cr < clauses_.size(); ++cr) attach_clause(cr);
 
   learned_count_ -= drop;
@@ -362,33 +403,18 @@ Var CdclSolver::heap_pop() {
   return v;
 }
 
-SatResult CdclSolver::solve(const std::vector<Lit>& assumptions) {
+SatResult CdclSolver::solve() {
+  OCC_CHECK(!solved_, "sat: solve() runs once per reset()");
+  solved_ = true;
   ++stats_.solves;
-  cur_solve_ = static_cast<uint32_t>(stats_.solves);
-  if (!assumptions.empty()) ++stats_.assumption_solves;
   if (!ok_) return SatResult::kUnsat;
-  cancel_until(0);
 
-  // Vars popped by a previous solve's pick_branch but never reinserted
-  // (the SAT exit path leaves the heap drained) go back in ascending
-  // index order.
-  for (Var v = 0; v < assigns_.size(); ++v) {
-    if (assigns_[v] < 0 && heap_index_[v] < 0) heap_insert(v);
-  }
-  for (const Lit a : assumptions) {
-    OCC_CHECK(lit_var(a) < assigns_.size(),
-              "sat: assumption references variable ", lit_var(a),
-              " but the solver declares ", assigns_.size());
-  }
-
-  // Level-0 facts queued by add_clause since the last solve.
+  // Level-0 facts queued while loading the formula.
   if (propagate() != kNoReason) {
     ok_ = false;
     return SatResult::kUnsat;
   }
 
-  const uint64_t conflicts_at_entry = stats_.conflicts;
-  std::vector<Lit> learnt;
   uint64_t restart_seq = 0;
   uint64_t until_restart = luby(restart_seq) * opts_.restart_base;
 
@@ -401,24 +427,27 @@ SatResult CdclSolver::solve(const std::vector<Lit>& assumptions) {
         return SatResult::kUnsat;
       }
       uint32_t bt = 0;
-      analyze(confl, &learnt, &bt);
+      analyze(confl, &learnt_, &bt);
       cancel_until(bt);
-      if (learnt.size() == 1) {
-        enqueue(learnt[0], kNoReason);
+      if (learnt_.size() == 1) {
+        enqueue(learnt_[0], kNoReason);
       } else {
         const ClauseRef cr = static_cast<ClauseRef>(clauses_.size());
-        clauses_.push_back(Clause{learnt, cla_inc_, cur_solve_, true});
+        clauses_.push_back(Clause{static_cast<uint32_t>(arena_.size()),
+                                  static_cast<uint32_t>(learnt_.size()),
+                                  cla_inc_, true});
+        arena_.insert(arena_.end(), learnt_.begin(), learnt_.end());
         attach_clause(cr);
-        enqueue(learnt[0], cr);
+        enqueue(learnt_[0], cr);
         ++learned_count_;
-        if (learnt.size() > 2) ++learned_nonbinary_;
+        if (learnt_.size() > 2) ++learned_nonbinary_;
       }
       ++stats_.learned_clauses;
-      stats_.learned_literals += learnt.size();
+      stats_.learned_literals += learnt_.size();
       var_decay_all();
       cla_inc_ /= opts_.clause_decay;
       if (opts_.conflict_budget != 0 &&
-          stats_.conflicts - conflicts_at_entry >= opts_.conflict_budget) {
+          stats_.conflicts >= opts_.conflict_budget) {
         cancel_until(0);
         return SatResult::kUnknown;
       }
@@ -432,35 +461,16 @@ SatResult CdclSolver::solve(const std::vector<Lit>& assumptions) {
         }
       }
     } else {
-      // All assumptions first, one per decision level (MiniSat-style):
-      // an assumption already true gets an empty level so analyze()'s
-      // level arithmetic stays uniform; one already false means the
-      // formula is UNSAT under these assumptions only.
-      Lit next = kLitUndef;
-      while (trail_lim_.size() < assumptions.size()) {
-        const Lit a = assumptions[trail_lim_.size()];
-        if (lit_true(a)) {
-          trail_lim_.push_back(trail_.size());
-        } else if (lit_false(a)) {
-          cancel_until(0);
-          return SatResult::kUnsat;
-        } else {
-          next = a;
-          break;
-        }
-      }
+      const Lit next = pick_branch();
       if (next == kLitUndef) {
-        next = pick_branch();
-        if (next == kLitUndef) {
-          model_.assign(assigns_.size(), 0);
-          for (size_t v = 0; v < assigns_.size(); ++v) {
-            model_[v] = assigns_[v] == 1;
-          }
-          cancel_until(0);
-          return SatResult::kSat;
+        model_.assign(assigns_.size(), 0);
+        for (size_t v = 0; v < assigns_.size(); ++v) {
+          model_[v] = assigns_[v] == 1;
         }
-        ++stats_.decisions;
+        cancel_until(0);
+        return SatResult::kSat;
       }
+      ++stats_.decisions;
       trail_lim_.push_back(trail_.size());
       enqueue(next, kNoReason);
     }
@@ -474,12 +484,12 @@ std::vector<int8_t> unit_propagate(const Cnf& cnf,
   std::vector<int8_t> assign(cnf.num_vars, -1);
   // Occurrence lists per literal.
   std::vector<std::vector<uint32_t>> occ(2 * cnf.num_vars);
-  for (size_t ci = 0; ci < cnf.clauses.size(); ++ci) {
-    if (cnf.clauses[ci].empty()) {
+  for (size_t ci = 0; ci < cnf.num_clauses(); ++ci) {
+    if (cnf.clause(ci).empty()) {
       *conflict = true;
       return assign;
     }
-    for (Lit l : cnf.clauses[ci]) {
+    for (Lit l : cnf.clause(ci)) {
       occ[l].push_back(static_cast<uint32_t>(ci));
     }
   }
@@ -497,18 +507,17 @@ std::vector<int8_t> unit_propagate(const Cnf& cnf,
   };
 
   for (Lit a : assumptions) set_true(a);
-  for (const auto& c : cnf.clauses) {
-    if (c.size() == 1) set_true(c[0]);
+  for (size_t ci = 0; ci < cnf.num_clauses(); ++ci) {
+    if (cnf.clause(ci).size() == 1) set_true(cnf.clause(ci)[0]);
   }
 
   for (size_t qi = 0; qi < queue.size() && !*conflict; ++qi) {
     const Lit p = queue[qi];
     for (uint32_t ci : occ[lit_neg(p)]) {
-      const auto& c = cnf.clauses[ci];
       Lit unit = kLitUndef;
       bool satisfied = false;
       size_t unassigned = 0;
-      for (Lit l : c) {
+      for (Lit l : cnf.clause(ci)) {
         const int8_t a = assign[lit_var(l)];
         if (a < 0) {
           ++unassigned;

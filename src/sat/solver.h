@@ -1,31 +1,29 @@
 // In-tree CDCL SAT solver for the ATPG backend.
 //
 // Classic conflict-driven clause learning in the MiniSat mold: two
-// watched literals per clause, first-UIP conflict analysis, VSIDS-style
-// activity-ordered decisions with phase saving, Luby restarts and a
-// per-solve conflict budget (exhaustion returns kUnknown, which the
-// ATPG stage maps to "still aborted").
+// watched literals per clause (with blocker literals), first-UIP
+// conflict analysis with local
+// learned-clause minimization, VSIDS-style activity-ordered decisions
+// with phase saving, Luby restarts and a per-solve conflict budget
+// (exhaustion returns kUnknown, which the ATPG stage maps to "still
+// aborted"). The learned database is bounded by a deterministic
+// activity-based reduction (binaries are kept forever).
 //
-// The solver is multi-shot: solve(assumptions) may be called any number
-// of times, with add_clause() extending the formula between solves.
-// Assumptions are enqueued as decisions on dedicated leading decision
-// levels (one per assumption, MiniSat-style), so first-UIP analysis
-// needs no special casing -- a conflict that ultimately falsifies an
-// assumption surfaces as kUnsat *under these assumptions* without
-// poisoning the formula, while a conflict at decision level 0 marks the
-// formula itself unsatisfiable for every later solve. Learned clauses,
-// saved phases and VSIDS activities persist across solves; the learned
-// database is bounded by a deterministic activity-based reduction
-// (binaries are kept forever).
+// The solver is one-shot: reset() loads a formula, solve() decides it
+// once. Clauses live in one flat literal arena, so loading a formula
+// copies buffers instead of allocating per clause, and reset() keeps
+// every buffer's capacity, so a solver reused across formulas stops
+// allocating once its buffers have grown. A reset solver carries no
+// state of its earlier formulas: its verdict, model and counters are
+// those of a freshly constructed one.
 //
-// Determinism contract: a solve sequence is a pure function of the
-// (clause, solve) call sequence and the options. Decisions break
-// activity ties toward the smaller variable index, clause and watch
-// traversal follow insertion order, database reduction orders by
-// (activity, insertion index), and no wall-clock, randomization or
-// address-order input exists -- so repeated runs (and runs on different
-// machines) produce identical models, conflict counts and learned
-// clauses.
+// Determinism contract: a solve is a pure function of the formula (its
+// clause order included) and the options. Decisions break activity ties
+// toward the smaller variable index, clause and watch traversal follow
+// insertion order, database reduction orders by (activity, insertion
+// index), and no wall-clock, randomization or address-order input
+// exists -- so repeated runs (and runs on different machines) produce
+// identical models, conflict counts and learned clauses.
 #pragma once
 
 #include <cstdint>
@@ -39,13 +37,13 @@ namespace sat {
 /// Outcome of one solve.
 enum class SatResult : uint8_t {
   kSat,     ///< model() holds a satisfying assignment
-  kUnsat,   ///< unsatisfiable (under the given assumptions, if any)
+  kUnsat,   ///< unsatisfiable
   kUnknown  ///< conflict budget exhausted before a verdict
 };
 
 struct SolverOptions {
-  /// Per-solve conflict budget; 0 = unlimited. On exhaustion solve()
-  /// returns kUnknown (the formula and learned state stay usable).
+  /// Conflict budget of the solve; 0 = unlimited. On exhaustion solve()
+  /// returns kUnknown.
   uint64_t conflict_budget = 0;
   /// VSIDS activity decay per conflict (activity increment grows by
   /// 1/decay).
@@ -60,55 +58,37 @@ struct SolverOptions {
   size_t learned_limit = 8192;
 };
 
-/// Deterministic work counters of one solver instance (cumulative over
-/// all solves of the instance).
+/// Deterministic work counters of one solve.
 struct SolverStats {
   uint64_t conflicts = 0;
   uint64_t decisions = 0;
   uint64_t propagations = 0;
   uint64_t restarts = 0;
   uint64_t learned_clauses = 0;
-  uint64_t learned_literals = 0;
-  uint64_t solves = 0;             ///< solve() calls
-  uint64_t assumption_solves = 0;  ///< solves with a non-empty assumption set
-  /// Propagations whose reason is a learned clause from an *earlier*
-  /// solve -- the cross-solve clause-sharing payoff.
-  uint64_t learned_reused = 0;
-  uint64_t db_reductions = 0;   ///< learned-database reduction passes
-  uint64_t learned_removed = 0; ///< learned clauses dropped by reductions
+  uint64_t learned_literals = 0;   ///< after minimization
+  uint64_t minimized_literals = 0; ///< tail literals minimization dropped
+  uint64_t solves = 0;             ///< solve() calls (0 or 1)
+  uint64_t db_reductions = 0;      ///< learned-database reduction passes
+  uint64_t learned_removed = 0;    ///< learned clauses dropped by reductions
 };
 
-/// One multi-shot CDCL solver over a growing formula. Construction
-/// copies the clauses; solve() may be called repeatedly, with
-/// new_var()/add_clause() extending the formula between solves.
+/// One-shot CDCL solver (see the file comment).
 class CdclSolver {
  public:
+  /// An empty solver; reset() loads its formula.
+  CdclSolver() = default;
+  /// Same as reset(cnf, opts) on an empty solver.
   explicit CdclSolver(const Cnf& cnf, SolverOptions opts = {});
 
-  /// Extends the variable range by one fresh variable.
-  Var new_var();
+  /// Loads `cnf`, dropping everything of the previous formula but the
+  /// buffers' capacity. Clauses are normalized on the way in (sorted,
+  /// deduplicated, tautologies dropped, literals false at level 0
+  /// removed); units become level-0 facts.
+  void reset(const Cnf& cnf, SolverOptions opts = {});
 
-  /// Adds a clause (normalized: sorted, deduplicated, tautologies
-  /// dropped, literals false at level 0 removed). Units are enqueued as
-  /// level-0 facts. Returns false once the formula is unsatisfiable at
-  /// level 0 (every later solve returns kUnsat).
-  bool add_clause(std::vector<Lit> c);
-
-  /// Replaces the per-solve conflict budget (0 = unlimited).
-  void set_conflict_budget(uint64_t budget) {
-    opts_.conflict_budget = budget;
-  }
-
-  /// Runs the CDCL loop to a verdict or the conflict budget.
-  SatResult solve() { return solve({}); }
-
-  /// Solves under the given assumption literals. kUnsat means
-  /// unsatisfiable under these assumptions; the formula itself stays
-  /// usable unless a level-0 conflict was derived (ok() == false).
-  SatResult solve(const std::vector<Lit>& assumptions);
-
-  /// False once a level-0 conflict proved the formula unsatisfiable.
-  bool ok() const { return ok_; }
+  /// Runs the CDCL loop to a verdict or the conflict budget. Once per
+  /// loaded formula.
+  SatResult solve();
 
   /// Satisfying assignment per variable (0/1), valid after kSat. Every
   /// variable is assigned (the decision loop covers vars absent from
@@ -124,12 +104,18 @@ class CdclSolver {
   using ClauseRef = uint32_t;
   static constexpr ClauseRef kNoReason = 0xFFFFFFFFu;
 
+  /// A clause's place in the literal arena plus its bookkeeping.
   struct Clause {
-    std::vector<Lit> lits;
+    uint32_t start = 0;    // offset of the first literal in arena_
+    uint32_t size = 0;
     double act = 0.0;      // reduction-ordering activity (learned only)
-    uint32_t birth = 0;    // solve index that learned it (0 = problem)
     bool learned = false;
   };
+
+  Lit* lits(ClauseRef cr) { return arena_.data() + clauses_[cr].start; }
+  const Lit* lits(ClauseRef cr) const {
+    return arena_.data() + clauses_[cr].start;
+  }
 
   bool lit_true(Lit l) const {
     const int8_t a = assigns_[lit_var(l)];
@@ -139,8 +125,8 @@ class CdclSolver {
     const int8_t a = assigns_[lit_var(l)];
     return a >= 0 && (a != 0) == lit_sign(l);
   }
-  bool lit_unassigned(Lit l) const { return assigns_[lit_var(l)] < 0; }
 
+  void add_problem_clause(std::span<const Lit> c);
   void enqueue(Lit l, ClauseRef reason);
   ClauseRef propagate();  // returns conflicting clause or kNoReason
   void analyze(ClauseRef confl, std::vector<Lit>* learnt,
@@ -161,8 +147,20 @@ class CdclSolver {
   Var heap_pop();
 
   SolverOptions opts_;
-  std::vector<Clause> clauses_;  // problem + learned
-  std::vector<std::vector<ClauseRef>> watches_;  // per literal
+  uint32_t num_vars_ = 0;
+  std::vector<Lit> arena_;       // every clause's literals
+  std::vector<Clause> clauses_;  // problem + learned, insertion order
+  // A watch of clause `cr` with a blocker: some other literal of the
+  // clause. A true blocker means the clause is satisfied, which
+  // propagation sees without touching the clause's literals.
+  struct Watcher {
+    ClauseRef cr;
+    Lit blocker;
+  };
+  // Per literal: the clauses watching it, visited when it turns false.
+  // Never shrinks, so a reused solver keeps the lists' capacity; only
+  // the first 2 * num_vars_ lists are live.
+  std::vector<std::vector<Watcher>> watches_;
   std::vector<int8_t> assigns_;   // per var: -1 / 0 / 1
   std::vector<uint32_t> level_;   // per var: decision level
   std::vector<ClauseRef> reason_; // per var: implying clause
@@ -177,13 +175,16 @@ class CdclSolver {
   std::vector<Var> heap_;            // binary heap of candidate vars
   std::vector<int32_t> heap_index_;  // var -> heap slot or -1
 
-  std::vector<uint8_t> seen_;  // conflict-analysis scratch
-  bool ok_ = true;             // false once UNSAT at level 0
+  std::vector<uint8_t> seen_;       // conflict-analysis scratch
+  std::vector<Lit> learnt_;         // conflict-analysis output
+  std::vector<Lit> analyze_clear_;  // tail literals whose seen_ to reset
+  std::vector<ClauseRef> reduce_cand_;  // reduce_db() scratch
+  bool ok_ = true;                  // false once UNSAT at level 0
+  bool solved_ = false;             // solve() ran on this formula
 
   size_t learned_count_ = 0;          // learned clauses in clauses_
   size_t learned_nonbinary_ = 0;      // reduction-eligible subset
   size_t learned_ceiling_ = 0;        // current reduction threshold
-  uint32_t cur_solve_ = 0;            // solve index (for birth/reuse)
 
   std::vector<uint8_t> model_;
   SolverStats stats_;

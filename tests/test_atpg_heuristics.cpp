@@ -15,9 +15,10 @@
 //   * session-level soundness with the SAT backend on: every
 //     (proven-)untestable verdict agrees with the unlimited-budget SAT
 //     verdict on the session's own capture model;
-//   * per-cone cube cache: committed results bit-identical across
-//     repeats and atpg_shards {1, 2, 3, 8}, non-vacuously (the cache
-//     must actually be exercised).
+//   * the whole abort ladder on the workers: committed results,
+//     ladder and SAT counters bit-identical across repeats and
+//     atpg_shards {1, 2, 3, 8}, non-vacuously (some abort must reach
+//     the SAT probe).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -286,7 +287,7 @@ TEST(AtpgHeuristics, DominatorAbortFiresOnlyOnBlockedCones) {
   const ClockingScheme s = comb_scheme();
   const UnrolledModel um(nl, s, 0, kNoGate);
   Podem podem(um, 4096);
-  using Verdict = sat::IncrementalMiter::Verdict;
+  using Verdict = sat::Verdict;
 
   for (const FaultType t : {FaultType::kSa0, FaultType::kSa1}) {
     const auto blocked_targets = um.translate({u1, kOutputPin, t});
@@ -333,7 +334,7 @@ TEST(AtpgHeuristics, DominatorAbortCoversBlockedPinsAndMuxDominators) {
   const ClockingScheme s = comb_scheme();
   const UnrolledModel um(nl, s, 0, kNoGate);
   Podem podem(um, 4096);
-  using Verdict = sat::IncrementalMiter::Verdict;
+  using Verdict = sat::Verdict;
   const auto expect_pruned = [&](const Fault& f) {
     const auto targets = um.translate(f);
     ASSERT_EQ(targets.size(), 1u);
@@ -381,7 +382,7 @@ TEST(AtpgHeuristics, FrozenScanEnablePrunesEveryScanInPin) {
     if (nl.gate(g).flags & kFlagScanMux) muxes.push_back(g);
   }
   ASSERT_FALSE(muxes.empty());
-  using Verdict = sat::IncrementalMiter::Verdict;
+  using Verdict = sat::Verdict;
 
   const size_t d = nl.num_domains();
   size_t pruned = 0;
@@ -450,7 +451,7 @@ TEST(AtpgHeuristics, PodemOutcomesMatchSatOnRandomNetlists) {
           if (out == Podem::Outcome::kAborted) continue;
           EXPECT_EQ(out == Podem::Outcome::kDetected,
                     test::sat_verdict(um, t) ==
-                        sat::IncrementalMiter::Verdict::kSat)
+                        sat::Verdict::kSat)
               << fault_to_string(nl, fl.fault(i));
         }
       }
@@ -486,9 +487,9 @@ SessionResult starved_sat_session(SessionConfig cfg) {
 }
 
 TEST(AtpgHeuristics, SessionSatClassificationsMatchSatVerdict) {
-  // No heuristic (dominator abort, implication learning, cube cache)
-  // and no rung of the abort ladder may call a fault untestable that
-  // the unlimited-budget SAT decision finds a test for.
+  // No heuristic (dominator abort, implication learning) and no rung
+  // of the abort ladder may call a fault untestable that the
+  // unlimited-budget SAT decision finds a test for.
   const gen::SocParams prm = diff_soc(31);
   const ClockingScheme schemes[] = {scheme_stuck_at_external(1),
                                     scheme_cpf_basic(1)};
@@ -528,7 +529,7 @@ TEST(AtpgHeuristics, CorpusSatClassificationsMatchSatVerdict) {
 }
 
 // ---------------------------------------------------------------------------
-// Cube cache: deterministic across repeats and shard counts.
+// Worker-side abort ladder: deterministic across repeats and shard counts.
 
 std::string fingerprint(const SessionResult& r) {
   std::ostringstream os;
@@ -549,15 +550,18 @@ std::string fingerprint(const SessionResult& r) {
   const Podem::Stats& ps = r.atpg.podem;
   os << "\n#podem:" << ps.runs << ',' << ps.decisions << ','
      << ps.backtracks << ',' << ps.implications << ','
-     << ps.implication_hits << ',' << ps.dominator_prunes << ','
-     << ps.cache_tries << ',' << ps.cache_hits;
+     << ps.implication_hits << ',' << ps.dominator_prunes;
+  const SatStats& st = r.atpg.sat;
+  os << "\n#ladder:" << r.atpg.escalations << ',' << r.atpg.sat_probe_wins
+     << ',' << st.solves << ',' << st.conflicts << ',' << st.decisions << ','
+     << st.propagations << ',' << st.learned_kept;
   os << "\n#fsim:" << r.atpg.fsim.gate_evals << ','
      << r.atpg.fsim.events_processed << ','
      << r.atpg.fsim.faults_simulated << ',' << r.atpg.fsim.newly_detected;
   return os.str();
 }
 
-TEST(AtpgHeuristics, CubeCacheDeterministicAcrossRepeatsAndShards) {
+TEST(AtpgHeuristics, WorkerLadderDeterministicAcrossRepeatsAndShards) {
   gen::SocParams prm;
   prm.seed = 77;
   prm.domains = 2;
@@ -578,13 +582,13 @@ TEST(AtpgHeuristics, CubeCacheDeterministicAcrossRepeatsAndShards) {
     return cfg;
   };
   const SessionResult base = Session(config(1)).run();
-  EXPECT_GT(base.atpg.podem.cache_tries, 0u)
-      << "cache never exercised: the determinism check is vacuous";
+  EXPECT_GT(base.atpg.escalations, 0u)
+      << "no abort reached the SAT probe: the determinism check is vacuous";
   const std::string fp = fingerprint(base);
   // Repeat determinism under the same configuration.
   EXPECT_EQ(fp, fingerprint(Session(config(1)).run()));
   // Shard-count independence of everything committed, including the
-  // cache counters themselves.
+  // ladder and SAT counters of the probes the workers ran.
   for (const size_t shards : {2, 3, 8}) {
     EXPECT_EQ(fp, fingerprint(Session(config(shards)).run()))
         << "atpg_shards=" << shards;

@@ -180,13 +180,12 @@ TEST(CompiledDesign, CachedVsFreshBitIdentityAcrossModesAndShards) {
   }
 }
 
-// ---- SAT backend over cached CNF bases ----------------------------------
+// ---- SAT probes over cached models ---------------------------------------
 
 TEST(CompiledDesign, CachedVsFreshBitIdentityWithSatBackend) {
   // Starved PODEM so the SAT probes see a real abort pool; the cached
-  // run replays solver work from the frozen CNF base via the
-  // IncrementalMiter copy constructor -- conflicts/solves must match a
-  // fresh lowering exactly.
+  // runs lower every probe from the frozen unrolled models -- the
+  // conflicts/solves must match a fresh run's exactly.
   AtpgOptions starved;
   starved.backtrack_limit = 10;
   const SchemeSpec spec{"cpf_basic", true,

@@ -24,21 +24,19 @@
 #include "fsim/pattern.h"
 #include "netlist/library.h"
 #include "netlist/netlist.h"
-#include "sat/incremental.h"
+#include "sat/probe.h"
 #include "util/rng.h"
 
 namespace occ {
 namespace test {
 
 /// The complete reference search for one fault instance: an
-/// unlimited-budget SAT decision on a fresh incremental miter of `um`.
+/// unlimited-budget SAT probe (sat/probe.h) of `uf` under `um`.
 /// kSat means a test exists under the model; kUnsat and kNoObservation
 /// mean the instance is undetectable. Never kUnknown.
-inline sat::IncrementalMiter::Verdict sat_verdict(const UnrolledModel& um,
-                                                   const UnrolledFault& uf) {
-  sat::IncrementalMiter miter(um);
-  std::vector<V3> cube;
-  return miter.decide(uf, 0, &cube);
+inline sat::Verdict sat_verdict(const UnrolledModel& um,
+                                const UnrolledFault& uf) {
+  return sat::probe(um, uf, 0).verdict;
 }
 
 /// The complete search over a finished session's own capture model:
@@ -55,7 +53,7 @@ class SatOracle {
   bool testable(const Fault& f) const {
     for (const auto& um : models_) {
       for (const UnrolledFault& t : um->translate(f)) {
-        if (sat_verdict(*um, t) == sat::IncrementalMiter::Verdict::kSat) {
+        if (sat_verdict(*um, t) == sat::Verdict::kSat) {
           return true;
         }
       }

@@ -266,7 +266,7 @@ TEST(Podem, RedundantMiterExhaustsBacktrackLimitOnEveryScheme) {
       // The complete search proves redundancy on every target cycle.
       for (const auto& t : targets) {
         EXPECT_NE(test::sat_verdict(um, t),
-                  sat::IncrementalMiter::Verdict::kSat)
+                  sat::Verdict::kSat)
             << "ncp " << nc;
       }
       // The dominator/implication prunes may prove some target cycles
@@ -296,7 +296,7 @@ TEST(Podem, RedundantMiterProvenUntestableUnderGenerousLimit) {
     for (const auto& t : targets) {
       EXPECT_EQ(podem.run(t), Podem::Outcome::kUntestable);
       EXPECT_EQ(test::sat_verdict(um, t),
-                sat::IncrementalMiter::Verdict::kUnsat);
+                sat::Verdict::kUnsat);
     }
   }
 }

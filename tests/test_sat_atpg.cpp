@@ -137,8 +137,8 @@ TEST(SatAtpg, DeterministicAcrossRepeatsAndShardSettings) {
 TEST(SatAtpg, DefaultBudgetSettlesStarvedMiter) {
   // 20 backtracks, the bench_engines atpg.sat workload: at the default
   // budget every probe settles, while a 2,000-conflict budget leaves
-  // some redundant faults aborted. Raising the budget only turns those
-  // into proofs.
+  // some redundant faults aborted (6 when measured; 5,000 leaves none).
+  // Raising the budget only turns those into proofs.
   const Netlist nl = hard_netlist(24);
   const SessionResult r = run_session(nl, {}, 20);
   const SessionResult low =

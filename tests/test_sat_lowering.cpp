@@ -1,9 +1,9 @@
 // Tests: dual-rail CNF lowering of the unrolled model -- unit-propagation
 // parity with direct 3-valued simulation across all five clocking
 // schemes and the circuits/ corpus, stable (byte-identical) DIMACS
-// numbering, validity of SAT-extracted test cubes against the scalar
-// reference simulator, and every fault-miter verdict against an
-// exhaustive enumeration of the model variables.
+// numbering, validity of the SAT probe's test cubes (X bits left X)
+// against the scalar reference simulator, and every probe verdict
+// against an exhaustive enumeration of the model variables.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -16,6 +16,7 @@
 #include "core/clock_scheme.h"
 #include "netlist/bench_io.h"
 #include "sat/lower.h"
+#include "sat/probe.h"
 #include "sat/solver.h"
 #include "test_helpers.h"
 #include "util/rng.h"
@@ -91,7 +92,8 @@ std::vector<V3> sim_comb(const UnrolledModel& um,
 /// simulated value of every comb gate, for `rounds` random full input
 /// assignments.
 void check_parity(const UnrolledModel& um, Rng& rng, int rounds) {
-  const CnfLowering low(um);
+  CnfLowering low;
+  low.lower_good_machine(um);
   const Netlist& nl = um.comb();
   for (int round = 0; round < rounds; ++round) {
     std::vector<V3> var_values(um.var_gates().size());
@@ -161,12 +163,11 @@ TEST(SatLowering, IdenticalFaultsLowerToByteIdenticalDimacs) {
   const FaultList fl = FaultList::build(nl, s.model);
   ASSERT_GT(fl.size(), 0u);
 
-  // Each instance extends its own copy of a good-machine lowering (the
-  // copy IncrementalMiter's base constructor makes).
-  auto dump = [&](const CnfLowering& base, const UnrolledFault& uf) {
-    CnfLowering low = base;
+  // Two fresh lowerings, and one reused lowering that lowers another
+  // instance in between: the formula must not depend on the history.
+  auto dump = [&](CnfLowering& low, const UnrolledFault& uf) {
     std::string out;
-    if (low.add_fault(uf)) {  // false = no observation in the cone
+    if (low.lower_fault(um, uf)) {  // false = no observation in the cone
       std::ostringstream os;
       low.cnf().write_dimacs(os);
       out = os.str();
@@ -174,18 +175,20 @@ TEST(SatLowering, IdenticalFaultsLowerToByteIdenticalDimacs) {
     return out;
   };
 
-  const CnfLowering base_a(um);
-  const CnfLowering base_b(um);
+  CnfLowering reused;
   size_t checked = 0;
   for (size_t fi = 0; fi < fl.size() && checked < 10; ++fi) {
     const auto instances = um.translate(fl.fault(fi));
     if (instances.empty()) continue;
-    // Two fresh lowerings, and the second base extended twice over.
-    const std::string a = dump(base_a, instances[0]);
-    const std::string b = dump(base_b, instances[0]);
-    const std::string b2 = dump(base_b, instances[0]);
+    CnfLowering fresh_a, fresh_b;
+    const std::string a = dump(fresh_a, instances[0]);
+    const std::string b = dump(fresh_b, instances[0]);
+    const std::string b2 = dump(reused, instances[0]);
     EXPECT_EQ(a, b);
     EXPECT_EQ(a, b2);
+    // Leave the reused lowering holding a different instance.
+    const auto other = um.translate(fl.fault((fi + 1) % fl.size()));
+    if (!other.empty()) dump(reused, other[0]);
     if (a.empty()) continue;
     ++checked;
   }
@@ -193,6 +196,8 @@ TEST(SatLowering, IdenticalFaultsLowerToByteIdenticalDimacs) {
 }
 
 TEST(SatLowering, SatCubesDetectInScalarReference) {
+  // Each cube is simulated as the probe returns it: variables outside
+  // the instance's support stay X, nothing is filled.
   Rng gen_rng(0x7e57);
   const ClockingScheme schemes[] = {scheme_stuck_at_external(2),
                                     scheme_cpf_basic(2)};
@@ -203,23 +208,17 @@ TEST(SatLowering, SatCubesDetectInScalarReference) {
     size_t sat_seen = 0;
     for (uint32_t nc = 0; nc < s.procedures.size() && sat_seen < 8; ++nc) {
       const UnrolledModel um(nl, s, nc, kNoGate);
-      const CnfLowering base(um);
       for (size_t fi = 0; fi < fl.size() && sat_seen < 8; fi += 7) {
         for (const UnrolledFault& uf : um.translate(fl.fault(fi))) {
-          CnfLowering low = base;
-          if (!low.add_fault(uf)) continue;
-          CdclSolver solver(low.cnf());
-          const SatResult r = solver.solve();
-          if (r == SatResult::kSat) {
-            const std::vector<V3> cube = low.extract_cube(solver.model());
-            const TestPattern pat = cube_to_pattern(um, cube, nl, nc);
-            EXPECT_TRUE(test::ref_detects(nl, s.procedures[nc],
-                                          s.scan_en_frozen, kNoGate, pat,
-                                          fl.fault(fi)))
-                << "fault " << fi << " ncp " << nc;
-            ++sat_seen;
-            break;  // next fault; one detecting instance is enough
-          }
+          const ProbeResult r = probe(um, uf, 0);
+          if (r.verdict != Verdict::kSat) continue;
+          const TestPattern pat = cube_to_pattern(um, r.cube, nl, nc);
+          EXPECT_TRUE(test::ref_detects(nl, s.procedures[nc],
+                                        s.scan_en_frozen, kNoGate, pat,
+                                        fl.fault(fi)))
+              << "fault " << fi << " ncp " << nc;
+          ++sat_seen;
+          break;  // next fault; one detecting instance is enough
         }
       }
     }
@@ -266,7 +265,7 @@ std::pair<size_t, size_t> check_verdicts_by_enumeration(
     for (size_t fi = 0; fi < fl.size(); ++fi) {
       for (const UnrolledFault& uf : um.translate(fl.fault(fi))) {
         const bool found = test::sat_verdict(um, uf) ==
-                           IncrementalMiter::Verdict::kSat;
+                           Verdict::kSat;
         EXPECT_EQ(found, brute_force_detects(um, uf))
             << "ncp " << nc << " fault " << fault_to_string(nl, fl.fault(fi))
             << " cycle " << uf.target_cycle;

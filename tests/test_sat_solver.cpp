@@ -1,6 +1,7 @@
 // CDCL solver micro-fuzz: deterministic random small CNFs checked
-// SAT/UNSAT against a brute-force enumerator, plus budget, determinism
-// and unit-propagation reference checks.
+// SAT/UNSAT against a brute-force enumerator, plus budget, determinism,
+// reset-equals-fresh, learned-clause minimization and unit-propagation
+// reference checks.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -16,9 +17,9 @@ namespace {
 
 // Does `assign` (bit i = variable i) satisfy the formula?
 bool satisfies(const Cnf& cnf, uint32_t assign) {
-  for (const auto& clause : cnf.clauses) {
+  for (size_t i = 0; i < cnf.num_clauses(); ++i) {
     bool sat = false;
-    for (Lit l : clause) {
+    for (Lit l : cnf.clause(i)) {
       const bool v = (assign >> lit_var(l)) & 1u;
       if (v != lit_sign(l)) {
         sat = true;
@@ -103,10 +104,9 @@ TEST(SatSolver, DeterministicAcrossRepeats) {
   }
 }
 
-TEST(SatSolver, ConflictBudgetReturnsUnknown) {
-  // A PHP-style unsatisfiable formula that needs search (pigeonhole
-  // 5 pigeons / 4 holes), with a tiny budget.
-  constexpr uint32_t P = 5, H = 4;
+// Pigeonhole: P pigeons into H holes, unsatisfiable for P > H and hard
+// for resolution, so the solver must search.
+Cnf pigeonhole(uint32_t P, uint32_t H) {
   Cnf cnf;
   cnf.num_vars = P * H;  // var p*H+h = pigeon p in hole h
   for (uint32_t p = 0; p < P; ++p) {
@@ -121,6 +121,47 @@ TEST(SatSolver, ConflictBudgetReturnsUnknown) {
       }
     }
   }
+  return cnf;
+}
+
+TEST(SatSolver, ResetSolverMatchesFreshSolver) {
+  // One solver reset across a stream of formulas of varying size must
+  // answer every formula exactly as a freshly constructed solver does:
+  // same verdict, model and counters.
+  Rng rng(0x7e5e7u);
+  CdclSolver reused;
+  for (int iter = 0; iter < 80; ++iter) {
+    const uint32_t nv = 2 + static_cast<uint32_t>(rng.below(30));
+    const Cnf cnf = random_cnf(rng, nv, 1 + rng.below(5 * nv));
+    CdclSolver fresh(cnf);
+    reused.reset(cnf);
+    const SatResult rf = fresh.solve();
+    ASSERT_EQ(reused.solve(), rf) << "iter " << iter;
+    if (rf == SatResult::kSat) {
+      EXPECT_EQ(reused.model(), fresh.model());
+    }
+    EXPECT_EQ(reused.stats().conflicts, fresh.stats().conflicts);
+    EXPECT_EQ(reused.stats().decisions, fresh.stats().decisions);
+    EXPECT_EQ(reused.stats().propagations, fresh.stats().propagations);
+    EXPECT_EQ(reused.stats().learned_literals,
+              fresh.stats().learned_literals);
+    EXPECT_EQ(reused.learned_kept(), fresh.learned_kept());
+  }
+}
+
+TEST(SatSolver, MinimizationDropsImpliedTailLiterals) {
+  // Pigeonhole 7/6 needs thousands of conflicts; first-UIP clauses over
+  // its at-most-one binaries carry tail literals implied by the rest,
+  // which local minimization drops without changing the verdict.
+  CdclSolver s(pigeonhole(7, 6));
+  EXPECT_EQ(s.solve(), SatResult::kUnsat);
+  EXPECT_GT(s.stats().minimized_literals, 0u);
+}
+
+TEST(SatSolver, ConflictBudgetReturnsUnknown) {
+  // A PHP-style unsatisfiable formula that needs search (pigeonhole
+  // 5 pigeons / 4 holes), with a tiny budget.
+  const Cnf cnf = pigeonhole(5, 4);
   CdclSolver full(cnf);
   EXPECT_EQ(full.solve(), SatResult::kUnsat);
   EXPECT_GT(full.stats().conflicts, 2u);

@@ -22,14 +22,14 @@
 //           [--chains N] [--ncp N] [--instance N] [--out PATH]
 //
 // `--sat-budget` (default 100000, 0 = unlimited) is the conflict budget
-// of the abort ladder's SAT probe: every fault cheap PODEM aborts gets
-// one CNF miter decision on the deterministic stage's incremental
-// miters -- a test cube, a redundancy proof (proven-untestable, which
-// leaves the test-coverage denominator), or aborted when the budget is
-// exhausted.
+// of the abort ladder's SAT probe: every fault instance cheap PODEM
+// aborts gets one solve of its own dual-rail miter -- a test cube, a
+// redundancy proof (proven-untestable, which leaves the test-coverage
+// denominator), or aborted when the budget is exhausted.
 //
-// `sat-export` dumps the DIMACS CNF of one fault's dual-rail miter, for
-// inspection or for feeding an external solver.
+// `sat-export` dumps the DIMACS CNF of one fault instance's dual-rail
+// miter -- the formula the SAT probe solves for it -- for inspection or
+// for feeding an external solver.
 //
 // `--repeat N` (default 1) runs the session N times and reports the
 // median wall time (the wall_ms.* metrics in the occ-bench-v1 report),
@@ -298,15 +298,13 @@ int cmd_run(const RunArgs& a) {
       meta.set("cache.misses", cs.misses);
       meta.set("cache.resident_bytes", cs.resident_bytes);
     }
-    // Abort-ladder + incremental-SAT accounting: every session runs
-    // the SAT probe on its cheap-PODEM aborts.
+    // Abort-ladder + SAT accounting: every session runs the SAT probe
+    // on its cheap-PODEM aborts.
     meta.set("atpg.det.escalations", r.atpg.escalations);
     meta.set("atpg.det.sat_probe_wins", r.atpg.sat_probe_wins);
     {
       const SatStats& st = r.atpg.sat;
-      meta.set("atpg.sat.assumption_solves", st.assumption_solves);
       meta.set("atpg.sat.learned_kept", st.learned_kept);
-      meta.set("atpg.sat.learned_reused", st.learned_reused);
       metrics.set("atpg.sat.solves", st.solves);
       metrics.set("atpg.sat.conflicts", st.conflicts);
       metrics.set("atpg.sat.decisions", st.decisions);
@@ -336,8 +334,8 @@ struct SatExportArgs {
 };
 
 /// Dumps the DIMACS CNF of one collapsed fault's dual-rail miter --
-/// the exact formula the SAT backend solves for that fault instance
-/// (byte-identical numbering, see sat/lower.h).
+/// the exact formula the SAT probe solves for that fault instance, over
+/// the instance's support (byte-identical numbering, see sat/lower.h).
 int cmd_sat_export(const SatExportArgs& a) {
   Netlist nl = read_bench_file(a.design);
   GateId scan_en = kNoGate;
@@ -375,8 +373,8 @@ int cmd_sat_export(const SatExportArgs& a) {
               << instances.size() << " instance(s) in this procedure\n";
     return 2;
   }
-  sat::CnfLowering low(um);
-  if (!low.add_fault(instances[a.instance])) {
+  sat::CnfLowering low;
+  if (!low.lower_fault(um, instances[a.instance])) {
     std::cerr << "fault " << fault_to_string(nl, f)
               << " has no observation point in its fanout cone; the miter "
                  "is trivially unsatisfiable (untestable here)\n";
@@ -399,7 +397,7 @@ int cmd_sat_export(const SatExportArgs& a) {
     low.cnf().write_dimacs(os, comments);
     OCC_CHECK(os.good(), "write failure on ", a.out);
     std::cout << "wrote " << a.out << " (" << low.cnf().num_vars
-              << " vars, " << low.cnf().clauses.size() << " clauses)\n";
+              << " vars, " << low.cnf().num_clauses() << " clauses)\n";
   }
   return 0;
 }
