@@ -29,6 +29,16 @@ FaultList FaultList::build(const Netlist& nl, FaultModel model) {
   fl.class_.assign(fl.faults_.size(), FaultClass::kNone);
   fl.tally_[static_cast<size_t>(FaultStatus::kUndetected)] =
       fl.faults_.size();
+  uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](uint64_t v) {
+    h ^= v;
+    h *= 1099511628211ull;
+  };
+  for (const Fault& f : fl.faults_) {
+    mix(f.gate);
+    mix((uint64_t{f.pin} << 8) | static_cast<uint64_t>(f.type));
+  }
+  fl.fingerprint_ = h;
   return fl;
 }
 

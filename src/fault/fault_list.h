@@ -46,6 +46,11 @@ class FaultList {
   size_t size() const { return faults_.size(); }
   const Fault& fault(size_t i) const { return faults_[i]; }
   const std::vector<Fault>& faults() const { return faults_; }
+  /// FNV-1a hash of the fault definitions (site, pin, type), computed
+  /// once by build(). The definitions never change afterwards (copies
+  /// keep them, statuses do not enter), so engines key per-list caches
+  /// on (fingerprint, size) instead of rehashing the list per call.
+  uint64_t fingerprint() const { return fingerprint_; }
 
   FaultStatus status(size_t i) const { return status_[i]; }
   void set_status(size_t i, FaultStatus s);
@@ -76,6 +81,7 @@ class FaultList {
   std::vector<FaultStatus> status_;
   std::vector<FaultClass> class_;
   size_t uncollapsed_count_ = 0;
+  uint64_t fingerprint_ = 0;
   // Cached tallies, maintained by set_status.
   size_t tally_[6] = {0, 0, 0, 0, 0, 0};
 };

@@ -63,8 +63,7 @@ std::vector<uint32_t> cone_sim_order(const Netlist& nl,
 }
 
 std::vector<uint32_t> str_stf_partners(const FaultList& fl) {
-  constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
-  std::vector<uint32_t> partner(fl.size(), kNone);
+  std::vector<uint32_t> partner(fl.size(), kNoPartner);
   // site key -> index of the first transition fault seen there.
   std::unordered_map<uint64_t, uint32_t> first;
   first.reserve(fl.size());

@@ -28,8 +28,11 @@ std::vector<uint32_t> cone_sink_groups(const Netlist& nl);
 /// their site, then by site level and site id (stable for ties).
 std::vector<uint32_t> cone_sim_order(const Netlist& nl, const FaultList& fl);
 
+/// str_stf_partners() entry of a fault with no partner.
+inline constexpr uint32_t kNoPartner = 0xFFFFFFFFu;
+
 /// partner[i] = index of the complementary transition fault (STR<->STF)
-/// at the same (gate, pin), or 0xFFFFFFFF when none exists. Stuck-at
+/// at the same (gate, pin), or kNoPartner when none exists. Stuck-at
 /// faults never pair (their injections overlap on every lane).
 std::vector<uint32_t> str_stf_partners(const FaultList& fl);
 

@@ -1,10 +1,12 @@
 #include "fsim/fsim.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 
 #include "fault/order.h"
 #include "util/check.h"
+#include "util/thread_pool.h"
 
 namespace occ {
 namespace {
@@ -39,20 +41,6 @@ Val64 complement(Val64 w, uint64_t mask) {
   return {(w.v ^ mask) & ~w.x, w.x};
 }
 
-/// FNV-1a over the fault list's defining fields (order-cache key).
-uint64_t fault_list_hash(const FaultList& fl) {
-  uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  for (const Fault& f : fl.faults()) {
-    mix(f.gate);
-    mix((uint64_t{f.pin} << 8) | static_cast<uint64_t>(f.type));
-  }
-  return h;
-}
-
 }  // namespace
 
 NcpFaultSim::NcpFaultSim(const Netlist& nl, const ClockingScheme& scheme,
@@ -81,7 +69,9 @@ NcpFaultSim::NcpFaultSim(const Netlist& nl, const ClockingScheme& scheme,
     d_feeds_[d].push_back(static_cast<uint32_t>(i));
     dff_d_[i] = d;
   }
-  cand_stamp_.assign(nl.dffs().size(), 0);
+  for (GateId g = 0; g < nl.size(); ++g) {
+    max_fanin_ = std::max(max_fanin_, nl.gate(g).fanin.size());
+  }
 }
 
 void NcpFaultSim::simulate_good(const PatternBatch& batch) {
@@ -141,25 +131,49 @@ void NcpFaultSim::simulate_good(const PatternBatch& batch) {
   }
   good_.final_state = good_.state[frames];
 
-  // Size the bitset scratch for the NCP's largest frame cone (never
-  // shrinks: one engine may alternate between procedures).
-  if (scratch_.active.size() < (cur_prog_->max_nodes + 63) / 64) {
-    scratch_.active.resize((cur_prog_->max_nodes + 63) / 64, 0);
-  }
-  // Pack the good-machine frames into dense-id order and prime the
-  // per-frame write-through arenas with them. Once per batch, amortized
-  // over every fault probed against it.
-  scratch_.good_dense.resize(frames);
-  scratch_.frame_vals.resize(frames);
+  // Pack the good-machine frames into dense-id order: the values every
+  // shard's arenas are primed with. Once per batch, amortized over every
+  // fault probed against it.
+  good_dense_.resize(frames);
   for (size_t f = 0; f < frames; ++f) {
     const FrameProgram& fp = cur_prog_->frames[f];
-    auto& gd = scratch_.good_dense[f];
+    auto& gd = good_dense_[f];
     gd.resize(fp.num_nodes);
     const std::vector<Val64>& frame = good_.frames[f];
     for (uint32_t n = 0; n < fp.num_nodes; ++n) {
       gd[n] = frame[fp.gate_of[n]];
     }
-    scratch_.frame_vals[f] = gd;
+  }
+  ++batch_;
+}
+
+void NcpFaultSim::prime(Scratch& sc) const {
+  if (sc.batch == batch_) return;
+  sc.batch = batch_;
+  // Size the bitset for the NCP's largest frame cone (never shrinks:
+  // one engine may alternate between procedures).
+  const size_t nodes = cur_prog_->max_nodes;
+  const size_t dffs = dff_d_.size();
+  if (sc.active.size() < (nodes + 63) / 64) {
+    sc.active.resize((nodes + 63) / 64, 0);
+  }
+  if (sc.cand_stamp.size() < dffs) sc.cand_stamp.resize(dffs, 0);
+  // Reserve every per-pass buffer to its structural bound, so no probe
+  // grows one whichever units the shard claims: a frame pass evaluates
+  // each cone node at most once and seeds at most one write per carried
+  // flop plus the site; carried diffs and capture candidates are
+  // distinct flops. (No-ops once grown.)
+  sc.touched.reserve(nodes + dffs + 1);
+  sc.state_a.reserve(dffs);
+  sc.state_b.reserve(dffs);
+  sc.cand_dffs.reserve(dffs);
+  sc.wide_ins.reserve(max_fanin_);
+  sc.inj_a.reserve(good_dense_.size());
+  sc.inj_b.reserve(good_dense_.size());
+  // Copy-assignment reuses each arena's capacity once it has grown.
+  sc.frame_vals.resize(good_dense_.size());
+  for (size_t f = 0; f < good_dense_.size(); ++f) {
+    sc.frame_vals[f] = good_dense_[f];
   }
 }
 
@@ -174,32 +188,35 @@ std::vector<V3> NcpFaultSim::expected_unload(unsigned slot) const {
 }
 
 Val64 NcpFaultSim::off_cone_value(
-    GateId g, const std::vector<StateDiff>& in_state) const {
+    GateId g, size_t k, const std::vector<StateDiff>& in_state) const {
   const int32_t pos = dff_pos_[g];
   if (pos >= 0) {
     for (const StateDiff& sd : in_state) {
       if (sd.dff_pos == static_cast<uint32_t>(pos)) return sd.faulty;
     }
   }
-  return good_.frames[cur_frame_][g];
+  return good_.frames[k][g];
 }
 
-void NcpFaultSim::propagate_frame(GateId site_gate, uint8_t site_pin,
-                                  uint64_t inj_mask, uint64_t forced_v,
+void NcpFaultSim::propagate_frame(Scratch& sc, size_t k, GateId site_gate,
+                                  uint8_t site_pin, uint64_t inj_mask,
+                                  uint64_t forced_v,
                                   const std::vector<StateDiff>& in_state,
                                   std::vector<StateDiff>* out_state,
                                   uint64_t* hard_po, uint64_t* poss_po,
-                                  FsimWork* work) {
-  ++epoch_;
-  const uint32_t ep = epoch_;
-  const FrameProgram& fp = cur_prog_->frames[cur_frame_];
-  const Val64* goodd = scratch_.good_dense[cur_frame_].data();
-  Val64* vals = scratch_.frame_vals[cur_frame_].data();
+                                  FsimWork* work) const {
+  const uint32_t ep = ++sc.epoch;
+  const FrameProgram& fp = cur_prog_->frames[k];
+  const std::vector<Val64>& good = good_.frames[k];
+  const Val64* goodd = good_dense_[k].data();
+  Val64* vals = sc.frame_vals[k].data();
   const ConeNode* nodes = fp.nodes.data();
-  uint64_t* active = scratch_.active.data();
+  uint64_t* active = sc.active.data();
   const auto& dffs = nl_->dffs();
-  auto& touched = scratch_.touched;
-  cand_dffs_.clear();
+  auto& touched = sc.touched;
+  auto& cand_dffs = sc.cand_dffs;
+  uint32_t* cand_stamp = sc.cand_stamp.data();
+  cand_dffs.clear();
 
   // The arena holds the frame's good values between passes; every write
   // records its node so the pass can restore them on the way out
@@ -235,9 +252,9 @@ void NcpFaultSim::propagate_frame(GateId site_gate, uint8_t site_pin,
     }
   };
   auto add_cand = [&](uint32_t pos) {
-    if (cand_stamp_[pos] != ep) {
-      cand_stamp_[pos] = ep;
-      cand_dffs_.push_back(pos);
+    if (cand_stamp[pos] != ep) {
+      cand_stamp[pos] = ep;
+      cand_dffs.push_back(pos);
     }
   };
   auto add_cands = [&](uint32_t node) {
@@ -255,7 +272,7 @@ void NcpFaultSim::propagate_frame(GateId site_gate, uint8_t site_pin,
   // Seeds: corrupted flop outputs from the previous pulse.
   for (const StateDiff& sd : in_state) {
     const GateId ff = dffs[sd.dff_pos];
-    const bool diff = differs(sd.faulty, good_.frames[cur_frame_][ff]);
+    const bool diff = differs(sd.faulty, good[ff]);
     const int32_t dn = fp.dense_of[ff];
     if (dn >= 0) {
       write_val(static_cast<uint32_t>(dn), sd.faulty);
@@ -273,10 +290,11 @@ void NcpFaultSim::propagate_frame(GateId site_gate, uint8_t site_pin,
   if (inj_mask != 0) {
     if (site_pin == kOutputPin) {
       site_dense = fp.dense_of[site_gate];
-      const Val64 g = site_dense >= 0 ? vals[site_dense]
-                                      : off_cone_value(site_gate, in_state);
+      const Val64 g = site_dense >= 0
+                          ? vals[site_dense]
+                          : off_cone_value(site_gate, k, in_state);
       const Val64 forced = force(g, inj_mask, forced_v);
-      const bool diff = differs(forced, good_.frames[cur_frame_][site_gate]);
+      const bool diff = differs(forced, good[site_gate]);
       if (site_dense >= 0) {
         write_val(static_cast<uint32_t>(site_dense), forced);
         if (diff) {
@@ -324,11 +342,11 @@ void NcpFaultSim::propagate_frame(GateId site_gate, uint8_t site_pin,
         ins[1] = vals[rec.in1];  // unused for nf < 2 (in1 == 0 is safe)
         iv = ins;
       } else {
-        scratch_.wide_ins.resize(rec.nf);
+        sc.wide_ins.resize(rec.nf);
         for (uint32_t i = 0; i < rec.nf; ++i) {
-          scratch_.wide_ins[i] = vals[fp.fanin_pool[rec.in0 + i]];
+          sc.wide_ins[i] = vals[fp.fanin_pool[rec.in0 + i]];
         }
-        iv = scratch_.wide_ins.data();
+        iv = sc.wide_ins.data();
       }
       const bool is_site =
           static_cast<int32_t>(node) == site_dense && inj_mask != 0;
@@ -386,11 +404,11 @@ void NcpFaultSim::propagate_frame(GateId site_gate, uint8_t site_pin,
   // stem site can be re-evaluated mid-sweep, so a value snapshotted at
   // candidate time could be stale).
   out_state->clear();
-  const auto& next_state = good_.state[cur_frame_ + 1];
+  const auto& next_state = good_.state[k + 1];
   for (const StateDiff& sd : in_state) {
     if (!fp.dff_pulsed[sd.dff_pos]) out_state->push_back(sd);
   }
-  for (const uint32_t pos : cand_dffs_) {
+  for (const uint32_t pos : cand_dffs) {
     // Only the D-pin-branch seed can name an un-pulsed flop; the feed
     // lists are pulse-filtered at compile time.
     if (!fp.dff_pulsed[pos]) continue;
@@ -402,7 +420,7 @@ void NcpFaultSim::propagate_frame(GateId site_gate, uint8_t site_pin,
     } else if (site_stem_off_cone && d == site_gate) {
       fd = off_cone_site;
     } else {
-      fd = off_cone_value(d, in_state);
+      fd = off_cone_value(d, k, in_state);
     }
     // Branch fault directly on this flop's D pin.
     if (dffs[pos] == site_gate && site_pin == 0 && inj_mask != 0) {
@@ -417,8 +435,8 @@ void NcpFaultSim::propagate_frame(GateId site_gate, uint8_t site_pin,
 }
 
 std::pair<NcpFaultSim::ProbeMasks, NcpFaultSim::ProbeMasks>
-NcpFaultSim::simulate_sites(const Fault& a, const Fault* b,
-                            uint64_t live_mask, FsimWork* work) {
+NcpFaultSim::simulate_sites(Scratch& sc, const Fault& a, const Fault* b,
+                            uint64_t live_mask, FsimWork* work) const {
   const size_t frames = cur_ncp_->cycles.size();
   const GateId site = fault_net(*nl_, a);
 
@@ -428,8 +446,8 @@ NcpFaultSim::simulate_sites(const Fault& a, const Fault* b,
   // init -> final across the at-speed pulse pair (k-1, k); STR (slow-
   // to-rise) launches on 0->1, STF on 1->0 -- the two partners read the
   // same pair of good words, so both mask sets fall out of one pass.
-  auto& inj_a = scratch_.inj_a;
-  auto& inj_b = scratch_.inj_b;
+  auto& inj_a = sc.inj_a;
+  auto& inj_b = sc.inj_b;
   inj_a.assign(frames, 0);
   inj_b.assign(frames, 0);
   uint64_t union_a = 0, union_b = 0;
@@ -462,9 +480,10 @@ NcpFaultSim::simulate_sites(const Fault& a, const Fault* b,
     // all also goes solo: its side of the overlay would be pure waste
     // (the solo pass skips every frame at zero cost).
     if ((union_a & union_b) || union_a == 0 || union_b == 0) {
-      const ProbeMasks ra = simulate_sites(a, nullptr, live_mask, work).first;
+      const ProbeMasks ra =
+          simulate_sites(sc, a, nullptr, live_mask, work).first;
       const ProbeMasks rb =
-          simulate_sites(*b, nullptr, live_mask, work).first;
+          simulate_sites(sc, *b, nullptr, live_mask, work).first;
       return {ra, rb};
     }
   }
@@ -474,17 +493,18 @@ NcpFaultSim::simulate_sites(const Fault& a, const Fault* b,
   bool frozen_b = (b == nullptr);
   uint64_t seen_a = 0, seen_b = 0;  // lanes injected so far, per fault
 
-  scratch_.state_a.clear();
-  scratch_.state_b.clear();
-  std::vector<StateDiff>* cur = &scratch_.state_a;
-  std::vector<StateDiff>* nxt = &scratch_.state_b;
+  sc.state_a.clear();
+  sc.state_b.clear();
+  std::vector<StateDiff>* cur = &sc.state_a;
+  std::vector<StateDiff>* nxt = &sc.state_b;
 
-  // Clears a frozen fault's lanes from the carried state corruption:
-  // its verdict is final, so only the live partner's lanes still need
-  // propagating (keeps a pair pass within the cost of two solo passes).
-  const auto purge_lanes = [this](std::vector<StateDiff>* state,
+  // Clears a frozen fault's lanes from the carried state corruption
+  // entering frame k + 1: its verdict is final, so only the live
+  // partner's lanes still need propagating (keeps a pair pass within
+  // the cost of two solo passes).
+  const auto purge_lanes = [this](std::vector<StateDiff>* state, size_t k,
                                   uint64_t lanes) {
-    const auto& gstate = good_.state[cur_frame_ + 1];
+    const auto& gstate = good_.state[k + 1];
     size_t w = 0;
     for (StateDiff& sd : *state) {
       const Val64 g = gstate[sd.dff_pos];
@@ -504,7 +524,6 @@ NcpFaultSim::simulate_sites(const Fault& a, const Fault* b,
       dpin_fault ? static_cast<size_t>(dff_pos_[a.gate]) : 0;
 
   for (size_t k = 0; k < frames; ++k) {
-    cur_frame_ = k;
     // A frozen fault stops injecting: its masks are final and its lanes
     // cannot influence the partner's.
     const uint64_t ia = frozen_a ? 0 : inj_a[k];
@@ -531,8 +550,8 @@ NcpFaultSim::simulate_sites(const Fault& a, const Fault* b,
         is_transition(a.type) ? ~good_.frames[k][site].v & inj
                               : (fault_value(a.type) ? inj : 0);
     uint64_t hard_po = 0, poss_po = 0;
-    propagate_frame(a.gate, a.pin, inj, forced_v, *cur, nxt, &hard_po,
-                    &poss_po, work);
+    propagate_frame(sc, k, a.gate, a.pin, inj, forced_v, *cur, nxt,
+                    &hard_po, &poss_po, work);
     // The 64 lanes are independent, so the frame's observation words
     // split exactly by injected-lane ownership. A detected fault's
     // masks freeze where a solo pass would have returned.
@@ -549,7 +568,7 @@ NcpFaultSim::simulate_sites(const Fault& a, const Fault* b,
     }
     std::swap(cur, nxt);
     if (frozen_a && frozen_b) break;
-    if (newly_frozen) purge_lanes(cur, frozen_a ? seen_a : seen_b);
+    if (newly_frozen) purge_lanes(cur, k, frozen_a ? seen_a : seen_b);
   }
 
   // Unload: scan-cell final state is fully observable (only for faults
@@ -577,86 +596,117 @@ NcpFaultSim::simulate_sites(const Fault& a, const Fault* b,
   return {ra, rb};
 }
 
-std::pair<NcpFaultSim::ProbeMasks, NcpFaultSim::ProbeMasks>
-NcpFaultSim::probe_fault_pair(const Fault& a, const Fault& b,
-                              uint64_t live_mask, FsimWork* work) {
-  return simulate_sites(a, &b, live_mask, work);
-}
-
-const std::vector<uint32_t>& NcpFaultSim::sim_order(const FaultList& fl) {
-  const uint64_t h = fault_list_hash(fl);
-  if (h != order_hash_ || fl.size() != order_size_) {
-    order_ = cone_sim_order(*nl_, fl);
-    partners_ = str_stf_partners(fl);
-    order_hash_ = h;
-    order_size_ = fl.size();
-  }
-  return order_;
-}
-
-const std::vector<uint32_t>& NcpFaultSim::sim_partners(
+const std::vector<NcpFaultSim::SimUnit>& NcpFaultSim::sim_units(
     const FaultList& fl) {
-  sim_order(fl);  // shares the cache
-  return partners_;
-}
-
-FsimStats merge_fault_probes(
-    const std::vector<FaultProbe>& probes, FaultList& fl,
-    std::vector<std::pair<size_t, unsigned>>* detections) {
-  FsimStats st;
-  for (size_t i = 0; i < fl.size(); ++i) {
-    const FaultProbe& p = probes[i];
-    if (!p.simulated) continue;
-    ++st.faults_simulated;
-    const FaultStatus fs = fl.status(i);
-    if (p.hard) {
-      fl.set_status(i, FaultStatus::kDetected);
-      ++st.newly_detected;
-      if (detections) {
-        detections->emplace_back(
-            i, static_cast<unsigned>(std::countr_zero(p.hard)));
-      }
-    } else if (p.poss && fs == FaultStatus::kUndetected) {
-      fl.set_status(i, FaultStatus::kPossiblyDetected);
-      ++st.newly_possibly;
-    }
+  if (fl.fingerprint() == units_key_ && fl.size() == units_size_) {
+    return units_;
   }
-  return st;
+  // Walk the cone-locality order; a pair is listed where its first
+  // fault comes, with that fault leading the overlay pass.
+  const std::vector<uint32_t> order = cone_sim_order(*nl_, fl);
+  const std::vector<uint32_t> partner = str_stf_partners(fl);
+  std::vector<bool> listed(fl.size(), false);
+  units_.clear();
+  for (const uint32_t i : order) {
+    if (listed[i]) continue;
+    const uint32_t j = partner[i];
+    const bool pair = j != kNoPartner && partner[j] == i;
+    units_.push_back({i, pair ? j : kNoPartner});
+    listed[i] = true;
+    if (pair) listed[j] = true;
+  }
+  units_key_ = fl.fingerprint();
+  units_size_ = fl.size();
+  return units_;
 }
 
 FsimStats NcpFaultSim::detect_faults(
     const PatternBatch& batch, FaultList& fl,
-    std::vector<std::pair<size_t, unsigned>>* detections) {
+    std::vector<std::pair<size_t, unsigned>>* detections,
+    std::span<Scratch> shards, ThreadPool* pool) {
+  OCC_CHECK(pool != nullptr ? pool->shards() == shards.size()
+                            : shards.size() == 1,
+            "detect_faults: ", shards.size(),
+            " shard scratches for a pool of ",
+            pool != nullptr ? pool->shards() : 1, " shards");
   simulate_good(batch);
   const uint64_t live = live_mask(batch);
 
-  // Probe in cone-locality order (cache warmth), merge in fault-index
-  // order: the walk order is invisible in every output. An STR/STF pair
-  // at the same site is probed in one overlay pass.
-  FsimWork work;
-  const std::vector<uint32_t>& order = sim_order(fl);
-  probes_.assign(fl.size(), FaultProbe{});
-  for (const uint32_t i : order) {
-    FaultProbe& p = probes_[i];
-    if (p.simulated) continue;
-    if (!fsim_wants_simulation(fl.status(i))) continue;
-    const uint32_t j = partners_[i];
-    if (j != kNoPartner && !probes_[j].simulated &&
-        fsim_wants_simulation(fl.status(j))) {
-      const auto [ma, mb] =
-          simulate_sites(fl.fault(i), &fl.fault(j), live, &work);
-      p = {ma.hard, ma.poss, true};
-      probes_[j] = {mb.hard, mb.poss, true};
-    } else {
-      const ProbeMasks m =
-          simulate_sites(fl.fault(i), nullptr, live, &work).first;
-      p = {m.hard, m.poss, true};
+  // Leader: this batch's units, in cone order, from one pass over the
+  // statuses (a pair whose partner is no longer simulated is probed
+  // alone). Nothing writes the fault list until every shard is done.
+  live_units_.clear();
+  for (const SimUnit& u : sim_units(fl)) {
+    const bool a = fsim_wants_simulation(fl.status(u.lead));
+    const bool b = u.partner != kNoPartner &&
+                   fsim_wants_simulation(fl.status(u.partner));
+    if (a) {
+      live_units_.push_back({u.lead, b ? u.partner : kNoPartner});
+    } else if (b) {
+      live_units_.push_back({u.partner, kNoPartner});
     }
   }
+  results_.resize(live_units_.size());
 
-  FsimStats st = merge_fault_probes(probes_, fl, detections);
-  st.gate_evals = work.gate_evals;
-  st.events_processed = work.events_processed;
+  // Shards: claim kUnitChunk consecutive units at a time, so neighbours
+  // in cone order share a shard's warm arenas, and write only the
+  // result slots they claimed.
+  std::atomic<size_t> cursor{0};
+  const size_t n = live_units_.size();
+  for (Scratch& sc : shards) sc.work = {};
+  const auto probe_units = [&](size_t s) {
+    Scratch& sc = shards[s];
+    prime(sc);
+    for (size_t lo = cursor.fetch_add(kUnitChunk); lo < n;
+         lo = cursor.fetch_add(kUnitChunk)) {
+      const size_t hi = std::min(n, lo + kUnitChunk);
+      for (size_t u = lo; u < hi; ++u) {
+        const SimUnit& su = live_units_[u];
+        results_[u] = simulate_sites(
+            sc, fl.fault(su.lead),
+            su.partner == kNoPartner ? nullptr : &fl.fault(su.partner),
+            live, &sc.work);
+      }
+    }
+  };
+  if (n > 0 && pool != nullptr) {
+    pool->run(probe_units);
+  } else if (n > 0) {
+    probe_units(0);
+  }
+
+  // Leader: apply the results. Statuses are per fault, so the unit
+  // order cannot show in them; new detections are sorted by fault index.
+  FsimStats st;
+  const size_t first_det = detections ? detections->size() : 0;
+  const auto apply = [&](uint32_t i, const ProbeMasks& m) {
+    ++st.faults_simulated;
+    if (m.hard) {
+      fl.set_status(i, FaultStatus::kDetected);
+      ++st.newly_detected;
+      if (detections) {
+        detections->emplace_back(
+            i, static_cast<unsigned>(std::countr_zero(m.hard)));
+      }
+    } else if (m.poss && fl.status(i) == FaultStatus::kUndetected) {
+      fl.set_status(i, FaultStatus::kPossiblyDetected);
+      ++st.newly_possibly;
+    }
+  };
+  for (size_t u = 0; u < n; ++u) {
+    apply(live_units_[u].lead, results_[u].first);
+    if (live_units_[u].partner != kNoPartner) {
+      apply(live_units_[u].partner, results_[u].second);
+    }
+  }
+  if (detections) {
+    std::sort(detections->begin() + static_cast<std::ptrdiff_t>(first_det),
+              detections->end());
+  }
+  for (const Scratch& sc : shards) {
+    st.gate_evals += sc.work.gate_evals;
+    st.events_processed += sc.work.events_processed;
+  }
   return st;
 }
 

@@ -38,17 +38,24 @@
 // early-exit point is tracked per lane set). This roughly halves
 // transition fault-sim work on top of the cone limiting.
 //
+// One batch is graded as a walk over simulation units: a unit is one
+// fault or one STR/STF pair, listed in cone-locality order
+// (fault/order.h). The good machine is simulated once per batch and is
+// read-only while shards probe units; each shard owns only a Scratch
+// (its write-through arenas, active bitset and carried state). Results
+// are kept per unit and applied to the fault list by the calling thread
+// afterwards, so every output is independent of the shard count.
+//
 // After warm-up (first batch of an NCP), detect_faults performs zero
-// heap allocations: all per-fault buffers live in a reusable per-worker
-// FsimScratch owned by this instance (each ShardedFaultSim worker owns
-// its own engine and therefore its own scratch).
-// tests/test_cone_program.cpp pins this with a global allocation
-// counter.
+// heap allocations at any shard count: every buffer is reused across
+// batches. tests/test_cone_program.cpp pins this with a global
+// allocation counter.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -61,16 +68,19 @@
 
 namespace occ {
 
+class ThreadPool;
+
 /// Provider of frozen per-NCP cone artifacts shared across engines.
 ///
 /// The observability masks (FrameObs) and compiled replay programs
 /// (ConeProgram) of one (netlist, scheme) pair are pure read-only data
-/// during simulation; only the per-engine scratch (overlay arenas,
-/// active bitset) is mutable. An implementation -- occ::CompiledDesign -- owns
-/// one immutable copy per capture procedure, so N fault-sim shards stop
-/// rebuilding N private copies. Accessors must be thread-safe and must
-/// return artifacts identical to what a private build would produce
-/// (the engines' bit-identity contract relies on it).
+/// during simulation; only the per-shard scratch (overlay arenas,
+/// active bitset) is mutable. An implementation -- occ::CompiledDesign
+/// -- owns one immutable copy per capture procedure, so the engines of
+/// every session over it stop rebuilding private copies. Accessors must
+/// be thread-safe and must return artifacts identical to what a private
+/// build would produce (the engines' bit-identity contract relies on
+/// it).
 class ConeArtifactSource {
  public:
   virtual ~ConeArtifactSource() = default;
@@ -136,23 +146,6 @@ constexpr bool fsim_wants_simulation(FaultStatus fs) {
          fs == FaultStatus::kPossiblyDetected || fs == FaultStatus::kAborted;
 }
 
-/// Per-fault probe buffer entry (hard/possible detection masks).
-struct FaultProbe {
-  uint64_t hard = 0;
-  uint64_t poss = 0;
-  bool simulated = false;
-};
-
-/// Merges per-fault probe masks into the fault list in fault-index
-/// order -- the one canonical status/detections walk shared by the
-/// sequential and sharded engines (their bit-identical-results
-/// invariant lives here). `detections` gets (fault index,
-/// countr_zero(hard)) for each newly hard-detected fault. The returned
-/// stats carry no work counters; callers account work themselves.
-FsimStats merge_fault_probes(
-    const std::vector<FaultProbe>& probes, FaultList& fl,
-    std::vector<std::pair<size_t, unsigned>>* detections);
-
 /// Grades one packed batch, appending (fault index, batch slot) pairs to
 /// its second argument when that is non-null.
 using BatchGrader = std::function<FsimStats(
@@ -200,14 +193,17 @@ class NcpFaultSim {
   /// fault-free (simulate_good), then simulates all undetected faults
   /// of `fl` against it; detected faults are marked (fault dropping).
   /// Faults are walked in cone-locality order (fault/order.h) and the
-  /// results merged back in fault-index order, so statuses, stats and
-  /// `detections` are independent of the walk order.
+  /// newly detected ones reported in fault-index order, so statuses,
+  /// stats and `detections` are independent of the walk order.
   /// If `detections` is given, appends (fault index, detecting slot) for
   /// each newly hard-detected fault; the slot is the lowest-numbered live
   /// pattern that detects it (used for pattern-selection/compaction).
+  /// This is the 1-shard case of the sharded form below.
   FsimStats detect_faults(
       const PatternBatch& batch, FaultList& fl,
-      std::vector<std::pair<size_t, unsigned>>* detections = nullptr);
+      std::vector<std::pair<size_t, unsigned>>* detections = nullptr) {
+    return detect_faults(batch, fl, detections, {&scratch_, 1}, nullptr);
+  }
 
   /// Window form: simulates patterns [first, first + n) of `ps` -- any
   /// length, any mix of NCPs -- by packing maximal same-NCP runs into
@@ -221,71 +217,27 @@ class NcpFaultSim {
       const PatternSet& ps, size_t first, size_t n, FaultList& fl,
       std::vector<std::pair<size_t, unsigned>>* detections = nullptr);
 
-  /// Detection masks (hard, possible) of one fault over `live_mask`.
-  struct ProbeMasks {
-    uint64_t hard = 0;
-    uint64_t poss = 0;
-  };
-
-  /// Simulates one fault against the last simulate_good() batch without
-  /// touching any fault list: returns the (hard, possible) detection
-  /// masks over `live_mask` slots and accumulates work counters into
-  /// `work`. This is the shard-safe primitive behind ShardedFaultSim --
-  /// it only mutates this instance's private scratch.
-  std::pair<uint64_t, uint64_t> probe_fault(const Fault& f,
-                                            uint64_t live_mask,
-                                            FsimWork* work) {
-    const ProbeMasks m = simulate_sites(f, nullptr, live_mask, work).first;
-    return {m.hard, m.poss};
-  }
-
-  /// Probes an STR/STF pair at the same (gate, pin) site in one overlay
-  /// pass when their launch lanes are disjoint (automatic exact fallback
-  /// to two solo passes otherwise). Results are identical to two
-  /// probe_fault calls; only the work counters are smaller.
-  std::pair<ProbeMasks, ProbeMasks> probe_fault_pair(const Fault& a,
-                                                     const Fault& b,
-                                                     uint64_t live_mask,
-                                                     FsimWork* work);
-
-  /// Cone-locality simulation order for `fl` (cached; rebuilt when the
-  /// fault list contents change). Shared with ShardedFaultSim so every
-  /// engine walks faults the same way.
-  const std::vector<uint32_t>& sim_order(const FaultList& fl);
-
-  /// No STR/STF partner exists for this fault.
-  static constexpr uint32_t kNoPartner = 0xFFFFFFFFu;
-
-  /// partner[i] = index of the complementary transition fault at the
-  /// same (gate, pin), or kNoPartner. Cached alongside sim_order().
-  const std::vector<uint32_t>& sim_partners(const FaultList& fl);
-
-  /// Live-slot mask for a batch (count < 64 leaves the top slots dead).
-  static uint64_t live_mask(const PatternBatch& batch) {
-    return batch.count >= 64 ? ~0ull : ((1ull << batch.count) - 1);
-  }
-
- private:
-  struct StateDiff {
-    uint32_t dff_pos;  // index into nl.dffs()
-    Val64 faulty;
-  };
-
-  /// Reusable per-worker buffers: everything a single fault overlay
-  /// pass writes lives here (epoch-stamped, so nothing is cleared
-  /// between faults). Sized at simulate_good time; after the first
-  /// batch of an NCP the steady-state detect_faults loop allocates
-  /// nothing.
-  struct FsimScratch {
-    // Good-machine frame values packed into dense-id order (rebuilt per
-    // simulate_good; read-only during overlay passes).
-    std::vector<std::vector<Val64>> good_dense;
-    // Write-through overlay arena, one per frame: initialized to the
-    // frame's good values at simulate_good, temporarily corrupted
-    // during a fault pass, restored via `touched` afterwards. Keeping
-    // the arena always-good between passes makes the operand gather a
-    // single contiguous load (no stamp check, no good fallback), and
-    // makes `new == previous` an exact skip condition.
+  /// One shard's mutable probe state: the per-frame write-through
+  /// arenas, the active bitset, the carried-state double buffer and the
+  /// capture-candidate stamps. A scratch serves one engine, which
+  /// primes it from the current good machine once per batch and sizes
+  /// every buffer to its structural bound, so whichever units a shard
+  /// claims, a warmed-up scratch never allocates.
+  class Scratch {
+   private:
+    friend class NcpFaultSim;
+    struct StateDiff {
+      uint32_t dff_pos;  // index into nl.dffs()
+      Val64 faulty;
+    };
+    // Batch (simulate_good count) the arenas were primed for.
+    uint64_t batch = 0;
+    // Write-through overlay arena, one per frame: primed with the
+    // frame's good values, temporarily corrupted during a fault pass,
+    // restored via `touched` afterwards. Keeping the arena always-good
+    // between passes makes the operand gather a single contiguous load
+    // (no stamp check, no good fallback), and makes `new == previous`
+    // an exact skip condition.
     std::vector<std::vector<Val64>> frame_vals;
     std::vector<uint32_t> touched;  // dense ids to restore (dups fine)
     std::vector<uint64_t> active;   // active bitset words over dense ids
@@ -299,29 +251,107 @@ class NcpFaultSim {
     // partners and for the union pre-check, so computing them once
     // halves the per-fault fixed cost.
     std::vector<uint64_t> inj_a, inj_b;
+    // Capture candidates of the current frame, deduped by epoch stamp
+    // (one epoch per frame pass).
+    std::vector<uint32_t> cand_dffs;
+    std::vector<uint32_t> cand_stamp;
+    uint32_t epoch = 0;
+    // Work of this shard's probes in the current detect_faults call.
+    FsimWork work;
   };
+
+  /// The one probe-and-merge walk behind every detect_faults form.
+  /// Simulates the batch fault-free once, lists its live units (one
+  /// pass over the statuses), then runs `shards.size()` shards: shard s
+  /// probes with `shards[s]` and claims chunks of the cone-ordered unit
+  /// list from a shared cursor. The calling thread applies the per-unit
+  /// results afterwards. `pool` runs the shards (its shard count must
+  /// equal shards.size()); null runs the one shard inline. Statuses,
+  /// stats, work counters and `detections` are identical for every
+  /// shard count.
+  FsimStats detect_faults(const PatternBatch& batch, FaultList& fl,
+                          std::vector<std::pair<size_t, unsigned>>* detections,
+                          std::span<Scratch> shards, ThreadPool* pool);
+
+  /// Detection masks (hard, possible) of one fault over `live_mask`.
+  struct ProbeMasks {
+    uint64_t hard = 0;
+    uint64_t poss = 0;
+  };
+
+  /// Simulates one fault against the last simulate_good() batch without
+  /// touching any fault list: returns the (hard, possible) detection
+  /// masks over `live_mask` slots and accumulates work counters into
+  /// `work`. Uses this engine's own scratch.
+  std::pair<uint64_t, uint64_t> probe_fault(const Fault& f,
+                                            uint64_t live_mask,
+                                            FsimWork* work) {
+    prime(scratch_);
+    const ProbeMasks m =
+        simulate_sites(scratch_, f, nullptr, live_mask, work).first;
+    return {m.hard, m.poss};
+  }
+
+  /// Probes an STR/STF pair at the same (gate, pin) site in one overlay
+  /// pass when their launch lanes are disjoint (automatic exact fallback
+  /// to two solo passes otherwise). Results are identical to two
+  /// probe_fault calls; only the work counters are smaller.
+  std::pair<ProbeMasks, ProbeMasks> probe_fault_pair(const Fault& a,
+                                                     const Fault& b,
+                                                     uint64_t live_mask,
+                                                     FsimWork* work) {
+    prime(scratch_);
+    return simulate_sites(scratch_, a, &b, live_mask, work);
+  }
+
+  /// Live-slot mask for a batch (count < 64 leaves the top slots dead).
+  static uint64_t live_mask(const PatternBatch& batch) {
+    return batch.count >= 64 ? ~0ull : ((1ull << batch.count) - 1);
+  }
+
+ private:
+  using StateDiff = Scratch::StateDiff;
+
+  /// Units a shard claims per cursor step.
+  static constexpr size_t kUnitChunk = 32;
+
+  /// One simulation unit: a fault alone, or an STR/STF pair at one site
+  /// probed in one overlay pass. `lead` comes first in cone order.
+  struct SimUnit {
+    uint32_t lead;
+    uint32_t partner;  // kNoPartner (fault/order.h) for a single fault
+  };
+
+  // The cone-ordered unit list of `fl`, cached on its fingerprint.
+  const std::vector<SimUnit>& sim_units(const FaultList& fl);
+
+  // Copies the current good machine into `sc`'s arenas unless it holds
+  // this batch already, growing its buffers to this NCP's bounds.
+  void prime(Scratch& sc) const;
 
   // Simulates fault `a` (and, when non-null, its complementary
   // transition partner `b` at the same site) and returns both mask sets.
-  std::pair<ProbeMasks, ProbeMasks> simulate_sites(const Fault& a,
+  std::pair<ProbeMasks, ProbeMasks> simulate_sites(Scratch& sc,
+                                                   const Fault& a,
                                                    const Fault* b,
                                                    uint64_t live_mask,
-                                                   FsimWork* work);
+                                                   FsimWork* work) const;
 
-  // One frame of a fault pass: a linear bitset sweep over the frame's
+  // Frame `k` of a fault pass: a linear bitset sweep over the frame's
   // replay program. `inj_mask`/`forced_v`: lanes where the site is
   // overridden and the value bits forced there (forced_v must be a
   // subset of inj_mask).
-  void propagate_frame(GateId site_gate, uint8_t site_pin,
-                       uint64_t inj_mask, uint64_t forced_v,
+  void propagate_frame(Scratch& sc, size_t k, GateId site_gate,
+                       uint8_t site_pin, uint64_t inj_mask,
+                       uint64_t forced_v,
                        const std::vector<StateDiff>& in_state,
                        std::vector<StateDiff>* out_state,
                        uint64_t* hard_po, uint64_t* poss_po,
-                       FsimWork* work);
-  // Faulty value of a net with no dense id this frame: only carried
-  // flop corruption (or a stem injection, handled by the caller) can
-  // make it differ from good.
-  Val64 off_cone_value(GateId g,
+                       FsimWork* work) const;
+  // Faulty value in frame `k` of a net with no dense id there: only
+  // carried flop corruption (or a stem injection, handled by the
+  // caller) can make it differ from good.
+  Val64 off_cone_value(GateId g, size_t k,
                        const std::vector<StateDiff>& in_state) const;
 
   // This engine's own cone artifacts of one NCP, used when no shared
@@ -337,16 +367,16 @@ class NcpFaultSim {
   GateId scan_en_pi_;
   std::shared_ptr<const ConeArtifactSource> shared_;  // may be null
   std::vector<PrivateCones> private_;  // per NCP index; empty if shared_
+
+  // The good machine of the current batch, read-only while shards probe.
   CycleSim sim_;
   GoodFrames good_;
+  // good_.frames packed into each frame's dense-id order.
+  std::vector<std::vector<Val64>> good_dense_;
+  uint64_t batch_ = 0;  // simulate_good count; primes Scratch arenas
   const NamedCaptureProcedure* cur_ncp_ = nullptr;
   const FrameObs* cur_obs_ = nullptr;
   const ConeProgram* cur_prog_ = nullptr;
-
-  uint32_t epoch_ = 0;  // capture-candidate dedup stamp, one per frame
-  size_t cur_frame_ = 0;
-
-  FsimScratch scratch_;
 
   // dff position lookup: gate id -> index in nl.dffs(), or -1.
   std::vector<int32_t> dff_pos_;
@@ -354,18 +384,19 @@ class NcpFaultSim {
   std::vector<int32_t> scan_pos_;  // dff position -> scan position or -1
   // For capture-diff tracking: gate -> dff positions whose D pin it drives.
   std::vector<std::vector<uint32_t>> d_feeds_;
-  std::vector<GateId> dff_d_;             // dff position -> D net
-  std::vector<uint32_t> cand_dffs_;       // capture candidates this frame
-  std::vector<uint32_t> cand_stamp_;      // epoch-stamped dedup
+  std::vector<GateId> dff_d_;  // dff position -> D net
+  size_t max_fanin_ = 0;       // widest gate (operand spill bound)
 
-  // Cached cone-locality walk order and STR/STF partner map (keyed on
-  // the fault list contents).
-  std::vector<uint32_t> order_;
-  std::vector<uint32_t> partners_;
-  uint64_t order_hash_ = 0;
-  size_t order_size_ = static_cast<size_t>(-1);
-  // Per-fault probe buffer for the order-independent merge.
-  std::vector<FaultProbe> probes_;
+  // Cone-ordered unit list, keyed on the fault list's (fingerprint,
+  // size); the per-batch live units and their probe results.
+  std::vector<SimUnit> units_;
+  uint64_t units_key_ = 0;
+  size_t units_size_ = static_cast<size_t>(-1);
+  std::vector<SimUnit> live_units_;
+  std::vector<std::pair<ProbeMasks, ProbeMasks>> results_;
+
+  // The scratch of the 1-shard entry points.
+  Scratch scratch_;
 };
 
 }  // namespace occ

@@ -19,8 +19,9 @@ namespace occ {
 /// surrounding ShardedFaultSim (there is one propagation engine; see
 /// fsim/fsim.h).
 struct FsimOptions {
-  /// Thread shards of the fault-list fan-out (1 = sequential, 0 =
-  /// hardware concurrency). Results are bit-identical for every value.
+  /// Thread shards that probe each batch's faults against its one
+  /// good-machine simulation (1 = sequential, 0 = hardware
+  /// concurrency). Results are bit-identical for every value.
   size_t shards = 1;
 };
 

@@ -6,6 +6,14 @@
 // values simultaneously. This models one clock pulse applied to a set of
 // domains -- the primitive from which shift cycles, launch pulses, and
 // capture pulses are composed.
+//
+// The constructor lowers the netlist once into a flat levelized op list
+// (12-byte records over one shared fanin array, grouped by gate type
+// within each level) and per-flop D/domain tables, so eval() and
+// capture() stream through dense arrays with predictable branches
+// instead of chasing the per-gate Gate records (fanin/fanout vectors
+// and names). The fault simulator runs one eval() per frame of every
+// batch.
 #pragma once
 
 #include <cstdint>
@@ -57,7 +65,21 @@ class CycleSim {
   const std::vector<Val64>& values() const { return vals_; }
 
  private:
+  // One evaluation step in topological order: gate `out` of type `type`
+  // reading fanins_[fanin_begin, fanin_begin + nf). Primary inputs have
+  // no op (set_input drives them).
+  struct Op {
+    GateId out;
+    uint32_t fanin_begin;
+    uint16_t nf;
+    GateType type;
+  };
+
   const Netlist* nl_;
+  std::vector<Op> ops_;
+  std::vector<GateId> fanins_;
+  std::vector<GateId> dff_d_;          // per nl.dffs() position: D net
+  std::vector<DomainMask> dff_clock_;  // per nl.dffs() position: domain bit
   std::vector<Val64> vals_;   // per gate: output net value
   std::vector<Val64> state_;  // per gate id (only flop slots used)
   std::vector<Val64> scratch_d_;

@@ -21,7 +21,7 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::run(const std::function<void(size_t)>& fn) {
+void ThreadPool::run(ShardFn fn) {
   if (workers_.empty()) {
     fn(0);
     return;
@@ -56,7 +56,7 @@ void ThreadPool::run(const std::function<void(size_t)>& fn) {
 void ThreadPool::worker_loop(size_t shard) {
   uint64_t seen = 0;
   for (;;) {
-    const std::function<void(size_t)>* job;
+    const ShardFn* job;
     {
       std::unique_lock<std::mutex> lock(mu_);
       work_cv_.wait(lock,

@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "api/session.h"
 #include "dft/scan.h"
 #include "fsim/sharded.h"
 #include "gen/circuits.h"
+#include "gen/socgen.h"
 #include "util/check.h"
 
 namespace occ {
@@ -155,13 +157,21 @@ TEST(Session, CompressionWithoutChainsThrows) {
 // ---- sharded fault simulation -------------------------------------------
 
 TEST(ShardedFaultSim, BitIdenticalToSequential) {
-  Netlist nl = gen::make_counter(8);
+  gen::SocParams params;
+  params.seed = 5;
+  params.flops = 40;
+  params.gates = 400;
+  params.pis = 8;
+  params.pos = 8;
+  Netlist nl = gen::generate_soc(params);
   insert_scan(nl, {.num_chains = 2});
   const GateId se = nl.find("scan_en");
-  const ClockingScheme scheme = scheme_cpf_basic(1);
+  const ClockingScheme scheme = scheme_cpf_basic(nl.num_domains());
+  // Short batches, so no one batch detects everything another does.
+  constexpr size_t kBatch = 16;
   Rng rng(99);
   PatternSet ps(scheme.name);
-  for (int i = 0; i < 64; ++i) {
+  for (size_t i = 0; i < 3 * kBatch; ++i) {
     TestPattern p;
     p.ncp_index = 0;
     p.pi_frames.assign(scheme.procedures[0].cycles.size(),
@@ -170,28 +180,58 @@ TEST(ShardedFaultSim, BitIdenticalToSequential) {
     p.random_fill(scheme.procedures[0], rng);
     ps.add(std::move(p));
   }
-  const PatternBatch b = pack_batch(ps, 0, 64, nl, scheme.procedures[0]);
+  std::vector<PatternBatch> batches;
+  for (size_t first = 0; first < ps.size(); first += kBatch) {
+    batches.push_back(
+        pack_batch(ps, first, kBatch, nl, scheme.procedures[0]));
+  }
 
-  FaultList seq = FaultList::build(nl, scheme.model);
-  NcpFaultSim ref(nl, scheme, se);
-  std::vector<std::pair<size_t, unsigned>> seq_dets;
-  const FsimStats seq_st = ref.detect_faults(b, seq, &seq_dets);
-
-  for (size_t shards : {size_t{2}, size_t{4}}) {
-    FaultList par = FaultList::build(nl, scheme.model);
+  // One engine grades two lists with the same faults but diverging
+  // statuses, alternately -- what compaction does with the session's
+  // list and its fresh re-grade list -- so both share the engine's
+  // cached unit list. Every call must match a fresh sequential engine
+  // on a reference copy of the same list.
+  struct Step {
+    size_t list;
+    size_t batch;
+  };
+  const Step steps[] = {{0, 0}, {1, 1}, {0, 1}, {1, 0}, {0, 2}, {1, 2}};
+  for (size_t shards : {size_t{1}, size_t{2}, size_t{3}, size_t{8}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
     ShardedFaultSim sharded(nl, scheme, se, shards);
-    std::vector<std::pair<size_t, unsigned>> par_dets;
-    const FsimStats par_st = sharded.detect_faults(b, par, &par_dets);
-
-    EXPECT_EQ(seq_st.faults_simulated, par_st.faults_simulated);
-    EXPECT_EQ(seq_st.newly_detected, par_st.newly_detected);
-    EXPECT_EQ(seq_st.newly_possibly, par_st.newly_possibly);
-    EXPECT_EQ(seq_st.gate_evals, par_st.gate_evals);
-    EXPECT_EQ(seq_dets, par_dets) << "shards=" << shards;
-    ASSERT_EQ(seq.size(), par.size());
-    for (size_t i = 0; i < seq.size(); ++i) {
-      ASSERT_EQ(seq.status(i), par.status(i)) << "fault " << i;
+    FaultList a = FaultList::build(nl, scheme.model);
+    FaultList b = a;  // the copy, taken before the first batch
+    FaultList* lists[2] = {&a, &b};
+    FaultList refs[2] = {a, b};
+    size_t detected = 0;
+    bool diverged = false;
+    for (const Step& step : steps) {
+      SCOPED_TRACE("list " + std::to_string(step.list) + ", batch " +
+                   std::to_string(step.batch));
+      FaultList& fl = *lists[step.list];
+      FaultList& ref = refs[step.list];
+      std::vector<std::pair<size_t, unsigned>> dets, ref_dets;
+      const FsimStats st =
+          sharded.detect_faults(batches[step.batch], fl, &dets);
+      const FsimStats ref_st = NcpFaultSim(nl, scheme, se).detect_faults(
+          batches[step.batch], ref, &ref_dets);
+      EXPECT_EQ(st.faults_simulated, ref_st.faults_simulated);
+      EXPECT_EQ(st.newly_detected, ref_st.newly_detected);
+      EXPECT_EQ(st.newly_possibly, ref_st.newly_possibly);
+      EXPECT_EQ(st.gate_evals, ref_st.gate_evals);
+      EXPECT_EQ(st.events_processed, ref_st.events_processed);
+      EXPECT_EQ(dets, ref_dets);
+      ASSERT_EQ(fl.size(), ref.size());
+      for (size_t i = 0; i < fl.size(); ++i) {
+        ASSERT_EQ(fl.status(i), ref.status(i)) << "fault " << i;
+      }
+      detected += st.newly_detected;
+      for (size_t i = 0; i < a.size(); ++i) {
+        diverged = diverged || a.status(i) != b.status(i);
+      }
     }
+    EXPECT_GT(detected, 0u);
+    EXPECT_TRUE(diverged) << "the two lists never had different statuses";
   }
 }
 

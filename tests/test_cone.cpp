@@ -157,7 +157,7 @@ TEST(ConePair, PairProbeMatchesTwoSoloProbes) {
 
     for (uint32_t i = 0; i < fl.size(); ++i) {
       const uint32_t j = partners[i];
-      if (j == NcpFaultSim::kNoPartner || j < i) continue;
+      if (j == kNoPartner || j < i) continue;
       ++pairs;
       FsimWork wp, wa, wb;
       const auto [ma, mb] =
@@ -193,7 +193,7 @@ TEST(FaultOrder, PartnersAreSymmetricComplementaryPairs) {
   size_t paired = 0;
   for (uint32_t i = 0; i < fl.size(); ++i) {
     const uint32_t j = partners[i];
-    if (j == NcpFaultSim::kNoPartner) continue;
+    if (j == kNoPartner) continue;
     ++paired;
     ASSERT_NE(i, j);
     ASSERT_EQ(partners[j], i);
@@ -209,7 +209,7 @@ TEST(FaultOrder, PartnersAreSymmetricComplementaryPairs) {
   // Stuck-at lists never pair.
   const FaultList sa = FaultList::build(nl, FaultModel::kStuckAt);
   for (const uint32_t p : str_stf_partners(sa)) {
-    EXPECT_EQ(p, NcpFaultSim::kNoPartner);
+    EXPECT_EQ(p, kNoPartner);
   }
 }
 

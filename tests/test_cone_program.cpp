@@ -379,24 +379,29 @@ TEST(ConeProgramAllocations, SteadyStateHotLoopIsAllocationFree) {
   PatternSet ps("x");
   const PatternBatch b = make_batch(nl, s, 0, 99, &ps);
 
+  // Allocations of one steady-state detect_faults: a warm-up batch
+  // builds the replay programs and sizes every shard's scratch to this
+  // workload's bounds; then an identical fresh fault list through the
+  // same hot loop must not touch the heap at all.
+  const auto steady_state_allocs = [&](auto& sim) {
+    FaultList warm = FaultList::build(nl, FaultModel::kTransition);
+    sim.detect_faults(b, warm);
+    FaultList fl = FaultList::build(nl, FaultModel::kTransition);
+    const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+    const FsimStats st = sim.detect_faults(b, fl);
+    const uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
+    EXPECT_GT(st.faults_simulated, 0u);
+    EXPECT_GT(st.gate_evals, 0u);
+    return after - before;
+  };
   NcpFaultSim sim(nl, s, se);
-  sim.simulate_good(b);
-
-  // Warm-up: builds the replay programs, sizes the scratch arena and
-  // the per-fault buffers to this workload's high-water marks.
-  FaultList warm = FaultList::build(nl, FaultModel::kTransition);
-  sim.detect_faults(b, warm);
-
-  // Steady state: an identical fresh fault list through the same hot
-  // loop must not touch the heap at all.
-  FaultList fl = FaultList::build(nl, FaultModel::kTransition);
-  const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
-  const FsimStats st = sim.detect_faults(b, fl);
-  const uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
-  EXPECT_EQ(after - before, 0u)
+  EXPECT_EQ(steady_state_allocs(sim), 0u)
       << "detect_faults allocated on a warmed-up engine";
-  EXPECT_GT(st.faults_simulated, 0u);
-  EXPECT_GT(st.gate_evals, 0u);
+  // The sharded walk adds the pool dispatch, the unit cursor and the
+  // per-shard scratches; none of them may allocate either.
+  ShardedFaultSim sharded(nl, s, se, 4);
+  EXPECT_EQ(steady_state_allocs(sharded), 0u)
+      << "4-shard detect_faults allocated on a warmed-up engine";
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <memory>
 #include <string>
 #include <utility>
@@ -368,19 +369,35 @@ class RefFaultSim {
     return {m.hard & live_, m.poss & live_};
   }
 
-  /// Grades every fault of `fl` the engine still simulates and merges
-  /// with the engine's canonical merge: the statuses, detection slots
-  /// and stats NcpFaultSim::detect_faults must reproduce (minus the
-  /// work counters, which only the engine has).
+  /// Grades every fault of `fl` the engine still simulates, one fault
+  /// at a time in fault-index order: the statuses, detection slots and
+  /// stats NcpFaultSim::detect_faults must reproduce (minus the work
+  /// counters, which only the engine has). Statuses are read before any
+  /// is written, as the engine probes the whole batch before applying.
   FsimStats grade(FaultList& fl,
                   std::vector<std::pair<size_t, unsigned>>* dets) const {
-    std::vector<FaultProbe> probes(fl.size());
+    std::vector<std::pair<size_t, Masks>> probed;
     for (size_t i = 0; i < fl.size(); ++i) {
-      if (!fsim_wants_simulation(fl.status(i))) continue;
-      const Masks m = masks(fl.fault(i));
-      probes[i] = {m.hard, m.poss, true};
+      if (fsim_wants_simulation(fl.status(i))) {
+        probed.emplace_back(i, masks(fl.fault(i)));
+      }
     }
-    return merge_fault_probes(probes, fl, dets);
+    FsimStats st;
+    for (const auto& [i, m] : probed) {
+      ++st.faults_simulated;
+      if (m.hard) {
+        fl.set_status(i, FaultStatus::kDetected);
+        ++st.newly_detected;
+        if (dets) {
+          dets->emplace_back(
+              i, static_cast<unsigned>(std::countr_zero(m.hard)));
+        }
+      } else if (m.poss && fl.status(i) == FaultStatus::kUndetected) {
+        fl.set_status(i, FaultStatus::kPossiblyDetected);
+        ++st.newly_possibly;
+      }
+    }
+    return st;
   }
 
  private:
