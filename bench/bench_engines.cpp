@@ -455,7 +455,7 @@ int write_json_report(const std::string& path) {
     std::vector<double> walls, cpus;
     size_t det_patterns = 0;
     size_t speculative = 0, discarded = 0;
-    size_t escalations = 0, sat_probe_wins = 0;
+    size_t escalations = 0, sat_probe_wins = 0, sat_refutations = 0;
     SatStats det_sat;
     Podem::Stats det_stats;
     for (size_t r = 0; r < g_repeat; ++r) {
@@ -489,6 +489,7 @@ int write_json_report(const std::string& path) {
       discarded = res.atpg.discarded_cubes;
       escalations = res.atpg.escalations;
       sat_probe_wins = res.atpg.sat_probe_wins;
+      sat_refutations = res.atpg.sat_refutations;
       det_sat = res.atpg.sat;
       det_stats = res.atpg.podem;
     }
@@ -505,9 +506,11 @@ int write_json_report(const std::string& path) {
     meta.set("atpg.det.speculative_runs", speculative);
     meta.set("atpg.det.discarded_cubes", discarded);
     // Abort-ladder accounting: aborted instances probed on the workers,
-    // and the subset the probe settled, with the probes' solver work.
+    // the subset the probe settled and, of those, the ones it proved
+    // undetectable, with the probes' solver work.
     meta.set("atpg.det.escalations", escalations);
     meta.set("atpg.det.sat_probe_wins", sat_probe_wins);
+    meta.set("atpg.det.sat_refutations", sat_refutations);
     meta.set("atpg.det.sat_solves", det_sat.solves);
     meta.set("atpg.det.sat_conflicts", det_sat.conflicts);
   }

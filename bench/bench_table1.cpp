@@ -10,9 +10,9 @@
 //                     [--atpg-shards N] [--repeat N]
 //                     [--sat-budget CONFLICTS] [--json PATH]
 //                     [--allow-shape-fail]
-//   default : mid-size SOC (~6 s) -- same orderings as full scale
-//   --quick : small SOC (~4 s)
-//   --full  : paper-scale shape run (~25 s); the EXPERIMENTS.md
+//   default : mid-size SOC (~4 s) -- same orderings as full scale
+//   --quick : small SOC (~3 s)
+//   --full  : paper-scale shape run (~16 s); the EXPERIMENTS.md
 //             Table-1 numbers were produced at this scale
 //             (walls measured with --shards 4 on a 4-vCPU container;
 //             at the default probe budget every SAT probe settles its

@@ -368,9 +368,8 @@ SessionResult Session::execute(
   // -- tester-cycle cost model --------------------------------------------
   if (result.has_scan_chains) {
     StageScope scope(obs, "cost");
-    ScanProtocol proto(nl, result.chains);
     result.tester_cycles =
-        total_tester_cycles(proto, result.atpg.patterns,
+        total_tester_cycles(result.chains, result.atpg.patterns,
                             result.scheme.procedures,
                             cfg_.on_chip_clocking_);
   }

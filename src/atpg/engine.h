@@ -27,9 +27,14 @@ namespace occ {
 
 struct AtpgOptions {
   uint64_t seed = 0x0cc7e57;
-  /// Backtracks per cheap PODEM run; an abort is handed to the SAT
-  /// probe (EngineOptions::sat_conflict_budget).
-  uint32_t backtrack_limit = 300;
+  /// Backtracks per cheap PODEM run, the first rung of the abort
+  /// ladder; an abort is handed to the SAT probe
+  /// (EngineOptions::sat_conflict_budget). 32, not more: a probe costs
+  /// about as much as 100 backtracks and settles nearly every instance
+  /// it gets, while a PODEM run that outlasts 32 backtracks rarely
+  /// finds a test before 300 (docs/ARCHITECTURE.md, "Why the cheap
+  /// rung stops at 32").
+  uint32_t backtrack_limit = 32;
   /// Optional random pre-stage (OFF by default: commercial flows get the
   /// same effect from random fill of deterministic cubes): max 64-pattern
   /// rounds per capture procedure; a round yielding fewer than two new
@@ -109,6 +114,10 @@ struct AtpgRunResult {
   /// counts.
   size_t escalations = 0;    ///< cheap-PODEM aborts handed to the SAT probe
   size_t sat_probe_wins = 0; ///< probes that settled the fault (SAT or UNSAT)
+  /// Probes that proved their instance undetectable (kUnsat or
+  /// kNoObservation); sat_probe_wins - sat_refutations probes gave a
+  /// cube.
+  size_t sat_refutations = 0;
   /// SAT counters of the deterministic stage's probes.
   SatStats sat;
   /// Fault-status tallies after each pipeline source stage, in run

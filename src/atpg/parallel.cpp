@@ -210,6 +210,7 @@ void ParallelPodem::walk(ShardScratch& sc, size_t fi, Attempt* out) const {
         break;
       }
       // kUnsat/kNoObservation: the instance is proven undetectable.
+      ++a.sat_refutations;
       a.sat_settled = true;
     }
   }
@@ -283,6 +284,7 @@ void ParallelPodem::commit_fault(size_t fi, Attempt& att) {
   ctx_.res.podem += att.stats;
   ctx_.res.escalations += att.escalations;
   ctx_.res.sat_probe_wins += att.sat_probe_wins;
+  ctx_.res.sat_refutations += att.sat_refutations;
   ctx_.res.sat += att.sat;
 }
 

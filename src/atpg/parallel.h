@@ -99,6 +99,7 @@ class ParallelPodem {
     Podem::Stats stats;     ///< PODEM work of this walk only
     size_t escalations = 0;     ///< cheap-PODEM aborts probed
     size_t sat_probe_wins = 0;  ///< probes that settled their instance
+    size_t sat_refutations = 0; ///< probes that proved it undetectable
     SatStats sat;               ///< the probes' solver work
   };
 

@@ -131,20 +131,21 @@ ProtocolResult ScanProtocol::apply(const TestPattern& p,
   return res;
 }
 
-size_t ScanProtocol::tester_cycles(const NamedCaptureProcedure& ncp,
-                                   bool on_chip_clocking) const {
-  return chains_->max_length() + ncp_tester_cycles(ncp, on_chip_clocking);
+size_t tester_cycles(const ScanChains& chains,
+                     const NamedCaptureProcedure& ncp,
+                     bool on_chip_clocking) {
+  return chains.max_length() + ncp_tester_cycles(ncp, on_chip_clocking);
 }
 
-size_t total_tester_cycles(const ScanProtocol& proto, const PatternSet& ps,
+size_t total_tester_cycles(const ScanChains& chains, const PatternSet& ps,
                            const std::vector<NamedCaptureProcedure>& ncps,
                            bool on_chip_clocking) {
   size_t total = 0;
   for (const TestPattern& p : ps) {
-    total += proto.tester_cycles(ncps[p.ncp_index], on_chip_clocking);
+    total += tester_cycles(chains, ncps[p.ncp_index], on_chip_clocking);
   }
   // Final unload.
-  if (!ps.empty()) total += proto.tester_cycles(ncps[0], on_chip_clocking);
+  if (!ps.empty()) total += tester_cycles(chains, ncps[0], on_chip_clocking);
   return total;
 }
 

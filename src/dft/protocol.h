@@ -4,9 +4,10 @@
 //
 // This is the ground truth the ATPG abstraction must match: ATPG/fsim
 // treat scan cells as directly loadable/observable; ScanProtocol performs
-// the actual shifting and verifies the equivalence. It also provides the
-// tester-cycle cost model behind the paper's pattern-count discussion
-// (vector memory on the ATE).
+// the actual shifting and verifies the equivalence. The tester-cycle
+// cost model behind the paper's pattern-count discussion (vector memory
+// on the ATE) needs only the chain lengths, so it is two free functions
+// over ScanChains that build no simulator.
 #pragma once
 
 #include <vector>
@@ -38,12 +39,6 @@ class ScanProtocol {
                        const NamedCaptureProcedure& ncp,
                        bool scan_en_frozen = true);
 
-  /// Tester cycles for one pattern: shift-in dominates (max chain
-  /// length), plus per-frame PI/strobe cycles, plus the on-chip-clocking
-  /// arming overhead. Shift-out overlaps the next shift-in, as usual.
-  size_t tester_cycles(const NamedCaptureProcedure& ncp,
-                       bool on_chip_clocking) const;
-
  private:
   const Netlist* nl_;
   const ScanChains* chains_;
@@ -51,8 +46,16 @@ class ScanProtocol {
   std::vector<GateId> scan_order_;  // scan_cells(nl)
 };
 
-/// Total ATE vector-memory cost of a pattern set (tester cycles).
-size_t total_tester_cycles(const ScanProtocol& proto, const PatternSet& ps,
+/// Tester cycles for one pattern: shift-in dominates (max chain
+/// length), plus per-frame PI/strobe cycles, plus the on-chip-clocking
+/// arming overhead. Shift-out overlaps the next shift-in, as usual.
+size_t tester_cycles(const ScanChains& chains,
+                     const NamedCaptureProcedure& ncp,
+                     bool on_chip_clocking);
+
+/// Total ATE vector-memory cost of a pattern set (tester cycles), plus
+/// the final unload.
+size_t total_tester_cycles(const ScanChains& chains, const PatternSet& ps,
                            const std::vector<NamedCaptureProcedure>& ncps,
                            bool on_chip_clocking);
 

@@ -96,12 +96,14 @@ void NcpFaultSim::simulate_good(const PatternBatch& batch) {
   const size_t frames = cur_ncp_->cycles.size();
   const auto& dffs = nl_->dffs();
 
-  // resize (not assign-with-temporary) so the steady-state re-prime of
-  // an already-sized engine stays allocation-free: detect_faults runs
-  // this per batch inside the zero-allocation hot loop. Every element
-  // is overwritten below.
-  good_.frames.resize(frames);
-  good_.state.resize(frames + 1);
+  // The per-frame buffers only grow: they hold the longest procedure
+  // seen so far, and `frames` (the bound NCP's length) is the live
+  // count. So a warmed-up engine that alternates procedures of
+  // different lengths -- compaction does -- never reallocates them, and
+  // detect_faults runs this per batch inside the zero-allocation hot
+  // loop. Every live element is overwritten below.
+  if (good_.frames.size() < frames) good_.frames.resize(frames);
+  if (good_.state.size() < frames + 1) good_.state.resize(frames + 1);
   for (auto& s : good_.state) s.resize(dffs.size());
 
   // Load: scan cells get the pattern, non-scan cells power up X.
@@ -134,7 +136,7 @@ void NcpFaultSim::simulate_good(const PatternBatch& batch) {
   // Pack the good-machine frames into dense-id order: the values every
   // shard's arenas are primed with. Once per batch, amortized over every
   // fault probed against it.
-  good_dense_.resize(frames);
+  if (good_dense_.size() < frames) good_dense_.resize(frames);
   for (size_t f = 0; f < frames; ++f) {
     const FrameProgram& fp = cur_prog_->frames[f];
     auto& gd = good_dense_[f];
@@ -168,13 +170,13 @@ void NcpFaultSim::prime(Scratch& sc) const {
   sc.state_b.reserve(dffs);
   sc.cand_dffs.reserve(dffs);
   sc.wide_ins.reserve(max_fanin_);
-  sc.inj_a.reserve(good_dense_.size());
-  sc.inj_b.reserve(good_dense_.size());
-  // Copy-assignment reuses each arena's capacity once it has grown.
-  sc.frame_vals.resize(good_dense_.size());
-  for (size_t f = 0; f < good_dense_.size(); ++f) {
-    sc.frame_vals[f] = good_dense_[f];
-  }
+  const size_t frames = cur_ncp_->cycles.size();
+  sc.inj_a.reserve(frames);
+  sc.inj_b.reserve(frames);
+  // Grow-only like the good machine's frames; copy-assignment reuses
+  // each arena's capacity once it has grown.
+  if (sc.frame_vals.size() < frames) sc.frame_vals.resize(frames);
+  for (size_t f = 0; f < frames; ++f) sc.frame_vals[f] = good_dense_[f];
 }
 
 std::vector<V3> NcpFaultSim::expected_unload(unsigned slot) const {

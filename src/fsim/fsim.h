@@ -369,6 +369,9 @@ class NcpFaultSim {
   std::vector<PrivateCones> private_;  // per NCP index; empty if shared_
 
   // The good machine of the current batch, read-only while shards probe.
+  // Its per-frame vectors (and good_dense_, and each scratch's
+  // frame_vals) only grow; the first cur_ncp_->cycles.size() frames are
+  // live.
   CycleSim sim_;
   GoodFrames good_;
   // good_.frames packed into each frame's dense-id order.

@@ -553,8 +553,9 @@ std::string fingerprint(const SessionResult& r) {
      << ps.implication_hits << ',' << ps.dominator_prunes;
   const SatStats& st = r.atpg.sat;
   os << "\n#ladder:" << r.atpg.escalations << ',' << r.atpg.sat_probe_wins
-     << ',' << st.solves << ',' << st.conflicts << ',' << st.decisions << ','
-     << st.propagations << ',' << st.learned_kept;
+     << ',' << r.atpg.sat_refutations << ',' << st.solves << ','
+     << st.conflicts << ',' << st.decisions << ',' << st.propagations << ','
+     << st.learned_kept;
   os << "\n#fsim:" << r.atpg.fsim.gate_evals << ','
      << r.atpg.fsim.events_processed << ','
      << r.atpg.fsim.faults_simulated << ',' << r.atpg.fsim.newly_detected;

@@ -79,6 +79,7 @@ uint64_t result_fingerprint(const SessionResult& r) {
   mix(r.atpg.podem.backtracks);
   mix(r.atpg.escalations);
   mix(r.atpg.sat_probe_wins);
+  mix(r.atpg.sat_refutations);
   mix(r.atpg.sat.solves);
   mix(r.atpg.sat.conflicts);
   mix(r.tester_cycles);

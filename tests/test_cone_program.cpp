@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <vector>
 
 #include "api/session.h"
 #include "core/clock_scheme.h"
@@ -374,34 +375,67 @@ TEST(ConeProgramStructure, LoweringInvariants) {
 
 TEST(ConeProgramAllocations, SteadyStateHotLoopIsAllocationFree) {
   const Netlist nl = test_soc(14);
-  const ClockingScheme s = scheme_cpf_basic(nl.num_domains());
   const GateId se = nl.find("scan_en");
-  PatternSet ps("x");
-  const PatternBatch b = make_batch(nl, s, 0, 99, &ps);
 
-  // Allocations of one steady-state detect_faults: a warm-up batch
-  // builds the replay programs and sizes every shard's scratch to this
-  // workload's bounds; then an identical fresh fault list through the
-  // same hot loop must not touch the heap at all.
-  const auto steady_state_allocs = [&](auto& sim) {
-    FaultList warm = FaultList::build(nl, FaultModel::kTransition);
-    sim.detect_faults(b, warm);
-    FaultList fl = FaultList::build(nl, FaultModel::kTransition);
+  // Allocations of steady-state detect_faults calls: one warm-up call
+  // per batch builds the replay programs and sizes every shard's
+  // scratch to this workload's bounds; then the same batches, in the
+  // same order, over identical fresh fault lists must not touch the
+  // heap at all.
+  const auto steady_state_allocs = [&](auto& sim, const ClockingScheme& s,
+                                       const std::vector<PatternBatch>& bs) {
+    for (const PatternBatch& b : bs) {
+      FaultList warm = FaultList::build(nl, s.model);
+      sim.detect_faults(b, warm);
+    }
+    std::vector<FaultList> fls;
+    for (size_t i = 0; i < bs.size(); ++i) {
+      fls.push_back(FaultList::build(nl, s.model));
+    }
+    FsimStats st;
     const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
-    const FsimStats st = sim.detect_faults(b, fl);
+    for (size_t i = 0; i < bs.size(); ++i) {
+      st += sim.detect_faults(bs[i], fls[i]);
+    }
     const uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
     EXPECT_GT(st.faults_simulated, 0u);
     EXPECT_GT(st.gate_evals, 0u);
     return after - before;
   };
-  NcpFaultSim sim(nl, s, se);
-  EXPECT_EQ(steady_state_allocs(sim), 0u)
-      << "detect_faults allocated on a warmed-up engine";
   // The sharded walk adds the pool dispatch, the unit cursor and the
   // per-shard scratches; none of them may allocate either.
-  ShardedFaultSim sharded(nl, s, se, 4);
-  EXPECT_EQ(steady_state_allocs(sharded), 0u)
-      << "4-shard detect_faults allocated on a warmed-up engine";
+  const auto expect_allocation_free = [&](const ClockingScheme& s,
+                                          const std::vector<PatternBatch>& bs) {
+    NcpFaultSim sim(nl, s, se);
+    EXPECT_EQ(steady_state_allocs(sim, s, bs), 0u)
+        << "detect_faults allocated on a warmed-up engine";
+    ShardedFaultSim sharded(nl, s, se, 4);
+    EXPECT_EQ(steady_state_allocs(sharded, s, bs), 0u)
+        << "4-shard detect_faults allocated on a warmed-up engine";
+  };
+
+  {
+    SCOPED_TRACE("one procedure");
+    const ClockingScheme s = scheme_cpf_basic(nl.num_domains());
+    PatternSet ps("x");
+    expect_allocation_free(s, {make_batch(nl, s, 0, 99, &ps)});
+  }
+  {
+    // Procedures of two lengths, alternating as in compaction: a batch
+    // of the longer one after the shorter must find every per-frame
+    // buffer already grown.
+    SCOPED_TRACE("2- and 3-frame procedures");
+    const ClockingScheme s = scheme_cpf_enhanced(nl.num_domains(), 3);
+    const auto first_of_length = [&](size_t frames) {
+      uint32_t nc = 0;
+      while (s.procedures.at(nc).cycles.size() != frames) ++nc;
+      return nc;
+    };
+    PatternSet ps2("x"), ps3("y");
+    const PatternBatch b2 = make_batch(nl, s, first_of_length(2), 99, &ps2);
+    const PatternBatch b3 = make_batch(nl, s, first_of_length(3), 98, &ps3);
+    expect_allocation_free(s, {b2, b3, b2, b3});
+  }
 }
 
 }  // namespace

@@ -62,7 +62,8 @@ std::string fingerprint(const SessionResult& r) {
   }
   const SatStats& st = r.atpg.sat;
   os << "|esc:" << r.atpg.escalations << ',' << r.atpg.sat_probe_wins
-     << "|sat:" << st.solves << ',' << st.conflicts << ',' << st.decisions;
+     << ',' << r.atpg.sat_refutations << "|sat:" << st.solves << ','
+     << st.conflicts << ',' << st.decisions;
   return os.str();
 }
 
@@ -78,6 +79,11 @@ TEST(SatAtpg, ClassifiesEveryAbortedFault) {
     EXPECT_EQ(r.atpg.sat_probe_wins, r.atpg.escalations);
     EXPECT_EQ(fl.count(FaultStatus::kAborted), 0u);
     EXPECT_GT(fl.count(FaultStatus::kProvenUntestable), 0u);
+    // Every proven-untestable fault had at least one instance refuted,
+    // and every refutation is one of the probe's wins.
+    EXPECT_GE(r.atpg.sat_refutations,
+              fl.count(FaultStatus::kProvenUntestable));
+    EXPECT_LE(r.atpg.sat_refutations, r.atpg.sat_probe_wins);
     // Each verdict agrees with the complete search on the session's own
     // capture model.
     const test::SatOracle oracle(r);

@@ -3,11 +3,15 @@
 // model variable outside the instance's support X, a reused probe
 // scratch answers exactly as a fresh one, and the ladder is
 // deterministic across repeats and shard counts with untestable
-// verdicts that agree with the unlimited-budget SAT verdict.
+// verdicts that agree with the unlimited-budget SAT verdict. The cheap
+// rung's backtrack budget decides which rung settles a fault, never
+// its verdict.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/session.h"
@@ -15,6 +19,7 @@
 #include "core/clock_scheme.h"
 #include "dft/scan.h"
 #include "gen/circuits.h"
+#include "gen/socgen.h"
 #include "netlist/bench_io.h"
 #include "sat/probe.h"
 #include "test_helpers.h"
@@ -168,7 +173,8 @@ std::string det_fingerprint(const SessionResult& r) {
   for (size_t i = 0; i < r.atpg.faults.size(); ++i) {
     os << static_cast<int>(r.atpg.faults.status(i));
   }
-  os << "|esc:" << r.atpg.escalations << ',' << r.atpg.sat_probe_wins;
+  os << "|esc:" << r.atpg.escalations << ',' << r.atpg.sat_probe_wins << ','
+     << r.atpg.sat_refutations;
   const SatStats& st = r.atpg.sat;
   os << "|sat:" << st.solves << ',' << st.conflicts << ',' << st.decisions
      << ',' << st.propagations << ',' << st.learned_kept;
@@ -246,6 +252,84 @@ TEST(SatIncremental, CorpusClassificationsAgreeAcrossModes) {
     const SessionResult r = Session(std::move(cfg)).run();
     EXPECT_GT(test::expect_untestable_verdicts_hold(r), 0u);
   }
+}
+
+/// Per fault: 'D' detected, 'U' untestable or proven untestable, else
+/// the status number (none is expected after a complete run).
+std::string verdict_split(const FaultList& fl) {
+  std::string out(fl.size(), '?');
+  for (size_t i = 0; i < fl.size(); ++i) {
+    const FaultStatus st = fl.status(i);
+    out[i] = st == FaultStatus::kDetected ? 'D'
+             : (st == FaultStatus::kUntestable ||
+                st == FaultStatus::kProvenUntestable)
+                 ? 'U'
+                 : static_cast<char>('0' + static_cast<int>(st));
+  }
+  return out;
+}
+
+/// Runs the session `config` builds at the default cheap-rung budget
+/// and at 300 backtracks, and expects the same verdicts from both;
+/// returns the escalations at the default.
+size_t expect_same_verdicts_at_300(
+    const std::function<SessionConfig()>& config) {
+  const SessionResult def = Session(config()).run();
+  AtpgOptions deep;
+  deep.backtrack_limit = 300;
+  SessionConfig cfg = config();
+  cfg.atpg(deep);
+  const SessionResult at300 = Session(std::move(cfg)).run();
+  const FaultList &a = def.atpg.faults, &b = at300.atpg.faults;
+  EXPECT_EQ(a.count(FaultStatus::kAborted), 0u);
+  EXPECT_EQ(b.count(FaultStatus::kAborted), 0u);
+  EXPECT_EQ(def.test_coverage(), at300.test_coverage());
+  EXPECT_EQ(verdict_split(a), verdict_split(b));
+  EXPECT_GE(def.atpg.escalations, at300.atpg.escalations);
+  return def.atpg.escalations;
+}
+
+TEST(AbortLadder, CheapRungBudgetChangesWhoDecidesNotWhat) {
+  // The cheap rung's backtrack budget only moves instances between
+  // PODEM and the SAT probe: at the default budget and at 300 every
+  // fault gets the same verdict (detected vs untestable), nothing is
+  // left aborted, and the smaller budget hands at least as many aborts
+  // to the probe.
+  gen::SocParams prm;
+  prm.seed = 5;
+  prm.domains = 2;
+  prm.domain_share.assign(2, 1.0);
+  prm.flops = 36;
+  prm.gates = 300;
+  prm.pis = 10;
+  prm.pos = 8;
+  const Netlist soc = gen::generate_soc(prm);
+  size_t escalations = 0;
+  for (const ClockingScheme& s :
+       {scheme_stuck_at_external(2), scheme_external_full(2, 3),
+        scheme_cpf_basic(2), scheme_cpf_enhanced(2, 3),
+        scheme_external_constrained(2, 3)}) {
+    SCOPED_TRACE(s.name);
+    escalations += expect_same_verdicts_at_300([&] {
+      SessionConfig cfg;
+      cfg.design(soc).scan({.num_chains = 4}).scheme(s);
+      return cfg;
+    });
+  }
+  const std::pair<const char*, ClockingScheme> corpus[] = {
+      {"s27m.bench", scheme_cpf_enhanced(2, 3)},
+      {"s344c.bench", scheme_cpf_basic(1)}};
+  for (const auto& [name, s] : corpus) {
+    SCOPED_TRACE(name);
+    escalations += expect_same_verdicts_at_300([&] {
+      SessionConfig cfg;
+      cfg.design_file(std::string(OCC_CIRCUITS_DIR) + "/" + name)
+          .scan({.num_chains = 2})
+          .scheme(s);
+      return cfg;
+    });
+  }
+  EXPECT_GT(escalations, 0u) << "no abort reached the probe: vacuous";
 }
 
 }  // namespace

@@ -161,13 +161,14 @@ TEST(Protocol, UnequalChainLengthsAlignCorrectly) {
 TEST(Protocol, TesterCycleCost) {
   Netlist nl = gen::make_counter(8);
   const ScanChains sc = insert_scan(nl, {.num_chains = 2});
-  ScanProtocol proto(nl, sc);
   const ClockingScheme on_chip = scheme_cpf_basic(1);
   const ClockingScheme ext = scheme_external_full(1, 2);
-  const size_t c_on = proto.tester_cycles(on_chip.procedures[0], true);
-  const size_t c_ext = proto.tester_cycles(ext.procedures[0], false);
+  const size_t c_on = tester_cycles(sc, on_chip.procedures[0], true);
+  const size_t c_ext = tester_cycles(sc, ext.procedures[0], false);
   EXPECT_GT(c_on, sc.max_length());
   EXPECT_GT(c_ext, sc.max_length());
+  EXPECT_EQ(c_on, sc.max_length() +
+                      ncp_tester_cycles(on_chip.procedures[0], true));
 
   PatternSet ps("x");
   TestPattern p;
@@ -176,9 +177,8 @@ TEST(Protocol, TesterCycleCost) {
   p.load.assign(8, V3::k0);
   ps.add(p);
   ps.add(p);
-  const size_t total =
-      total_tester_cycles(proto, ps, on_chip.procedures, true);
-  EXPECT_GE(total, 2 * c_on);
+  // Two patterns plus the final unload.
+  EXPECT_EQ(total_tester_cycles(sc, ps, on_chip.procedures, true), 3 * c_on);
 }
 
 }  // namespace

@@ -299,7 +299,8 @@ int cmd_run(const RunArgs& a) {
       meta.set("cache.resident_bytes", cs.resident_bytes);
     }
     // Abort-ladder + SAT accounting: every session runs the SAT probe
-    // on its cheap-PODEM aborts.
+    // on its cheap-PODEM aborts; refutations counts the probes that
+    // proved their instance undetectable.
     meta.set("atpg.det.escalations", r.atpg.escalations);
     meta.set("atpg.det.sat_probe_wins", r.atpg.sat_probe_wins);
     {
@@ -309,6 +310,7 @@ int cmd_run(const RunArgs& a) {
       metrics.set("atpg.sat.conflicts", st.conflicts);
       metrics.set("atpg.sat.decisions", st.decisions);
       metrics.set("atpg.sat.propagations", st.propagations);
+      metrics.set("atpg.sat.refutations", r.atpg.sat_refutations);
     }
     if (r.compression.enabled) {
       meta.set("edt.encoded", r.compression.encoded);
