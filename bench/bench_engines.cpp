@@ -498,7 +498,6 @@ int write_json_report(const std::string& path) {
     // Committed search-effort counters: deterministic for any shard
     // count, so they are gated alongside the pattern count.
     metrics.set("atpg.det.backtracks", det_stats.backtracks);
-    metrics.set("atpg.det.implication_hits", det_stats.implication_hits);
     meta.set("atpg.det.cpu_ms", repeat_median(std::move(cpus)));
     meta.set("atpg.det.decisions", det_stats.decisions);
     meta.set("atpg.det.dominator_prunes", det_stats.dominator_prunes);

@@ -2,16 +2,10 @@
 
 #include <algorithm>
 
-#include "atpg/scoap.h"
 #include "util/check.h"
 
 namespace occ {
 namespace {
-
-/// Static-implication consult horizon: decisions deeper than this skip
-/// the literal_conflicts row scan. Refuting a shallow decision prunes
-/// an exponential subtree; deep ones are cheaper to just simulate.
-constexpr size_t kConsultDepth = 24;
 
 /// Inlined 3-valued gate evaluation over an input accessor `val(i)`.
 /// Result-identical to eval_gate(type, ins) (netlist/library.cpp) --
@@ -164,13 +158,6 @@ Podem::Podem(const UnrolledModel& model, uint32_t backtrack_limit)
   faulty_ = good_;
   baseline_ = good_;
 
-  // SCOAP testability costs (atpg/scoap.h): cc0_/cc1_ guide backtrace,
-  // co_ guides objective selection.
-  Scoap sc = compute_scoap(*comb_, model.observations());
-  cc0_ = std::move(sc.cc0);
-  cc1_ = std::move(sc.cc1);
-  co_ = std::move(sc.co);
-
   // Observation reachability: filtering the X-path BFS to nets that
   // can structurally reach an observation never changes its verdict
   // (every path to an observation runs inside this set).
@@ -217,10 +204,6 @@ Podem::Podem(const UnrolledModel& model, uint32_t backtrack_limit)
     idom_[g] = d;
     idepth_[g] = idepth_[d] + 1;
   }
-
-  impl_ = ImplicationTable(model);
-  row_stamp_.assign(n, 0);
-  row_val_.assign(n, 0);
 }
 
 V3 Podem::eval_good(GateId g) const {
@@ -458,39 +441,23 @@ bool Podem::pick_objective(GateId* net, bool* val) {
     if (has_d_in) frontier_buf_.push_back(g);
   }
 
-  // 3. Propagation: walk live frontier gates; take the first that
-  // offers a controllable X input, preferring the cheapest one for the
-  // non-controlling value. The frontier is ordered deepest-first
-  // (closest to the observations), with SCOAP observability as a
-  // deterministic tie-break: of two frontier gates at the same depth,
-  // extend the one with the cheapest remaining path to a strobed
-  // observation.
+  // 3. Propagation: walk live frontier gates deepest-first (closest to
+  // the observations; lower gate id breaks ties); the first gate with a
+  // controllable X input gets the non-controlling value on the first
+  // such input.
   std::sort(frontier_buf_.begin(), frontier_buf_.end(),
             [this](GateId a, GateId b) {
-              const int32_t la = level_[a];
-              const int32_t lb = level_[b];
-              if (la != lb) return la > lb;
-              if (co_[a] != co_[b]) return co_[a] < co_[b];
+              if (level_[a] != level_[b]) return level_[a] > level_[b];
               return a < b;
             });
   for (GateId cand : frontier_buf_) {
-    const V3 cv = controlling_value(type_[cand]);
-    const bool want = cv != V3::kX ? cv == V3::k0 : false;
-    GateId pick = kNoGate;
-    uint32_t pick_cost = ~0u;
     const uint32_t end = fi_off_[cand + 1];
     for (uint32_t e = fi_off_[cand]; e != end; ++e) {
       const GateId f = fi_[e];
       if (good_[f] != V3::kX || !controllable_[f]) continue;
-      const uint32_t cost = want ? cc1_[f] : cc0_[f];
-      if (cost < pick_cost) {
-        pick_cost = cost;
-        pick = f;
-      }
-    }
-    if (pick != kNoGate) {
-      *net = pick;
-      *val = want;
+      const V3 cv = controlling_value(type_[cand]);
+      *net = f;
+      *val = cv != V3::kX ? cv == V3::k0 : false;
       return true;
     }
   }
@@ -525,66 +492,28 @@ bool Podem::backtrace(GateId net, bool val, uint32_t* var, bool* var_val) {
     // Map desired output value to a desired input value.
     bool v_in = v;
     if (is_inverting(t)) v_in = !v;
-    // Choose an X input whose cone contains a variable, guided by
-    // SCOAP costs: when ALL inputs must take the value (AND=1, OR=0,
-    // ...), resolve the hardest first; when ONE suffices, the easiest.
-    const V3 cv0 = controlling_value(t);
-    bool need_all = false;
-    if (cv0 != V3::kX) {
-      const bool v_nc = cv0 == V3::k0;  // non-controlling value as bool
-      need_all = (v_in == v_nc);
-    }
+    // Descend through the first X input, in pin order, whose cone
+    // contains a variable.
     GateId next = kNoGate;
-    uint32_t best_cost = need_all ? 0 : ~0u;
     for (size_t i = 0; i < nfi; ++i) {
-      const GateId f = fi[i];
-      if (good_[f] != V3::kX || !controllable_[f]) continue;
-      const uint32_t cost = v_in ? cc1_[f] : cc0_[f];
-      if (next == kNoGate || (need_all ? cost > best_cost
-                                       : cost < best_cost)) {
-        next = f;
-        best_cost = cost;
+      if (good_[fi[i]] == V3::kX && controllable_[fi[i]]) {
+        next = fi[i];
+        break;
       }
     }
     if (next == kNoGate) return false;
-    switch (t) {
-      case GateType::kAnd:
-      case GateType::kNand:
-      case GateType::kOr:
-      case GateType::kNor: {
-        g = next;
-        v = v_in;
-        break;
+    if (t == GateType::kXor || t == GateType::kXnor) {
+      // Parity-aware: desired input value = desired output xor the
+      // parity of the other (known) inputs; unknown siblings default
+      // to 0, so the chosen input carries the full parity.
+      for (size_t i = 0; i < nfi; ++i) {
+        if (fi[i] != next && good_[fi[i]] == V3::k1) v_in = !v_in;
       }
-      case GateType::kNot:
-      case GateType::kBuf:
-      case GateType::kOutput:
-        g = fi[0];
-        v = v_in;
-        if (good_[g] != V3::kX) return false;
-        break;
-      case GateType::kXor:
-      case GateType::kXnor: {
-        // Parity-aware: desired input value = desired output xor the
-        // parity of the other (known) inputs; unknown siblings default
-        // to 0, so the chosen input carries the full parity.
-        bool parity = v_in;
-        for (size_t i = 0; i < nfi; ++i) {
-          const GateId f = fi[i];
-          if (f == next) continue;
-          if (good_[f] == V3::k1) parity = !parity;
-        }
-        g = next;
-        v = parity;
-        break;
-      }
-      default:
-        // MUX/other: value correlation is weak; walk with the same
-        // polarity (heuristic only -- correctness comes from implication).
-        g = next;
-        v = v_in;
-        break;
     }
+    // A MUX walks with the same polarity: value correlation is weak
+    // there (heuristic only -- correctness comes from implication).
+    g = next;
+    v = v_in;
   }
   return false;
 }
@@ -693,58 +622,6 @@ uint32_t Podem::picked_mux_pin(GateId mux) const {
   return baseline_[sel] == V3::k1 ? 2 : 1;
 }
 
-bool Podem::site_dead_under_row(GateId site) const {
-  // Like site_blocked_statically, but against the stamped implication
-  // row of a candidate decision instead of the baseline: a dominator
-  // whose out-of-cone side input the row forces to the controlling
-  // value becomes definitively equal in both machines the moment the
-  // decision is applied. A dominator already carrying D is passed --
-  // definite values never revert within a subtree, so the latched
-  // effect survives and the chain is probed further downstream.
-  if (!reach_obs_[site]) return true;
-  const int32_t vsink = static_cast<int32_t>(comb_->size());
-  for (int32_t d = idom_[site]; d != vsink; d = idom_[d]) {
-    const GateId dg_id = static_cast<GateId>(d);
-    if (is_d(dg_id)) continue;
-    const V3 cv = controlling_value(type_[dg_id]);
-    if (cv == V3::kX) continue;
-    const uint8_t cvb = cv == V3::k1 ? 1 : 0;
-    const uint32_t end = fi_off_[dg_id + 1];
-    for (uint32_t e = fi_off_[dg_id]; e != end; ++e) {
-      const GateId f = fi_[e];
-      if (cone_mark_[f] == cone_epoch_) continue;
-      if (row_stamp_[f] == consult_id_ && row_val_[f] == cvb) return true;
-    }
-  }
-  return false;
-}
-
-bool Podem::literal_conflicts(uint32_t var, bool val) {
-  // Static refutation of a candidate decision: its implication row is
-  // a set of guaranteed consequences in every completion, so if it
-  // forces a pending launch constraint to the wrong value, or severs
-  // every fault site's dominator chain, the whole subtree under the
-  // decision is conflict-bound -- skip it without simulating.
-  const auto row = impl_.row(var, val);
-  if (row.empty()) return false;
-  ++consult_id_;
-  for (uint32_t lit : row) {
-    row_stamp_[ImplicationTable::lit_gate(lit)] = consult_id_;
-    row_val_[ImplicationTable::lit_gate(lit)] =
-        ImplicationTable::lit_value(lit) ? 1 : 0;
-  }
-  for (const auto& [cg, want] : fault_->constraints) {
-    if (good_[cg] == V3::kX && row_stamp_[cg] == consult_id_ &&
-        row_val_[cg] != static_cast<uint8_t>(want ? 1 : 0)) {
-      return true;
-    }
-  }
-  for (const auto& [site, pin] : fault_->sites) {
-    if (!site_dead_under_row(site)) return false;
-  }
-  return true;
-}
-
 Podem::Outcome Podem::run(const UnrolledFault& fault) {
   ++stats_.runs;
   ++run_id_;
@@ -848,33 +725,10 @@ Podem::Outcome Podem::run(const UnrolledFault& fault) {
           conflict = true;
           cut_unrefuted = true;
         } else {
-          bool tried_both = false;
-          bool doomed = false;
-          // Consult the implication table only for shallow decisions:
-          // a refutation there skips a large subtree, while deep in the
-          // search the row scan costs more than the subtree it saves.
-          const bool consult = stack_.size() < kConsultDepth;
-          if (consult && literal_conflicts(var, var_val)) {
-            // The preferred phase is statically refuted: take the other
-            // phase directly (the refuted subtree would conflict after
-            // one implication anyway), or treat the decision as a
-            // conflict when both phases are refuted.
-            ++stats_.implication_hits;
-            var_val = !var_val;
-            tried_both = true;
-            if (literal_conflicts(var, var_val)) {
-              ++stats_.implication_hits;
-              doomed = true;
-            }
-          }
-          if (doomed) {
-            conflict = true;
-          } else {
-            ++stats_.decisions;
-            stack_.push_back({var, tried_both, trail_.size()});
-            assign_var(var, var_val);
-            continue;
-          }
+          ++stats_.decisions;
+          stack_.push_back({var, false, trail_.size()});
+          assign_var(var, var_val);
+          continue;
         }
       }
     }
@@ -893,16 +747,7 @@ Podem::Outcome Podem::run(const UnrolledFault& fault) {
       cube_[d.var] = V3::kX;
       if (!d.tried_both) {
         d.tried_both = true;
-        const bool flipped = old == V3::k0;  // try the other value
-        if (stack_.size() <= kConsultDepth &&
-            literal_conflicts(d.var, flipped)) {
-          // The remaining phase is statically refuted too: exhaust the
-          // decision without simulating its doomed subtree.
-          ++stats_.implication_hits;
-          stack_.pop_back();
-          continue;
-        }
-        assign_var(d.var, flipped);
+        assign_var(d.var, old == V3::k0);  // try the other value
         resumed = true;
         break;
       }

@@ -8,17 +8,16 @@
 //   * multi-site fault injection (one stuck-at replica per time frame);
 //   * side justification constraints (the transition-launch condition
 //     "site carries its initial value in frame k-1");
-//   * X-path pruning and backtrace guided by variable reachability.
-//
-// Search heuristics (docs/ARCHITECTURE.md "PODEM search heuristics"):
-//   * SCOAP observability-guided objective selection (atpg/scoap.h);
-//   * dominator-based early abort: an instance none of whose sites has
-//     an unblocked path through its own gate and its dominator chain to
-//     an observation is untestable before any search;
-//   * static implication learning (atpg/implications.h) consulted at
-//     decision time to refute doomed decision phases without paying
-//     the forward simulation;
+//   * X-path pruning and backtrace guided by variable reachability;
 //   * fault-cone-restricted X-path checks.
+//
+// Search order: the objective extends the deepest D-frontier gate
+// (lower gate id breaks ties) through its first controllable X input,
+// and backtrace descends through the first controllable X input in pin
+// order. One search heuristic (docs/ARCHITECTURE.md "PODEM search
+// heuristics"): the dominator early abort -- an instance none of whose
+// sites has an unblocked path through its own gate and its dominator
+// chain to an observation is untestable before any search.
 //
 // Outcomes: detected (assignment() holds the test cube), untestable
 // (search space exhausted -- untestable *under this capture procedure*),
@@ -28,7 +27,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "atpg/implications.h"
 #include "atpg/unroll.h"
 #include "netlist/library.h"
 
@@ -43,14 +41,13 @@ class Podem {
     uint64_t decisions = 0;
     uint64_t backtracks = 0;
     uint64_t implications = 0;
-    /// Decision phases refuted by the static implication table before
-    /// any forward simulation.
-    uint64_t implication_hits = 0;
     /// Instances classified untestable by the dominator early abort
     /// before any search.
     uint64_t dominator_prunes = 0;
-    /// Always 0: no run is seeded from a cached cube any more. Kept
-    /// because the occbench driver reports them.
+    /// Always 0: no decision is refuted statically and no run is seeded
+    /// from a cached cube any more. Kept because the occbench driver
+    /// reports them.
+    uint64_t implication_hits = 0;
     uint64_t cache_tries = 0;
     uint64_t cache_hits = 0;
 
@@ -142,8 +139,6 @@ class Podem {
   // The data pin (1 or 2) an out-of-cone constant select of MUX `mux`
   // picks, or 0 when the select is X or inside the fault cone.
   uint32_t picked_mux_pin(GateId mux) const;
-  bool site_dead_under_row(GateId site) const;
-  bool literal_conflicts(uint32_t var, bool val);
 
   const UnrolledModel* model_;
   const Netlist* comb_;
@@ -170,12 +165,6 @@ class Podem {
   std::vector<bool> controllable_;  // gate depends on >= 1 variable
   std::vector<bool> is_obs_;
   std::vector<bool> reach_obs_;   // gate reaches >= 1 observation
-  // SCOAP-style controllability costs (effort to set a net to 0/1);
-  // guides backtrace input selection. co_ (observability) additionally
-  // guides objective selection.
-  std::vector<uint32_t> cc0_;
-  std::vector<uint32_t> cc1_;
-  std::vector<uint32_t> co_;
 
   // Immediate dominator toward the observations over the fanout DAG:
   // idom_[g] is the first gate every g->observation path passes through
@@ -184,12 +173,6 @@ class Podem {
   // nearest-common-ancestor walks.
   std::vector<int32_t> idom_;
   std::vector<uint32_t> idepth_;
-
-  // Static implication table + row-consult scratch.
-  ImplicationTable impl_;
-  std::vector<uint32_t> row_stamp_;
-  std::vector<uint8_t> row_val_;
-  uint32_t consult_id_ = 0;
 
   // Fault under test.
   const UnrolledFault* fault_ = nullptr;

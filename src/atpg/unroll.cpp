@@ -167,14 +167,6 @@ UnrolledModel::UnrolledModel(const Netlist& nl, const ClockingScheme& scheme,
   comb_.finalize();
 }
 
-DomainMask UnrolledModel::at_speed_capture_domains() const {
-  DomainMask m = 0;
-  for (size_t k = 1; k < ncp_->cycles.size(); ++k) {
-    if (ncp_->cycles[k].at_speed) m |= ncp_->cycles[k].pulses;
-  }
-  return m;
-}
-
 std::vector<UnrolledFault> UnrolledModel::translate(const Fault& f) const {
   const Netlist& nl = *orig_;
   const Gate& g = nl.gate(f.gate);

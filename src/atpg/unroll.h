@@ -74,10 +74,6 @@ class UnrolledModel {
   /// under this NCP at all (e.g. no at-speed pair pulses its domain).
   std::vector<UnrolledFault> translate(const Fault& f) const;
 
-  /// Domains that capture at some at-speed cycle of this NCP (used by
-  /// the engine to pre-filter procedures per fault).
-  DomainMask at_speed_capture_domains() const;
-
  private:
   GateId capture_buf(size_t pulse, size_t dff_pos) const;
 

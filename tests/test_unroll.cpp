@@ -197,19 +197,5 @@ TEST(Unroll, DffBranchFaultTargetsCaptureBuffer) {
   EXPECT_EQ(targets[0].sites[0].second, 0);
 }
 
-TEST(Unroll, AtSpeedCaptureDomains) {
-  Netlist nl = gen::make_two_domain_link(2);
-  mark_all_scan(nl);
-  const ClockingScheme s = scheme_cpf_enhanced(2, 2);
-  // Find an inter-domain NCP 0 -> 1.
-  for (uint32_t nc = 0; nc < s.procedures.size(); ++nc) {
-    const auto& p = s.procedures[nc];
-    if (p.name == "ecpf_x0to1") {
-      UnrolledModel um(nl, s, nc, kNoGate);
-      EXPECT_EQ(um.at_speed_capture_domains(), DomainMask{0b10});
-    }
-  }
-}
-
 }  // namespace
 }  // namespace occ
