@@ -67,9 +67,9 @@ void RandomPatternSource::generate(PipelineContext& ctx) {
 // ---- PodemPatternSource --------------------------------------------------
 
 void PodemPatternSource::generate(PipelineContext& ctx) {
-  // The whole stage -- sequential loop and speculative parallel
-  // coordinator alike -- lives in atpg/parallel.{h,cpp}; committed
-  // results are bit-identical for every shard count.
+  // The whole stage -- one streaming speculative-commit loop for every
+  // shard count -- lives in atpg/parallel.{h,cpp}; committed results
+  // are bit-identical for every shard count.
   ParallelPodem(ctx,
                 resolve_atpg_shards(ctx.engine.atpg_shards,
                                     ctx.fsim.shards()),

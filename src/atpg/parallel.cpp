@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
+#include <exception>
+#include <mutex>
 #include <utility>
 
 #include "api/compiled_design.h"
@@ -15,11 +18,12 @@ namespace {
 /// fault-simulation flush of that procedure's window.
 constexpr size_t kMergeWindow = 64;
 
-/// Faults handed to one pool dispatch, per shard. Windows big enough to
-/// amortize the fork-join handshake over real PODEM work, small enough
-/// that a mid-window flush rarely invalidates much speculation (the
+/// Ring slots per walker: how far the committer fills ahead of its
+/// commit point. Deep enough that the walkers keep busy behind one slow
+/// walk (a cube-giving SAT probe costs as much as 10-20 average walks),
+/// shallow enough that a flush rarely drops a fault already walked (the
 /// flush cadence is kMergeWindow cubes per procedure).
-constexpr size_t kWindowFaultsPerShard = 16;
+constexpr size_t kLookaheadFaultsPerShard = 32;
 
 }  // namespace
 
@@ -130,7 +134,7 @@ ParallelPodem::ParallelPodem(PipelineContext& ctx, size_t shards,
   scratch_.resize(shards_);
   for (ShardScratch& sc : scratch_) sc.podems.resize(num_ncps);
   open_cubes_.resize(num_ncps);
-  if (shards_ > 1) pool_ = std::make_unique<ThreadPool>(shards_);
+  if (shards_ > 1) pool_ = std::make_unique<ThreadPool>(shards_ + 1);
 }
 
 ParallelPodem::~ParallelPodem() = default;
@@ -258,9 +262,9 @@ void ParallelPodem::merge_cube(uint32_t nc, TestPattern cube) {
 void ParallelPodem::commit_fault(size_t fi, Attempt& att) {
   FaultList& fl = ctx_.faults;
   if (!eligible(fl.status(fi))) {
-    // The fault was dropped by a flush committed after the window was
-    // built; the sequential loop would have skipped it entirely, so its
-    // speculative work must stay out of every committed counter.
+    // The fault was dropped by a flush committed after its ring slot
+    // was filled; the sequential loop would have skipped it entirely, so
+    // its speculative work must stay out of every committed counter.
     ctx_.res.speculative_runs += att.stats.runs;
     ctx_.res.discarded_cubes += att.detected ? 1 : 0;
     return;
@@ -288,72 +292,142 @@ void ParallelPodem::commit_fault(size_t fi, Attempt& att) {
   ctx_.res.sat += att.sat;
 }
 
-void ParallelPodem::run_sequential() {
-  FaultList& fl = ctx_.faults;
-  const size_t total = fl.size();
-  for (size_t fi = 0; fi < total; ++fi) {
-    if ((fi & 0x3ff) == 0) ctx_.progress(stage_, fi, total);
-    if (!eligible(fl.status(fi))) continue;
-    Attempt att;
-    walk(scratch_[0], fi, &att);
-    commit_fault(fi, att);
+/// The bounded hand-off between the committer and the walkers. Stream
+/// position k (the k-th fault the committer filled) lives in
+/// slot(k); the committer fills positions ahead of its commit point,
+/// walkers claim them in stream order from `cursor`, and the committer
+/// commits them in the same order.
+struct ParallelPodem::Ring {
+  struct Slot {
+    size_t fi = 0;             // the fault to walk
+    Attempt att;               // the walk's outcome
+    std::exception_ptr error;  // what the walk threw, if anything
+    // 1 + the stream position whose walk was last published here; its
+    // release store publishes att and error.
+    std::atomic<size_t> walked{0};
+  };
+
+  explicit Ring(size_t capacity) : slots(capacity) {}
+  Slot& slot(size_t k) { return slots[k % slots.size()]; }
+
+  std::vector<Slot> slots;
+  std::atomic<size_t> cursor{0};  // next stream position a walker claims
+  std::atomic<size_t> filled{0};  // stream positions the committer filled
+  std::atomic<bool> closed{false};
+  // For sleeping only: whatever a sleeper waits for (`filled` moving,
+  // `closed`, a slot's `walked`) is stored under mu, so a predicate
+  // checked under it cannot miss a wake-up.
+  std::mutex mu;
+  std::condition_variable walker_cv;     // `filled` moved or ring closed
+  std::condition_variable committer_cv;  // the awaited slot was walked
+  size_t awaited = 0;  // position the committer sleeps on (guarded by mu)
+};
+
+void ParallelPodem::walk_stream(Ring& ring, ShardScratch& sc) const {
+  for (;;) {
+    // Claims are in stream order, so a walker that runs ahead of the
+    // fill waits for exactly its own position.
+    const size_t k = ring.cursor.fetch_add(1, std::memory_order_relaxed);
+    if (k >= ring.filled.load(std::memory_order_acquire)) {
+      std::unique_lock<std::mutex> lock(ring.mu);
+      ring.walker_cv.wait(lock, [&] {
+        return ring.closed.load(std::memory_order_relaxed) ||
+               k < ring.filled.load(std::memory_order_relaxed);
+      });
+    }
+    if (ring.closed.load(std::memory_order_acquire)) return;
+    Ring::Slot& slot = ring.slot(k);
+    try {
+      walk(sc, slot.fi, &slot.att);
+    } catch (...) {
+      // The committer rethrows it when it reaches this slot.
+      slot.error = std::current_exception();
+    }
+    bool wake;
+    {
+      std::lock_guard<std::mutex> lock(ring.mu);
+      slot.walked.store(k + 1, std::memory_order_release);
+      wake = ring.awaited == k;
+    }
+    // Only the slot the committer sleeps on wakes it.
+    if (wake) ring.committer_cv.notify_one();
   }
 }
 
-void ParallelPodem::run_speculative() {
+void ParallelPodem::commit_stream(Ring& ring) {
+  // Closing wakes every walker waiting for a fill. It must run on every
+  // exit path, a throwing observer or flush included: the pool's run()
+  // waits for all walkers before it rethrows.
+  struct CloseOnExit {
+    Ring& ring;
+    ~CloseOnExit() {
+      {
+        std::lock_guard<std::mutex> lock(ring.mu);
+        ring.closed.store(true, std::memory_order_release);
+      }
+      ring.walker_cv.notify_all();
+    }
+  } close_on_exit{ring};
+
   FaultList& fl = ctx_.faults;
   const size_t total = fl.size();
-  const size_t window = shards_ * kWindowFaultsPerShard;
-  std::vector<size_t> cand;
-  cand.reserve(window);
-  std::vector<Attempt> attempts;
-  size_t next = 0;
-  while (next < total) {
-    // Leader: collect the next window of still-eligible faults. A fault
-    // ineligible here can never become eligible again (statuses only
-    // move toward detected/untestable/aborted), so skipping now is
-    // exactly the sequential skip.
-    const size_t win_start = next;
-    cand.clear();
-    while (next < total && cand.size() < window) {
-      if (eligible(fl.status(next))) cand.push_back(next);
-      ++next;
+  size_t scan = 0;       // next fault index the fill looks at
+  size_t filled = 0;     // stream positions filled
+  size_t committed = 0;  // stream positions committed
+  for (size_t fi = 0; fi < total; ++fi) {
+    // Keep the ring full. A fault ineligible at fill time can never
+    // become eligible again (statuses only move toward detected/
+    // untestable/aborted), so skipping it here is the sequential skip.
+    const size_t before = filled;
+    while (scan < total && filled - committed < ring.slots.size()) {
+      if (eligible(fl.status(scan))) {
+        Ring::Slot& slot = ring.slot(filled++);
+        slot.fi = scan;
+        slot.att = Attempt{};
+        slot.error = nullptr;
+      }
+      ++scan;
     }
-    const size_t win_end = next;
+    if (pool_ && filled != before) {
+      {
+        std::lock_guard<std::mutex> lock(ring.mu);
+        ring.filled.store(filled, std::memory_order_release);
+      }
+      ring.walker_cv.notify_all();
+    }
 
-    // Workers: every shard takes the window's next unwalked fault from
-    // a shared cursor until none is left, so one expensive walk delays
-    // only its own shard. Shards touch only their own scratch and the
-    // slots of `attempts` they claimed; the fault list is read-only
-    // here (set_status happens only on the leader, between dispatches).
-    // Walks are pure, so the assignment cannot change any outcome.
-    attempts.assign(cand.size(), Attempt{});
-    if (!cand.empty()) {
-      std::atomic<size_t> cursor{0};
-      pool_->run([&](size_t s) {
-        for (size_t k = cursor++; k < cand.size(); k = cursor++) {
-          walk(scratch_[s], cand[k], &attempts[k]);
-        }
+    if ((fi & 0x3ff) == 0) ctx_.progress(stage_, fi, total);
+    if (committed == filled || ring.slot(committed).fi != fi) continue;
+    Ring::Slot& slot = ring.slot(committed);
+    if (!pool_) {
+      // No walkers: re-check eligibility and walk here, which is the
+      // sequential schedule (nothing is ever walked speculatively).
+      if (eligible(fl.status(fi))) walk(scratch_[0], fi, &slot.att);
+    } else if (slot.walked.load(std::memory_order_acquire) != committed + 1) {
+      std::unique_lock<std::mutex> lock(ring.mu);
+      ring.awaited = committed;
+      ring.committer_cv.wait(lock, [&] {
+        return slot.walked.load(std::memory_order_relaxed) == committed + 1;
       });
     }
-
-    // Leader: commit in canonical fault order, emitting the same
-    // progress events the sequential walk does.
-    size_t k = 0;
-    for (size_t fi = win_start; fi < win_end; ++fi) {
-      if ((fi & 0x3ff) == 0) ctx_.progress(stage_, fi, total);
-      if (k >= cand.size() || cand[k] != fi) continue;
-      commit_fault(fi, attempts[k]);
-      ++k;
-    }
+    if (slot.error) std::rethrow_exception(slot.error);
+    commit_fault(fi, slot.att);
+    ++committed;
   }
 }
 
 void ParallelPodem::run() {
-  if (shards_ == 1) {
-    run_sequential();
+  Ring ring(kLookaheadFaultsPerShard * shards_);
+  if (pool_) {
+    pool_->run([&](size_t s) {
+      if (s == 0) {
+        commit_stream(ring);
+      } else {
+        walk_stream(ring, scratch_[s - 1]);
+      }
+    });
   } else {
-    run_speculative();
+    commit_stream(ring);
   }
   for (uint32_t nc = 0; nc < open_cubes_.size(); ++nc) flush(nc);
   ctx_.progress(stage_, ctx_.faults.size(), ctx_.faults.size());

@@ -1,26 +1,35 @@
 /// \file
-/// Parallel deterministic PODEM stage: speculative cube generation over
-/// a persistent thread pool, committed in canonical fault order so the
-/// outcome is bit-identical to the sequential stage for any shard count.
+/// Parallel deterministic PODEM stage: speculative cube generation
+/// streamed through a bounded ring, committed in canonical fault order
+/// so the outcome is bit-identical to the sequential stage for any
+/// shard count.
 ///
 /// Protocol (docs/ARCHITECTURE.md, "The speculative-commit protocol"):
-///   * the leader scans the fault list in index order and collects a
-///     window of still-eligible (undetected / possibly-detected) faults;
-///   * the shards of the stage's persistent ThreadPool take the window's
-///     faults from a shared atomic cursor and walk each fault's
+///   * the stage is one ThreadPool(atpg_shards + 1) dispatch; the
+///     calling thread is shard 0, the committer, and fills a bounded
+///     ring with still-eligible (undetected / possibly-detected) faults
+///     in fault-index order, up to kLookaheadFaultsPerShard x shards
+///     ahead of its commit point;
+///   * the other atpg_shards threads are walkers: each claims the next
+///     ring slot from a shared atomic cursor and walks that fault's
 ///     instances -- capability pre-filter, fault translation, the whole
 ///     abort ladder (cheap PODEM, then one SAT probe per cheap abort) --
 ///     over the session's shared per-procedure models, with private
-///     PODEM engines and probe buffers (search scratch is never shared);
-///   * the leader then commits the outcomes in fault-index order,
-///     running the exact sequential bookkeeping: eligibility re-check
-///     (the fault may have been dropped by a flush committed earlier in
-///     the same window), static cube merging, windowed random-fill +
-///     fault-simulation flush through the session's sharded engine,
-///     status updates, and the PODEM, ladder and SAT counters;
+///     PODEM engines and probe buffers (search scratch is never shared),
+///     then publishes the slot's outcome with a release store;
+///   * the committer sleeps until the next slot in fault order is
+///     published and commits it with the exact sequential bookkeeping:
+///     eligibility re-check (a flush committed after the slot was filled
+///     may have dropped the fault), static cube merging, windowed
+///     random-fill + fault-simulation flush through the session's
+///     sharded engine, status updates, the PODEM, ladder and SAT
+///     counters, and a progress event for every scanned fault index;
 ///   * an outcome whose fault is no longer eligible at its commit slot
 ///     is discarded: its work lands in AtpgRunResult::speculative_runs /
 ///     discarded_cubes and never reaches the committed counters.
+/// The committer never walks while walkers exist. With one shard there
+/// is no pool: the same loop re-checks eligibility and walks each slot
+/// itself, which is exactly the sequential schedule.
 ///
 /// The stage is the only code that decides a PODEM abort (abort ladder,
 /// docs/ARCHITECTURE.md): every cheap-PODEM abort gets one SAT probe at
@@ -32,9 +41,9 @@
 /// walks or any commit history -- so which shard walks a fault, and
 /// when, cannot change its outcome, and the committed sequence of
 /// (walk, bookkeeping) steps is exactly the sequential stage's.
-/// Patterns, fault statuses, detection slots and every deterministic
-/// work counter match bit for bit across shard counts; only wall clock
-/// and the wasted speculative work vary.
+/// Patterns, fault statuses, detection slots, progress events and every
+/// deterministic work counter match bit for bit across shard counts;
+/// only wall clock and the wasted speculative work vary.
 #pragma once
 
 #include <cstddef>
@@ -67,14 +76,14 @@ TestPattern cube_to_pattern(const UnrolledModel& um,
                             uint32_t ncp_index);
 
 /// Coordinator for the deterministic PODEM stage. One instance runs the
-/// stage once over the context's fault list; `shards == 1` executes the
-/// plain sequential loop (no pool, no speculation), larger counts the
-/// speculative-commit protocol described in the file comment.
+/// stage once over the context's fault list with the streaming
+/// protocol described in the file comment; `shards` is the number of
+/// walkers (1 = the calling thread walks, no pool and no speculation).
 class ParallelPodem {
  public:
   /// `stage` is the progress-event stage name ("podem" for the built-in
   /// source). Construction precomputes the structural sink/capture
-  /// pre-filters and spawns the worker pool; all PODEM work happens in
+  /// pre-filters and spawns the walker pool; all PODEM work happens in
   /// run().
   ParallelPodem(PipelineContext& ctx, size_t shards, std::string stage);
   ~ParallelPodem();
@@ -103,10 +112,10 @@ class ParallelPodem {
     SatStats sat;               ///< the probes' solver work
   };
 
-  /// Per-shard scratch: the PODEM engines per capture procedure, over
+  /// Per-walker scratch: the PODEM engines per capture procedure, over
   /// the session's shared frozen models (PipelineContext::compiled;
   /// read-only during the search), and the SAT probe's buffers. Search
-  /// state is mutable and never shared across shards.
+  /// state is mutable and never shared across walkers.
   struct ShardScratch {
     std::vector<std::unique_ptr<Podem>> podems;
     sat::ProbeScratch probe;
@@ -127,7 +136,7 @@ class ParallelPodem {
   /// probe for each cheap abort. Touches only `sc` and `out`, so any
   /// shard may run it.
   void walk(ShardScratch& sc, size_t fi, Attempt* out) const;
-  /// Sequential bookkeeping for one attempt (leader side).
+  /// Sequential bookkeeping for one attempt (committer side).
   void commit_fault(size_t fi, Attempt& att);
   /// Statically merges `cube` into procedure `nc`'s open window, or
   /// opens a new slot (flushing a full window).
@@ -135,8 +144,15 @@ class ParallelPodem {
   /// Random-fills and fault-simulates the open cubes of procedure `nc`.
   void flush(uint32_t nc);
 
-  void run_sequential();
-  void run_speculative();
+  /// The committer-walker hand-off (defined in parallel.cpp).
+  struct Ring;
+  /// The committer: fills `ring` in fault order and commits its slots
+  /// in the same order, walking them itself when there is no pool.
+  /// Closes the ring on every exit path so no walker is left waiting.
+  void commit_stream(Ring& ring);
+  /// A walker: claims, walks and publishes ring slots until the ring
+  /// closes.
+  void walk_stream(Ring& ring, ShardScratch& sc) const;
 
   PipelineContext& ctx_;
   size_t shards_;
@@ -148,8 +164,9 @@ class ParallelPodem {
   std::vector<DomainMask> capture_mask_;  // per NCP: capturing domains
   std::vector<bool> po_obs_;              // per NCP: strobes any PO
 
-  std::vector<ShardScratch> scratch_;  // one per shard
-  std::unique_ptr<ThreadPool> pool_;   // null when shards_ == 1
+  std::vector<ShardScratch> scratch_;  // one per walker
+  // The committer plus shards_ walkers; null when shards_ == 1.
+  std::unique_ptr<ThreadPool> pool_;
   // Open (unfilled) cube windows per NCP for static merging.
   std::vector<std::vector<TestPattern>> open_cubes_;
 };

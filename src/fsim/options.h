@@ -29,9 +29,11 @@ struct FsimOptions {
 /// (atpg/engine.h) holds only what the flow computes, never how.
 struct EngineOptions {
   FsimOptions fsim = {};
-  /// Worker shards of the deterministic PODEM stage (atpg/parallel.h):
-  /// 0 = follow the fault-simulation shard count; 1 = the plain
-  /// sequential loop. Committed results are bit-identical for every
+  /// Walkers of the deterministic PODEM stage (atpg/parallel.h): 0 =
+  /// follow the fault-simulation shard count; 1 = the calling thread
+  /// walks every fault itself, in fault order (the sequential schedule);
+  /// N > 1 = N walker threads while the calling thread commits.
+  /// Committed results are bit-identical for every
   /// value -- only wall clock and the wasted speculative work
   /// (AtpgRunResult::speculative_runs) vary.
   size_t atpg_shards = 0;

@@ -56,7 +56,8 @@ class ThreadPool {
   size_t shards() const { return workers_.size() + 1; }
 
   /// Runs fn(0), fn(1), ..., fn(shards()-1) concurrently; blocks until
-  /// every invocation returned. fn must not itself call run(). If any
+  /// every invocation returned. fn must not itself call run() on the
+  /// same pool (a dispatch on another pool is fine). If any
   /// invocation throws, one of the exceptions is rethrown here (after
   /// all shards finished), so pool users keep the ordinary
   /// throw-to-caller error contract.

@@ -1,8 +1,10 @@
 // Tests: occ::Session pipeline API -- golden paths, observer ordering,
-// error cases and sharded fault-simulation determinism.
+// error cases, shutdown on a throwing observer and sharded
+// fault-simulation determinism.
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -152,6 +154,46 @@ TEST(Session, CompressionWithoutChainsThrows) {
       .scheme(comb_sa_scheme())
       .compress(EdtConfig{});
   EXPECT_THROW(Session(std::move(cfg)).run(), CheckError);
+}
+
+// ---- shutdown on error --------------------------------------------------
+
+// An observer that throws inside the deterministic stage must make run()
+// throw, with one walker (no pool) and with four. With four, the
+// committer has to close the walkers' ring and wake every walker on its
+// way out, or the pool's run() waits forever for walkers blocked on the
+// ring; the ctest TIMEOUT of *Shutdown* tests turns such a hang into a
+// failure.
+TEST(SessionShutdown, ObserverThrowInPodemStageReachesCaller) {
+  gen::SocParams prm;
+  prm.seed = 7;
+  prm.domains = 2;
+  prm.domain_share = {1.0, 1.0};
+  prm.flops = 36;
+  prm.gates = 300;
+  prm.pis = 10;
+  prm.pos = 8;
+  AtpgOptions opts;
+  opts.random_rounds = 0;  // every fault reaches the deterministic stage
+  for (const size_t shards : {1, 4}) {
+    SCOPED_TRACE(shards);
+    bool thrown = false;
+    SessionConfig cfg;
+    cfg.design(gen::generate_soc(prm))
+        .scan({.num_chains = 4})
+        .scheme(scheme_cpf_basic(2))
+        .atpg(opts)
+        .engine({.fsim = {.shards = 1}, .atpg_shards = shards})
+        .observer([&](const ProgressEvent& e) {
+          if (e.kind == ProgressEvent::Kind::kProgress &&
+              e.stage == "podem" && !thrown) {
+            thrown = true;
+            throw std::runtime_error("observer stops the session");
+          }
+        });
+    EXPECT_THROW(Session(std::move(cfg)).run(), std::runtime_error);
+    EXPECT_TRUE(thrown);
+  }
 }
 
 // ---- sharded fault simulation -------------------------------------------

@@ -7,11 +7,14 @@
 // promise across shard counts {1, 2, 3, 8} on generated SoCs (all five
 // Table-1 clocking schemes) and on the committed circuits/ corpus, and
 // check the wasted-speculation accounting (speculative_runs /
-// discarded_cubes) stays out of the committed counters.
+// discarded_cubes) stays out of the committed counters and that the
+// stage's progress events follow the canonical order.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "api/session.h"
 #include "atpg/parallel.h"
@@ -113,6 +116,33 @@ TEST(AtpgParallel, AllSchemesBitIdenticalAcrossShardCounts) {
       EXPECT_EQ(fp_seq, fingerprint(Session(std::move(par)).run()))
           << "atpg_shards=" << shards;
     }
+  }
+}
+
+// Progress events are emitted by the committer in canonical fault order,
+// so the (done, total) sequence of the deterministic stage must not
+// depend on the walker count either.
+TEST(AtpgParallel, ProgressEventsIdenticalAcrossShardCounts) {
+  const gen::SocParams prm = mini_soc(7, 2);
+  auto progress = [&](size_t shards) {
+    std::vector<std::pair<size_t, size_t>> seen;
+    SessionConfig cfg = soc_config(prm, scheme_cpf_enhanced(2, 3));
+    cfg.engine({.fsim = {.shards = 1}, .atpg_shards = shards})
+        .observer([&](const ProgressEvent& e) {
+          if (e.kind == ProgressEvent::Kind::kProgress &&
+              e.stage == "podem") {
+            seen.emplace_back(e.done, e.total);
+          }
+        });
+    Session(std::move(cfg)).run();
+    return seen;
+  };
+  const std::vector<std::pair<size_t, size_t>> seq = progress(1);
+  ASSERT_GE(seq.size(), 2u) << "the 0 and done == total events at least";
+  EXPECT_EQ(seq.front().first, 0u);
+  EXPECT_EQ(seq.back().first, seq.back().second);
+  for (const size_t shards : {2, 8}) {
+    EXPECT_EQ(seq, progress(shards)) << "atpg_shards=" << shards;
   }
 }
 
